@@ -1,9 +1,11 @@
 """Command-line front end binding ingestion, fitting, budgeting, cavity
 estimation and simulation into reproducible pipelines.
 
-Every run writes a manifest (command, config hash, input hashes, tool
-version) next to its report so it can be re-executed identically.
-Exit codes: 0 success, 1 usage error, 2 validation error, 3 fit failure.
+Each command handler computes its report and any extra files; `main`
+writes them, then a manifest (command, every resolved option, config
+hash, hashes of every input file, tool version) so the run can be
+re-executed identically. Exit codes: 0 success, 1 usage error, otherwise
+the `exit_code` of the error raised: 2 validation error, 3 fit failure.
 """
 
 from __future__ import annotations
@@ -13,48 +15,26 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
 from .datatypes import wavelength_to_energy
 from .decay import fit_decay, fit_thermal
-from .errors import (
-    AggregationError,
-    ConfigurationError,
-    DegenerateFitError,
-    DomainError,
-    EvaluationError,
-    InsufficientBaselineError,
-    InsufficientDataError,
-    LineNotFoundError,
-    ModelInconsistencyError,
-    NoDataError,
-    ParseError,
-    SicplError,
-    ValidationError,
-)
-from .io import load_sidecar, load_spectrum, load_trace, save_two_column
+from .errors import AggregationError, SicplError, ValidationError
+from .io import (load_sidecar, load_spectrum, load_trace, read_json, read_table,
+                 save_two_column)
 from .photophysics import CavityParams, budget, cooperativity, finesse_sweep
-from .spectrum import PsbConstraints, find_zpls, fit_psb, partition_dw, psb_eval
-from .synth import GeneratorSpec, gen_decay, gen_spectrum, generate
+from .spectrum import PsbConstraints, find_zpls, fit_psb, partition_dw
+from .synth import GeneratorSpec, generate
 
 EXIT_OK = 0
 EXIT_USAGE = 1
-EXIT_VALIDATION = 2
-EXIT_FIT = 3
 
-VALIDATION_ERRORS = (
-    ValidationError, ParseError, DomainError, ConfigurationError,
-    InsufficientBaselineError, FileNotFoundError,
-)
-FIT_ERRORS = (
-    DegenerateFitError, EvaluationError, LineNotFoundError,
-    ModelInconsistencyError, InsufficientDataError, NoDataError,
-)
-
-COMMANDS = ("fit-decay", "fit-thermal", "fit-psb", "zpl", "budget",
-            "cavity", "simulate", "report")
+# options naming a file a command reads; the manifest hashes each one given
+INPUT_OPTIONS = ("config", "trace", "meta", "points", "spectrum", "zpl_config",
+                 "spec", "inputs")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -64,24 +44,27 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _sha256(path):
-    h = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _write_manifest(out_dir, command, params, input_paths):
+def _write_manifest(out_dir, args):
+    params = vars(args)
+    paths = []
+    for key in INPUT_OPTIONS:
+        value = params.get(key)
+        if value is not None:
+            paths += value if isinstance(value, list) else [value]
     manifest = {
-        "command": command,
+        "command": args.command,
         "tool_version": __version__,
         "parameters": params,
         "config_hash": hashlib.sha256(
             json.dumps(params, sort_keys=True).encode()
         ).hexdigest(),
-        "inputs": {str(p): _sha256(p) for p in input_paths},
+        "inputs": {str(p): _sha256(p) for p in paths},
     }
-    path = os.path.join(out_dir, f"{command}_manifest.json")
+    path = os.path.join(out_dir, f"{args.command}_manifest.json")
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -102,62 +85,42 @@ def _report_lines(title, rows, notes=()):
     return "\n".join(lines) + "\n"
 
 
-def _emit(out_dir, name, text):
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
-    with open(path, "w") as fh:
-        fh.write(text)
-    print(text, end="")
-    return path
-
-
-def _require_files(*paths):
-    for p in paths:
-        if p is not None and not os.path.exists(p):
-            raise ValidationError(f"input file does not exist: {p}")
+def _numbers(option, text, sep, types, form):
+    """The fields of `text` split on `sep` and converted by `types`."""
+    fields = text.split(sep)
+    try:
+        if len(fields) == len(types):
+            return tuple(convert(f) for convert, f in zip(types, fields))
+    except ValueError:
+        pass
+    raise ValidationError(f"{option} must look like {form}, got {text!r}")
 
 
 def _load_meta(args):
-    meta = load_sidecar(args.meta) if getattr(args, "meta", None) else {}
+    meta = load_sidecar(args.meta) if args.meta else {}
     for key, attr in (("pulse_time_ns", "pulse_ns"), ("temperature_K", "temperature")):
         if getattr(args, attr, None) is not None:
             meta[key] = getattr(args, attr)
     return meta
 
 
-def _read_zpl_config(path):
-    """Lines of `label center_nm window_nm`, '#' comments allowed."""
-    _require_files(path)
-    expected = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ParseError(f"{path}:{lineno}: expected `label center window`")
-            try:
-                expected.append((parts[0], float(parts[1]), float(parts[2])))
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-numeric center/window") from None
-    if not expected:
-        raise ParseError(f"{path}: no ZPL definitions")
-    return expected
+def _find_zpls(args):
+    """The spectrum and the ZPLs found on it from the --zpl-config rows."""
+    spectrum = load_spectrum(args.spectrum, _load_meta(args))
+    labels, values = read_table(args.zpl_config, "label center_nm window_nm",
+                                labelled=True)
+    return spectrum, find_zpls(spectrum, list(zip(labels, *values.T.tolist())))
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each returns (report file name or None, report text,
+# {file name: text, or (x, y, header) of a two-column file})
 
 
 def _cmd_fit_decay(args):
-    _require_files(args.trace, getattr(args, "meta", None))
-    meta = _load_meta(args)
-    trace = load_trace(args.trace, meta)
-    window = None
-    if args.window:
-        a, b = args.window.split(",")
-        window = (float(a), float(b))
+    trace = load_trace(args.trace, _load_meta(args))
+    window = (_numbers("--window", args.window, ",", (float, float), "t0,t1")
+              if args.window else None)
     res = fit_decay(trace, kind=args.kind, fit_window=window)
     rows = [("model", res.model_kind),
             ("background [counts/bin]", res.background, 3 * res.background_error)]
@@ -165,49 +128,30 @@ def _cmd_fit_decay(args):
         rows.append((f"A{i} [counts]", amp, res.sigma3[2 * (i - 1)]))
         rows.append((f"tau{i} [ns]", tau, res.sigma3[2 * (i - 1) + 1]))
     rows.append(("reduced chi2", res.reduced_chi2))
-    text = _report_lines("Decay fit", rows, notes=res.warnings)
-    _emit(args.out, "fit-decay_report.txt", text)
+    files = {}
     if args.plot:
         t = trace.times
         model = np.full(t.shape, res.background)
         after = t >= trace.pulse_time
         for amp, tau in res.components:
             model[after] += amp * np.exp(-(t[after] - trace.pulse_time) / tau)
-        save_two_column(os.path.join(args.out, "fit-decay_model.txt"), t, model,
-                        header="time_ns model_counts")
-    _write_manifest(args.out, "fit-decay",
-                    {"kind": args.kind, "window": args.window}, [args.trace])
-    return EXIT_OK
+        files["fit-decay_model.txt"] = (t, model, "time_ns model_counts")
+    return "fit-decay_report.txt", _report_lines("Decay fit", rows, res.warnings), files
 
 
 def _cmd_fit_thermal(args):
-    _require_files(args.points)
-    pts = []
-    with open(args.points) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.replace(",", " ").split()
-            if len(parts) != 3:
-                raise ParseError(f"{args.points}:{lineno}: expected T tau sigma")
-            pts.append(tuple(float(v) for v in parts))
-    model = fit_thermal(pts)
+    model = fit_thermal(read_table(args.points, "T_K tau_ns sigma_ns"))
     text = _report_lines("Thermally activated decay fit", [
         ("tau [ns]", model.tau, model.sigma3[0]),
         ("tau_p [ns]", model.tau_p, model.sigma3[1]),
         ("E_p [meV]", model.e_p, model.sigma3[2]),
         ("reduced chi2", model.reduced_chi2),
     ])
-    _emit(args.out, "fit-thermal_report.txt", text)
-    _write_manifest(args.out, "fit-thermal", {}, [args.points])
-    return EXIT_OK
+    return "fit-thermal_report.txt", text, {}
 
 
 def _cmd_zpl(args):
-    _require_files(args.spectrum, getattr(args, "meta", None))
-    spectrum = load_spectrum(args.spectrum, _load_meta(args))
-    zpls = find_zpls(spectrum, _read_zpl_config(args.zpl_config))
+    _, zpls = _find_zpls(args)
     rows = []
     for label, line in sorted(zpls.lines.items()):
         bound = "<= " if line.fwhm_is_upper_bound else ""
@@ -217,16 +161,11 @@ def _cmd_zpl(args):
         rows.append((f"{label} area [counts*nm]", line.area))
     if zpls.doublet_splitting_mev is not None:
         rows.append(("doublet splitting [meV]", zpls.doublet_splitting_mev))
-    text = _report_lines("ZPL identification", rows, notes=zpls.warnings)
-    _emit(args.out, "zpl_report.txt", text)
-    _write_manifest(args.out, "zpl", {}, [args.spectrum, args.zpl_config])
-    return EXIT_OK
+    return "zpl_report.txt", _report_lines("ZPL identification", rows, notes=zpls.warnings), {}
 
 
 def _cmd_fit_psb(args):
-    _require_files(args.spectrum, getattr(args, "meta", None))
-    spectrum = load_spectrum(args.spectrum, _load_meta(args))
-    zpls = find_zpls(spectrum, _read_zpl_config(args.zpl_config))
+    spectrum, zpls = _find_zpls(args)
     fit = fit_psb(spectrum, zpls, PsbConstraints())
     part = partition_dw(spectrum, zpls, args.partition_mev, psb_fit=fit,
                         area_correction=args.area_correction)
@@ -241,20 +180,14 @@ def _cmd_fit_psb(args):
         ("DW beta low", part.dw_beta_low),
         ("DW beta refined", part.dw_beta_refined),
     ]
-    text = _report_lines("Phonon sideband fit and DW partition", rows)
-    _emit(args.out, "fit-psb_report.txt", text)
+    files = {}
     if args.plot:
-        save_two_column(os.path.join(args.out, "fit-psb_model.txt"),
-                        fit.delta, fit.alpha_model,
-                        header="delta_meV alpha_sideband_counts_per_meV")
-        save_two_column(os.path.join(args.out, "fit-psb_beta_residual.txt"),
-                        fit.delta, fit.beta_residual,
-                        header="delta_meV beta_residual_counts_per_meV")
-    _write_manifest(args.out, "fit-psb",
-                    {"partition_mev": args.partition_mev,
-                     "area_correction": args.area_correction},
-                    [args.spectrum, args.zpl_config])
-    return EXIT_OK
+        files["fit-psb_model.txt"] = (fit.delta, fit.alpha_model,
+                                      "delta_meV alpha_sideband_counts_per_meV")
+        files["fit-psb_beta_residual.txt"] = (fit.delta, fit.beta_residual,
+                                              "delta_meV beta_residual_counts_per_meV")
+    text = _report_lines("Phonon sideband fit and DW partition", rows)
+    return "fit-psb_report.txt", text, files
 
 
 def _cmd_budget(args):
@@ -271,22 +204,11 @@ def _cmd_budget(args):
         ("eta_rad", b.eta_rad),
         ("eta_tot", b.eta_tot),
     ]
-    text = _report_lines("Radiative-efficiency budget", rows, notes=b.notes)
-    _emit(args.out, "budget_report.txt", text)
-    payload = {
-        "site": b.site_label, "s_th": b.s_th, "dw_th": b.dw_th,
-        "dw_exp": b.dw_exp, "tau_rad": b.tau_rad, "tau_tot_exp": b.tau_tot_exp,
-        "tau_nr": b.tau_nr, "eta_rad": b.eta_rad, "eta_tot": b.eta_tot,
-        "notes": b.notes,
-    }
+    payload = asdict(b)
+    payload["site"] = payload.pop("site_label")
     name = f"budget_{b.site_label}.json" if b.site_label else "budget.json"
-    with open(os.path.join(args.out, name), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _write_manifest(args.out, "budget",
-                    {"tau_rad": args.tau_rad, "tau_tot": args.tau_tot,
-                     "dw": args.dw, "s": args.s, "site": args.site}, [])
-    return EXIT_OK
+    text = _report_lines("Radiative-efficiency budget", rows, notes=b.notes)
+    return "budget_report.txt", text, {name: json.dumps(payload, indent=2, sort_keys=True) + "\n"}
 
 
 def _cmd_cavity(args):
@@ -306,33 +228,21 @@ def _cmd_cavity(args):
     ]
     if est.eta_out is not None:
         rows.append(("eta_out", est.eta_out))
-    text = _report_lines("Cavity-enhancement estimate", rows)
-    _emit(args.out, "cavity_report.txt", text)
+    files = {}
     if args.sweep:
-        spec = args.sweep.split("=", 1)
-        if len(spec) != 2 or spec[0] != "finesse":
-            raise ValidationError("sweep must look like finesse=start:stop:n")
-        a, b, n = spec[1].split(":")
-        table = finesse_sweep(params, float(a), float(b), int(n))
-        path = os.path.join(args.out, "cavity_sweep.txt")
-        with open(path, "w") as fh:
-            fh.write("# finesse cooperativity eta_cav\n")
-            for f, c, eta in table:
-                fh.write(f"{f:.9g} {c:.9g} {eta:.9g}\n")
-    _write_manifest(args.out, "cavity",
-                    {k: getattr(args, k) for k in
-                     ("lambda_nm", "finesse", "roc_mm", "lvac_um", "lsic_um",
-                      "eta_tot", "n_sic", "wc_um", "sweep")}, [])
-    return EXIT_OK
+        form = "finesse=start:stop:n"
+        name, _, values = args.sweep.partition("=")
+        if name != "finesse":
+            raise ValidationError(f"--sweep must look like {form}, got {args.sweep!r}")
+        start, stop, n = _numbers("--sweep", values, ":", (float, float, int), form)
+        files["cavity_sweep.txt"] = "# finesse cooperativity eta_cav\n" + "".join(
+            f"{f:.9g} {c:.9g} {eta:.9g}\n"
+            for f, c, eta in finesse_sweep(params, start, stop, n))
+    return "cavity_report.txt", _report_lines("Cavity-enhancement estimate", rows), files
 
 
 def _cmd_simulate(args):
-    _require_files(args.spec)
-    with open(args.spec) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{args.spec}: invalid JSON ({exc})") from None
+    raw = read_json(args.spec)
     for key in ("seed", "kind", "truth", "sampling"):
         if key not in raw:
             raise ValidationError(f"{args.spec}: missing generator key {key!r}")
@@ -347,21 +257,14 @@ def _cmd_simulate(args):
                          sampling=raw["sampling"],
                          noise=raw.get("noise", {"kind": "none"}))
     result = generate(spec)
-    out_dir = os.path.dirname(os.path.abspath(args.outfile)) or "."
-    os.makedirs(out_dir, exist_ok=True)
     if spec.kind == "decay":
-        save_two_column(args.outfile, result.times, result.counts,
-                        header=f"time_ns counts (pulse_time_ns={result.pulse_time})")
+        data = (result.times, result.counts,
+                f"time_ns counts (pulse_time_ns={result.pulse_time})")
     elif spec.kind == "spectrum":
-        save_two_column(args.outfile, result.wavelengths, result.intensities,
-                        header="wavelength_nm counts")
+        data = (result.wavelengths, result.intensities, "wavelength_nm counts")
     else:
-        with open(args.outfile, "w") as fh:
-            for row in result:
-                fh.write(" ".join(f"{v:.9g}" for v in row) + "\n")
-    _write_manifest(out_dir, "simulate", {"seed": raw["seed"], "kind": raw["kind"]},
-                    [args.spec])
-    return EXIT_OK
+        data = "".join(" ".join(f"{v:.9g}" for v in row) + "\n" for row in result)
+    return None, None, {os.path.basename(args.outfile): data}
 
 
 REPORT_COLUMNS = ("s_th", "dw_th", "dw_exp", "tau_rad", "tau_tot_exp",
@@ -371,13 +274,9 @@ REPORT_HEADER = ("site", "S(th.)", "DW(th.)", "DW(exp.)", "tau_rad",
 
 
 def _cmd_report(args):
-    if not args.inputs:
-        raise ValidationError("report needs at least one budget JSON")
-    _require_files(*args.inputs)
     rows = {}
     for path in args.inputs:
-        with open(path) as fh:
-            data = json.load(fh)
+        data = read_json(path)
         site = data.get("site", "")
         if site in rows and rows[site] != data:
             raise AggregationError(f"conflicting entries for site {site!r}")
@@ -391,10 +290,7 @@ def _cmd_report(args):
             v = data.get(key)
             cells.append(f"{'absent':>13}" if v is None else f"{v:>13.4g}")
         lines.append("  ".join(cells))
-    text = "\n".join(lines) + "\n"
-    _emit(args.out, "summary_report.txt", text)
-    _write_manifest(args.out, "report", {"inputs": list(args.inputs)}, args.inputs)
-    return EXIT_OK
+    return "summary_report.txt", "\n".join(lines) + "\n", {}
 
 
 # ---------------------------------------------------------------------------
@@ -481,11 +377,9 @@ HANDLERS = {
 
 
 def _args_from_config(parser, path):
-    _require_files(path)
-    with open(path) as fh:
-        cfg = json.load(fh)
+    cfg = read_json(path)
     command = cfg.get("command")
-    if command not in COMMANDS:
+    if command not in HANDLERS:
         raise ValidationError(f"unknown command {command!r} in config")
     argv = [command]
     for key, value in {**cfg.get("inputs", {}), **cfg.get("parameters", {})}.items():
@@ -500,7 +394,9 @@ def _args_from_config(parser, path):
         argv.extend(["--out", cfg["output_dir"]])
     if cfg.get("emit_plot_data") and command in ("fit-decay", "fit-psb"):
         argv.append("--plot")
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    args.config = path
+    return args
 
 
 def main(argv=None):
@@ -512,19 +408,31 @@ def main(argv=None):
         if not getattr(args, "command", None):
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
-        os.makedirs(args.out, exist_ok=True)
-        return HANDLERS[args.command](args)
+        # simulate writes next to --outfile, and its manifest goes with it
+        out_dir = (os.path.dirname(os.path.abspath(args.outfile))
+                   if args.command == "simulate" else args.out)
+        os.makedirs(out_dir, exist_ok=True)
+        report, text, files = HANDLERS[args.command](args)
+        if report is not None:
+            files = {report: text, **files}
+            print(text, end="")
+        for name, data in files.items():
+            path = os.path.join(out_dir, name)
+            if isinstance(data, str):
+                with open(path, "w") as fh:
+                    fh.write(data)
+            else:
+                save_two_column(path, *data)
+        _write_manifest(out_dir, args)
+        return EXIT_OK
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    except VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except FIT_ERRORS as exc:
-        print(f"fit error: {exc}", file=sys.stderr)
-        return EXIT_FIT
     except SicplError as exc:
+        print(f"{'fit error' if exc.exit_code == 3 else 'error'}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return ValidationError.exit_code
 
 
 if __name__ == "__main__":

@@ -247,7 +247,6 @@ def fit_decay(trace: DecayTrace, kind: str = "auto", fit_window=None,
     # auto: decisive AIC improvement required to keep the extra component
     if double is None:
         return as_result(single, "single")
-    n = t.size
     aic_single = single.cost + 2 * 2
     aic_double = double.cost + 2 * len(double.parameters)
     if aic_single - aic_double > AIC_THRESHOLD:

@@ -1,8 +1,13 @@
-"""Exception hierarchy for the analysis toolkit."""
+"""Exception hierarchy for the analysis toolkit.
+
+Each class carries the command line's exit code for it: 2 for bad input
+(the default), 3 for a fit that failed on valid input.
+"""
 
 
 class SicplError(Exception):
     """Base class for all toolkit errors."""
+    exit_code = 2
 
 
 class ValidationError(SicplError):
@@ -19,10 +24,12 @@ class DomainError(SicplError):
 
 class EvaluationError(SicplError):
     """Model returned NaN/inf during fitting."""
+    exit_code = 3
 
 
 class DegenerateFitError(SicplError):
     """Normal matrix is singular; message names the unidentifiable direction."""
+    exit_code = 3
 
 
 class InsufficientBaselineError(SicplError):
@@ -31,14 +38,17 @@ class InsufficientBaselineError(SicplError):
 
 class InsufficientDataError(SicplError):
     """Not enough usable points for the requested analysis."""
+    exit_code = 3
 
 
 class LineNotFoundError(SicplError):
     """No emission line found inside a search window."""
+    exit_code = 3
 
 
 class ModelInconsistencyError(SicplError):
     """Fitted model leaves systematically negative residuals."""
+    exit_code = 3
 
 
 class ConfigurationError(SicplError):
@@ -51,3 +61,4 @@ class AggregationError(SicplError):
 
 class NoDataError(SicplError):
     """Empty channel or result list."""
+    exit_code = 3

@@ -1,13 +1,15 @@
-"""File ingestion: two-column decimal text with '#' comments, plus a
-sidecar key-value metadata format.
+"""File ingestion: delimited text tables with '#' comments, a sidecar
+key-value metadata format and JSON documents.
 
-Delimiters (comma, tab, whitespace) are auto-detected per line; lab CSVs
-are rarely consistent.
+Table fields are split on commas or whitespace, in any mix; lab CSVs are
+rarely consistent.
 """
 
 from __future__ import annotations
 
+import json
 import os
+from itertools import chain
 
 import numpy as np
 
@@ -25,43 +27,86 @@ SIDECAR_KEYS = {
 }
 
 
-def _parse_two_column(path) -> list[tuple[float, float]]:
-    if not os.path.exists(path):
-        raise ParseError(f"file not found: {path}")
-    rows = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.replace(",", " ").split()
-            if len(parts) != 2:
-                raise ParseError(f"{path}:{lineno}: expected 2 columns, got {len(parts)}")
-            try:
-                rows.append((float(parts[0]), float(parts[1])))
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-numeric value in {line!r}") from None
-    if not rows:
+def _read_text(path) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not a text file ({exc.reason} at byte {exc.start})") from None
+
+
+def _lines(path):
+    """The lines of a text file with their '#' comments removed; item i is
+    line i + 1."""
+    return [line.partition("#")[0] for line in _read_text(path).split("\n")]
+
+
+def read_table(path, columns: str, labelled: bool = False):
+    """Read a text table whose columns are named by `columns`, e.g.
+    "T_K tau_ns sigma_ns", into an (n, k) float array. Blank lines are
+    skipped.
+
+    With `labelled`, the first column is a text label and the result is
+    (labels, values) with the remaining columns as values. A missing
+    file, a wrong column count, a non-numeric field or an empty table
+    raises ParseError naming the file and, for a bad row, its line.
+    """
+    names = columns.split()
+    rows = [line.replace(",", " ").split() for line in _lines(path)]
+    data = [fields for fields in rows if fields]
+    if not data:
         raise ParseError(f"{path}: no data rows")
-    return rows
+    numeric = [fields[1:] for fields in data] if labelled else data
+    try:
+        if set(map(len, data)) != {len(names)}:
+            raise ValueError("ragged table")
+        values = np.fromiter(map(float, chain.from_iterable(numeric)), dtype=float)
+    except ValueError:
+        # converting all rows at once is the fast path; only when it
+        # fails is each row checked, to name the first bad line
+        for lineno, fields in enumerate(rows, start=1):
+            if fields and len(fields) != len(names):
+                raise ParseError(f"{path}:{lineno}: expected {len(names)} columns "
+                                 f"({columns}), got {len(fields)}") from None
+            try:
+                [float(v) for v in fields[1 if labelled else 0:]]
+            except ValueError:
+                raise ParseError(f"{path}:{lineno}: non-numeric value in "
+                                 f"{' '.join(fields)!r}") from None
+        raise
+    values = values.reshape(len(data), -1)
+    return ([fields[0] for fields in data], values) if labelled else values
+
+
+def read_json(path) -> dict:
+    """Read a JSON object; ParseError names the file if it is missing or
+    is not a JSON object."""
+    try:
+        data = json.loads(_read_text(path))
+    except ValueError as exc:
+        raise ParseError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(data, dict):
+        raise ParseError(f"{path}: expected a JSON object")
+    return data
 
 
 def load_sidecar(path) -> dict:
     """Read a `key = value` metadata file (documented schema keys only)."""
-    if not os.path.exists(path):
-        raise ParseError(f"file not found: {path}")
     meta = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParseError(f"{path}:{lineno}: expected key = value")
-            key, val = (s.strip() for s in line.split("=", 1))
-            if key not in SIDECAR_KEYS:
-                raise ParseError(f"{path}:{lineno}: unknown metadata key {key!r}")
+    for lineno, line in enumerate(_lines(path), start=1):
+        if not line.strip():
+            continue
+        key, sep, val = (s.strip() for s in line.partition("="))
+        if not sep:
+            raise ParseError(f"{path}:{lineno}: expected key = value")
+        if key not in SIDECAR_KEYS:
+            raise ParseError(f"{path}:{lineno}: unknown metadata key {key!r}")
+        try:
             meta[key] = val if key == "label" else float(val)
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: non-numeric value {val!r} for {key}") from None
     return meta
 
 
@@ -72,9 +117,8 @@ def load_spectrum(path, metadata: dict | None = None) -> Spectrum:
     are rejected.
     """
     meta = dict(metadata or {})
-    rows = sorted(_parse_two_column(path))
-    wl = np.array([r[0] for r in rows])
-    it = np.array([r[1] for r in rows])
+    data = read_table(path, "wavelength_nm counts")
+    wl, it = data[np.argsort(data[:, 0], kind="stable")].T.copy()
     if np.any(np.diff(wl) == 0):
         raise ValidationError(f"{path}: duplicate wavelength values")
     return Spectrum(
@@ -95,9 +139,7 @@ def load_trace(path, metadata: dict | None = None) -> DecayTrace:
     meta = dict(metadata or {})
     if "pulse_time_ns" not in meta:
         raise ValidationError(f"{path}: pulse_time_ns metadata is required for traces")
-    rows = _parse_two_column(path)
-    t = np.array([r[0] for r in rows])
-    c = np.array([r[1] for r in rows])
+    t, c = read_table(path, "time_ns counts").T.copy()
     return DecayTrace(
         times=t,
         counts=c,

@@ -17,10 +17,6 @@ import numpy as np
 from .constants import N_SIC_DEFAULT
 from .errors import ConfigurationError, DomainError, ValidationError
 
-# Mirror-asymmetry extraction fraction giving > 50 % output efficiency at
-# eta_cav = 82 %; an assumption, not a measured value.
-DEFAULT_EXTRACTION_FRACTION = 0.61
-
 
 @dataclass
 class PhotophysicsBudget:

@@ -560,7 +560,6 @@ def hr_lineshape(model: HRModel, grid_ev):
     n_max = _poisson_n_max(s_total)
     dist = np.array([1.0])  # zero-phonon delta at offset 0
     weight = w0
-    kept = w0
     for n in range(1, n_max + 1):
         weight *= s_total / n
         dist = np.convolve(dist, g)
@@ -569,7 +568,6 @@ def hr_lineshape(model: HRModel, grid_ev):
         contrib = weight * dist
         m = contrib.size
         out[i_zpl - m + 1 : i_zpl + 1] += contrib[::-1]
-        kept += weight * dist.sum()
     return out / out.sum()
 
 

@@ -199,3 +199,124 @@ def test_zpl_and_psb_cli(tmp_path):
     report = (out2 / "fit-psb_report.txt").read_text()
     assert "DW mean" in report
     assert (out2 / "fit-psb_model.txt").exists()
+
+
+TRACE = "".join(f"{i} {5 + 100 * (i >= 20)}\n" for i in range(60))
+CAVITY = ["cavity", "--lambda-nm", "1280", "--finesse", "34000", "--roc-mm", "1.3",
+          "--lvac-um", "5", "--lsic-um", "5", "--eta-tot", "0.089"]
+# name: (files to write, argv with file names standing for their paths,
+#        text the error message must contain)
+MALFORMED = {
+    "config-bad-json": ({"run.json": '{"command": '}, ["--config", "run.json"], "run.json"),
+    "config-not-object": ({"run.json": "[1, 2]"}, ["--config", "run.json"], "run.json"),
+    "report-bad-json": ({"b.json": "{'site': 'k'}"},
+                        ["report", "--inputs", "b.json", "--out", "out"], "b.json"),
+    "thermal-non-numeric": ({"pts.txt": "# T tau sigma\n4 163 3\n25, fast, 3\n"},
+                            ["fit-thermal", "--points", "pts.txt", "--out", "out"], "pts.txt:3"),
+    "sidecar-non-numeric": ({"t.txt": TRACE, "m.meta": "pulse_time_ns = 20\ntemperature_K = warm\n"},
+                            ["fit-decay", "--trace", "t.txt", "--meta", "m.meta", "--out", "out"],
+                            "m.meta:2"),
+    "window-one-value": ({"t.txt": TRACE}, ["fit-decay", "--trace", "t.txt", "--pulse-ns", "20",
+                                            "--window", "5", "--out", "out"], "--window"),
+    "window-non-numeric": ({"t.txt": TRACE}, ["fit-decay", "--trace", "t.txt", "--pulse-ns", "20",
+                                              "--window", "a,b", "--out", "out"], "--window"),
+    "sweep-two-values": ({}, CAVITY + ["--sweep", "finesse=1:2", "--out", "out"], "--sweep"),
+}
+
+
+@pytest.mark.parametrize("files, argv, named", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_input_exit_2(tmp_path, capsys, files, argv, named):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files or a == "out" else a for a in argv]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+
+
+EXIT_CODES = {
+    "ValidationError": 2, "ParseError": 2, "DomainError": 2, "EvaluationError": 3,
+    "DegenerateFitError": 3, "InsufficientBaselineError": 2, "InsufficientDataError": 3,
+    "LineNotFoundError": 3, "ModelInconsistencyError": 3, "ConfigurationError": 2,
+    "AggregationError": 2, "NoDataError": 3,
+}
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_error_classes_map_to_exit_codes(monkeypatch, capsys, tmp_path):
+    from sicpl import cli
+    from sicpl.errors import SicplError
+
+    classes = {cls.__name__: cls for cls in _subclasses(SicplError)}
+    assert set(classes) == set(EXIT_CODES)
+    for name, code in EXIT_CODES.items():
+        def fail(args, cls=classes[name]):
+            raise cls("boom")
+        monkeypatch.setitem(cli.HANDLERS, "zpl", fail)
+        assert run("zpl", "--spectrum", "s", "--zpl-config", "c",
+                   "--out", str(tmp_path)) == code, name
+        prefix = "fit error: " if code == 3 else "error: "
+        assert capsys.readouterr().err == prefix + "boom\n"
+
+
+def _spectrum_files(tmp_path):
+    """A spectrum with the three ZPLs and both sideband series, and a
+    comma-delimited ZPL config for it."""
+    from sicpl.io import save_two_column
+    from sicpl.spectrum import EV_NM_MEV
+    from sicpl.synth import GeneratorSpec, gen_spectrum
+
+    e3 = EV_NM_MEV / 1280.0
+    c2 = EV_NM_MEV / (e3 + 1.47)
+    cb = EV_NM_MEV / (e3 - 40.0)
+    truth = {
+        "zpl": [("alpha3", 1280.0, 0.30, 700.0), ("alpha2", c2, 0.30, 300.0),
+                ("beta", cb, 0.30, 400.0)],
+        "psb": [{"i0": 90.0, "sigma": 6.0, "delta0": 35.0, "j_max": 10,
+                 "doublet": [1.47, 300.0 / 700.0], "e_ref_nm": 1280.0},
+                {"i0": 230.0, "sigma": 6.0, "delta0": 50.0, "j_max": 3,
+                 "e_ref_nm": cb}],
+    }
+    sp = gen_spectrum(GeneratorSpec(
+        seed=5, kind="spectrum", truth=truth,
+        sampling={"wl_start": 1255.0, "wl_end": 1470.0, "step_nm": 0.2}))
+    data = tmp_path / "spec.txt"
+    save_two_column(data, sp.wavelengths, sp.intensities)
+    lines = tmp_path / "lines.txt"
+    lines.write_text(f"# label, center, window\nalpha3, 1280.0, 3.0\n"
+                     f"alpha2,{c2:.6f},3.0\nbeta {cb:.6f}, 4.0  # beta line\n")
+    return data, lines
+
+
+def _sha256(path):
+    import hashlib
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_manifest_records_resolved_options_and_inputs(decay_files, tmp_path):
+    from sicpl.cli import build_parser
+
+    _, trace = decay_files
+    meta = tmp_path / "trace.meta"
+    meta.write_text("pulse_time_ns = 100\ntemperature_K = 4\n")
+    spectrum, lines = _spectrum_files(tmp_path)
+    smeta = tmp_path / "spec.meta"
+    smeta.write_text("power_mW = 2\n")
+    runs = [
+        (["fit-decay", "--trace", str(trace), "--meta", str(meta), "--pulse-ns", "100",
+          "--window", "110,1500", "--out", str(tmp_path / "fit-decay")], [trace, meta]),
+        (["fit-psb", "--spectrum", str(spectrum), "--zpl-config", str(lines),
+          "--partition-mev", "60", "--meta", str(smeta), "--temperature", "5",
+          "--out", str(tmp_path / "fit-psb")], [spectrum, lines, smeta]),
+    ]
+    for argv, inputs in runs:
+        assert run(*argv) == 0
+        command = argv[0]
+        manifest = json.loads((tmp_path / command / f"{command}_manifest.json").read_text())
+        assert manifest["parameters"] == vars(build_parser().parse_args(argv))
+        assert manifest["inputs"] == {str(p): _sha256(p) for p in inputs}

@@ -173,3 +173,10 @@ def test_save_round_trip(tmp_path):
 def test_missing_file():
     with pytest.raises(ParseError):
         load_spectrum("/no/such/file.txt")
+
+
+def test_non_text_file(tmp_path):
+    p = tmp_path / "bin.txt"
+    p.write_bytes(b"1300 5\n\xff\xfe 6\n")
+    with pytest.raises(ParseError, match="bin.txt"):
+        load_spectrum(p)
