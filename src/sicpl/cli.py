@@ -96,6 +96,13 @@ def _numbers(option, text, sep, types, form):
     raise ValidationError(f"{option} must look like {form}, got {text!r}")
 
 
+def _json_object(path, key, value):
+    """`value`, the JSON field `key` of file `path`, which must be an object."""
+    if not isinstance(value, dict):
+        raise ValidationError(f"{path}: {key!r} must be a JSON object, got {value!r}")
+    return value
+
+
 def _load_meta(args):
     meta = load_sidecar(args.meta) if args.meta else {}
     for key, attr in (("pulse_time_ns", "pulse_ns"), ("temperature_K", "temperature")):
@@ -246,16 +253,18 @@ def _cmd_simulate(args):
     for key in ("seed", "kind", "truth", "sampling"):
         if key not in raw:
             raise ValidationError(f"{args.spec}: missing generator key {key!r}")
-    if "truth" in raw and "components" in raw["truth"]:
-        raw["truth"]["components"] = [tuple(c) for c in raw["truth"]["components"]]
-    if "zpl" in raw.get("truth", {}):
-        raw["truth"]["zpl"] = [tuple(z) for z in raw["truth"]["zpl"]]
-    for psb in raw.get("truth", {}).get("psb", ()):
+    truth = _json_object(args.spec, "truth", raw["truth"])
+    if "components" in truth:
+        truth["components"] = [tuple(c) for c in truth["components"]]
+    if "zpl" in truth:
+        truth["zpl"] = [tuple(z) for z in truth["zpl"]]
+    for psb in truth.get("psb", ()):
         if "doublet" in psb and psb["doublet"] is not None:
             psb["doublet"] = tuple(psb["doublet"])
-    spec = GeneratorSpec(seed=raw["seed"], kind=raw["kind"], truth=raw["truth"],
-                         sampling=raw["sampling"],
-                         noise=raw.get("noise", {"kind": "none"}))
+    spec = GeneratorSpec(seed=raw["seed"], kind=raw["kind"], truth=truth,
+                         sampling=_json_object(args.spec, "sampling", raw["sampling"]),
+                         noise=_json_object(args.spec, "noise",
+                                            raw.get("noise", {"kind": "none"})))
     result = generate(spec)
     if spec.kind == "decay":
         data = (result.times, result.counts,
@@ -278,6 +287,12 @@ def _cmd_report(args):
     for path in args.inputs:
         data = read_json(path)
         site = data.get("site", "")
+        if not isinstance(site, str):
+            raise ValidationError(f"{path}: 'site' must be a string, got {site!r}")
+        for key in REPORT_COLUMNS:
+            if not isinstance(data.get(key), (int, float, type(None))):
+                raise ValidationError(f"{path}: {key!r} must be a number or null, "
+                                      f"got {data[key]!r}")
         if site in rows and rows[site] != data:
             raise AggregationError(f"conflicting entries for site {site!r}")
         rows[site] = data
@@ -382,7 +397,9 @@ def _args_from_config(parser, path):
     if command not in HANDLERS:
         raise ValidationError(f"unknown command {command!r} in config")
     argv = [command]
-    for key, value in {**cfg.get("inputs", {}), **cfg.get("parameters", {})}.items():
+    options = {**_json_object(path, "inputs", cfg.get("inputs", {})),
+               **_json_object(path, "parameters", cfg.get("parameters", {}))}
+    for key, value in options.items():
         flag = "--" + key.replace("_", "-")
         if value is True:
             argv.append(flag)

@@ -143,13 +143,16 @@ def _initial_tau(t, y):
     return max((t[-1] - t[0]) / 3.0, 1e-3)
 
 
-def _fit_exponentials(t, y, w, n_components, p0, background=0.0):
+def _fit_exponentials(t, y, w, p0, background=0.0, fixed_slow_tau=None):
     """Two-pass fit: observed-count weights first, then weights from the
-    fitted expectation (removes the low-count bias of observed weighting)."""
+    fitted expectation (removes the low-count bias of observed weighting).
+    fixed_slow_tau pins p[1], the first component's tau."""
+    n_components = len(p0) // 2
     model, jac = _exp_model(n_components)
-    m = 2 * n_components
     lower = np.array([0.0, 1e-6] * n_components)
-    upper = np.full(m, np.inf)
+    upper = np.full(2 * n_components, np.inf)
+    if fixed_slow_tau is not None:
+        lower[1] = upper[1] = fixed_slow_tau
     fit = minimize(FitProblem(model=model, x=t, y=y, weights=w, p0=np.asarray(p0, float),
                               lower=lower, upper=upper, jacobian=jac))
     w2 = 1.0 / np.maximum(model(fit.parameters, t) + background, 1.0)
@@ -165,10 +168,14 @@ def fit_decay(trace: DecayTrace, kind: str = "auto", fit_window=None,
     kind is 'single', 'double' or 'auto'; 'auto' keeps the double model
     only when it beats the single model by more than 10 AIC units.
     fixed_slow_tau pins the slow component of a double fit (used when the
-    slow channel is known from another band); default is fully free.
+    slow channel is known from another band) with zero margin; the fit
+    is otherwise the free double fit, two-pass weighting included.
+    Default is fully free.
     """
     if kind not in ("single", "double", "auto"):
         raise ValidationError(f"unknown fit kind {kind!r}")
+    if fixed_slow_tau is not None and not (np.isfinite(fixed_slow_tau) and fixed_slow_tau > 0):
+        raise ValidationError(f"fixed_slow_tau must be finite and > 0, got {fixed_slow_tau}")
     bg = estimate_background(trace)
     if fit_window is None:
         fit_window = _default_window(trace, bg)
@@ -186,7 +193,7 @@ def fit_decay(trace: DecayTrace, kind: str = "auto", fit_window=None,
 
     tau0 = _initial_tau(t, y)
     a0 = max(float(np.max(y)), 1.0)
-    single = _fit_exponentials(t, y, w, 1, [a0, tau0], bg.mean)
+    single = _fit_exponentials(t, y, w, [a0, tau0], bg.mean)
 
     def as_result(fit, kind_name, warnings=()):
         pairs = [(fit.parameters[2 * k], fit.parameters[2 * k + 1])
@@ -220,20 +227,17 @@ def fit_decay(trace: DecayTrace, kind: str = "auto", fit_window=None,
     # double-fit initialization brackets the single-fit tau at 1/3 and 3x
     tau_s = single.parameters[1]
     amp = single.parameters[0] / 2.0
-    if fixed_slow_tau is not None:
-        double = _fit_fixed_slow(t, y, w, [amp, tau_s / 3.0, amp], fixed_slow_tau)
-    else:
-        try:
-            double = _fit_exponentials(t, y, w, 2,
-                                       [amp, 3.0 * tau_s, amp, tau_s / 3.0],
-                                       bg.mean)
-        except DegenerateFitError:
-            if kind == "double":
-                return as_result(single, "single",
-                                 ["double fit degenerate; collapsed to single"])
-            double = None
+    slow_tau = 3.0 * tau_s if fixed_slow_tau is None else fixed_slow_tau
+    try:
+        double = _fit_exponentials(t, y, w, [amp, slow_tau, amp, tau_s / 3.0],
+                                   bg.mean, fixed_slow_tau)
+    except DegenerateFitError:
+        if kind == "double":
+            return as_result(single, "single",
+                             ["double fit degenerate; collapsed to single"])
+        double = None
 
-    if double is not None and fixed_slow_tau is None:
+    if double is not None:
         taus = sorted([double.parameters[1], double.parameters[3]])
         if abs(taus[1] - taus[0]) < 0.02 * taus[1]:
             msg = "double fit collapsed to single (tau1 ~= tau2)"
@@ -252,50 +256,6 @@ def fit_decay(trace: DecayTrace, kind: str = "auto", fit_window=None,
     if aic_single - aic_double > AIC_THRESHOLD:
         return as_result(double, "double")
     return as_result(single, "single")
-
-
-def _fit_fixed_slow(t, y, w, p0, slow_tau):
-    """Double exponential with the slow tau pinned; free (A1, tau_fast, A2)."""
-
-    def model(p, tt):
-        return p[0] * np.exp(-tt / p[1]) + p[2] * np.exp(-tt / slow_tau)
-
-    def jac(p, tt):
-        e1 = np.exp(-tt / p[1])
-        J = np.empty((tt.size, 3))
-        J[:, 0] = e1
-        J[:, 1] = p[0] * e1 * tt / p[1] ** 2
-        J[:, 2] = np.exp(-tt / slow_tau)
-        return J
-
-    problem = FitProblem(model=model, x=t, y=y, weights=w,
-                         p0=np.asarray(p0, float),
-                         lower=np.array([0.0, 1e-6, 0.0]),
-                         upper=np.full(3, np.inf), jacobian=jac)
-    fit = minimize(problem)
-    # re-express as a 4-parameter result with zero margin on the pinned tau
-    out = FitResult(
-        parameters=np.array([fit.parameters[2], slow_tau,
-                             fit.parameters[0], fit.parameters[1]]),
-        covariance=_embed_cov(fit.covariance),
-        reduced_chi2=fit.reduced_chi2,
-        n_iterations=fit.n_iterations,
-        converged=fit.converged,
-        cost=fit.cost,
-    )
-    return out
-
-
-def _embed_cov(cov3):
-    # free params (A_fast, tau_fast, A_slow) -> 4-vector (A_slow, tau_slow[pinned], A_fast, tau_fast)
-    cov = np.zeros((4, 4))
-    cov[2, 2] = cov3[0, 0]
-    cov[3, 3] = cov3[1, 1]
-    cov[0, 0] = cov3[2, 2]
-    cov[2, 3] = cov[3, 2] = cov3[0, 1]
-    cov[0, 2] = cov[2, 0] = cov3[2, 0]
-    cov[0, 3] = cov[3, 0] = cov3[2, 1]
-    return cov
 
 
 def fit_thermal(points) -> ThermalModel:

@@ -3,8 +3,10 @@
 Minimizes sum_i w_i * (y_i - f(p, x_i))^2 with multiplicative damping
 (lambda x10 on rejection, /10 on acceptance), box bounds by projected
 steps, and parameter covariance reduced_chi2 * (J^T W J)^-1 at the
-solution. Per the reporting convention used throughout the toolkit,
-parameter margins are quoted as 3-sigma half-widths.
+solution. A parameter whose lower and upper bounds are equal is pinned:
+it never moves and has zero covariance. Per the reporting convention
+used throughout the toolkit, parameter margins are quoted as 3-sigma
+half-widths.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ class FitProblem:
     model(p, x) must accept a parameter vector and an abscissa array and
     return predicted values; jacobian, if given, returns the (n, m)
     matrix of d model / d p_j and is checked against finite differences
-    in the test suite.
+    in the test suite. lower[j] == upper[j] pins p[j] at that value.
     """
 
     model: callable
@@ -55,6 +57,8 @@ class FitProblem:
         self.upper = np.full(m, np.inf) if self.upper is None else np.asarray(self.upper, float)
         if np.any(self.p0 < self.lower) or np.any(self.p0 > self.upper):
             raise ValidationError("initial guess outside bounds")
+        if np.all(self.lower == self.upper):
+            raise ValidationError("no free parameter: every lower bound equals its upper bound")
 
 
 @dataclass
@@ -123,13 +127,14 @@ def _jacobian(problem, p, h):
 
 
 def _covariance(problem, p, cost, h):
-    """reduced_chi2 * (J^T W J)^-1, symmetrized; raises on rank deficiency."""
+    """reduced_chi2 * (J^T W J)^-1 over the free parameters, symmetrized;
+    pinned parameters get zero rows and columns. Raises on rank deficiency."""
     J = _jacobian(problem, p, h)
-    A = J.T @ (problem.weights[:, None] * J)
-    m = p.size
+    free = np.flatnonzero(problem.lower != problem.upper)
+    A = (J.T @ (problem.weights[:, None] * J))[np.ix_(free, free)]
     d = np.sqrt(np.diag(A))
     if np.any(d == 0):
-        names = [f"p[{i}]" for i in range(m) if d[i] == 0]
+        names = [f"p[{i}]" for i in free[d == 0]]
         raise DegenerateFitError(
             "singular normal matrix; zero sensitivity to " + ", ".join(names)
         )
@@ -137,16 +142,16 @@ def _covariance(problem, p, cost, h):
     As = A / np.outer(d, d)
     u, s, vt = np.linalg.svd(As)
     if s[-1] < 1e-10 * s[0]:
-        null = vt[-1]
-        names = [f"p[{i}]" for i in range(m) if abs(null[i]) > 0.1]
+        names = [f"p[{i}]" for i in free[np.abs(vt[-1]) > 0.1]]
         raise DegenerateFitError(
             "singular normal matrix; unidentifiable parameter direction involves "
             + ", ".join(names)
         )
-    dof = problem.y.size - m
+    dof = problem.y.size - free.size
     red_chi2 = cost / dof if dof > 0 else 0.0
     As_inv = vt.T @ np.diag(1.0 / s) @ u.T
-    cov = red_chi2 * (As_inv / np.outer(d, d))
+    cov = np.zeros((p.size, p.size))
+    cov[np.ix_(free, free)] = red_chi2 * (As_inv / np.outer(d, d))
     cov = 0.5 * (cov + cov.T)
     return cov, red_chi2
 
@@ -161,13 +166,15 @@ def minimize(problem: FitProblem, options: dict | None = None) -> FitResult:
     opts.update(options or {})
     h = opts["fd_step"]
     p = problem.p0.copy()
-    cost, _ = _cost(problem, p)
+    pinned = problem.lower == problem.upper
+    cost, r = _cost(problem, p)
     lam = 1e-3
     converged = False
     n_iter = 0
     for n_iter in range(1, opts["max_iter"] + 1):
         J = _jacobian(problem, p, h)
-        r = problem.y - np.asarray(problem.model(p, problem.x), dtype=float)
+        if pinned.any():  # a zero column gives a pinned parameter a zero step
+            J = np.where(pinned, 0.0, J)
         W = problem.weights
         A = J.T @ (W[:, None] * J)
         g = J.T @ (W * r)
@@ -183,14 +190,14 @@ def minimize(problem: FitProblem, options: dict | None = None) -> FitResult:
                 continue
             p_new = np.clip(p + delta, problem.lower, problem.upper)
             try:
-                cost_new, _ = _cost(problem, p_new)
+                cost_new, r_new = _cost(problem, p_new)
             except EvaluationError:
                 lam *= 10.0
                 continue
             if cost_new <= cost:
                 step_rel = np.max(np.abs(p_new - p) / np.maximum(np.abs(p), 1.0))
                 cost_rel = (cost - cost_new) / max(cost, 1e-300)
-                p, cost = p_new, cost_new
+                p, cost, r = p_new, cost_new, r_new
                 lam = max(lam / 10.0, 1e-12)
                 accepted = True
                 if (step_rel < opts["step_tol"] and cost_rel < opts["cost_tol"]) or cost == 0.0:

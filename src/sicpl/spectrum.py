@@ -515,59 +515,36 @@ def default_hr_grid(model: HRModel, step_mev: float = 0.5, n_max: int = 8):
     return model.zpl_energy - 1e-3 * step_mev * np.arange(n)[::-1]
 
 
-def _poisson_n_max(s_total, tail=1e-12, n_floor=8):
-    n, cum, term = 0, math.exp(-s_total), math.exp(-s_total)
-    while 1.0 - cum > tail and n < 500:
-        n += 1
-        term *= s_total / n
-        cum += term
-    return max(n, n_floor)
-
-
 def hr_lineshape(model: HRModel, grid_ev):
     """Multi-phonon emission lineshape as bin masses on grid_ev.
 
-    The n-phonon contribution is the n-fold convolution power of the
-    normalized mode distribution weighted by the Poisson factor
-    S^n exp(-S)/n!; the returned masses sum to 1. The ZPL bin carries
-    exp(-S_total) up to the truncation/off-grid renormalization.
+    The phonon count of mode i is Poisson with mean S_i, each phonon
+    shifting the line by the mode's energy rounded to whole bins. The
+    mass f[k] at k bins below the ZPL follows exactly from the
+    compound-Poisson recursion f[0] = exp(-S), k f[k] = sum_i S_i off_i
+    f[k - off_i], with no truncation in phonon number. Mass below the
+    grid bottom is dropped and the returned masses are renormalized to
+    sum to 1, so the ZPL bin carries exp(-S_total) up to that off-grid
+    share.
     """
     grid = np.asarray(grid_ev, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise ValidationError("grid must be a 1-D array with >= 2 points")
     if np.any(np.diff(grid) <= 0):
         raise ValidationError("grid must be strictly increasing")
-    s_total = model.s_total
-    if s_total > 0 and not model.modes:
-        raise ValidationError("S_total > 0 requires a non-empty mode list")
 
     de = float(np.median(np.diff(grid))) * 1e3  # meV per bin
-    out = np.zeros(grid.size)
     i_zpl = int(np.argmin(np.abs(grid - model.zpl_energy)))
-    w0 = math.exp(-s_total)
-    out[i_zpl] = w0
-    if s_total == 0:
-        return out / out.sum()
-
-    # one-phonon distribution over bin offsets below the ZPL
-    max_off = i_zpl  # offsets beyond the grid bottom are dropped, then renormalized
-    offsets = np.array([int(round(hw / de)) for _, hw in model.modes])
-    g_len = int(offsets.max()) + 1
-    g = np.zeros(g_len)
-    for (s, _), off in zip(model.modes, offsets):
-        g[off] += s / s_total
-
-    n_max = _poisson_n_max(s_total)
-    dist = np.array([1.0])  # zero-phonon delta at offset 0
-    weight = w0
-    for n in range(1, n_max + 1):
-        weight *= s_total / n
-        dist = np.convolve(dist, g)
-        if dist.size > max_off + 1:
-            dist = dist[: max_off + 1]
-        contrib = weight * dist
-        m = contrib.size
-        out[i_zpl - m + 1 : i_zpl + 1] += contrib[::-1]
+    s_at = {}  # S summed per bin offset
+    for s, hw in model.modes:
+        off = int(round(hw / de))
+        s_at[off] = s_at.get(off, 0.0) + s
+    # phonons of a mode rounding to offset 0 stay in the ZPL bin
+    f = [math.exp(s_at.pop(0, 0.0) - model.s_total)]
+    for k in range(1, i_zpl + 1):
+        f.append(sum(s * off * f[k - off] for off, s in s_at.items() if off <= k) / k)
+    out = np.zeros(grid.size)
+    out[: i_zpl + 1] = f[::-1]
     return out / out.sum()
 
 

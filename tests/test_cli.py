@@ -221,6 +221,13 @@ MALFORMED = {
     "window-non-numeric": ({"t.txt": TRACE}, ["fit-decay", "--trace", "t.txt", "--pulse-ns", "20",
                                               "--window", "a,b", "--out", "out"], "--window"),
     "sweep-two-values": ({}, CAVITY + ["--sweep", "finesse=1:2", "--out", "out"], "--sweep"),
+    "config-inputs-list": ({"run.json": '{"command": "budget", "inputs": ["a"]}'},
+                           ["--config", "run.json"], "run.json"),
+    "report-text-value": ({"b.json": '{"site": "k", "tau_rad": "x"}'},
+                          ["report", "--inputs", "b.json", "--out", "out"], "b.json"),
+    "simulate-truth-list": ({"r.json": '{"seed": 1, "kind": "decay", "truth": [], '
+                                       '"sampling": {}}'},
+                            ["simulate", "--spec", "r.json", "--outfile", "out"], "r.json"),
 }
 
 

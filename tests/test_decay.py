@@ -97,6 +97,14 @@ def test_fixed_slow_tau():
     assert abs(res.components[1][1] - 43.3) <= max(res.sigma3[3], 1.0)
 
 
+@pytest.mark.parametrize("tau", [-5.0, 0.0, np.inf, np.nan])
+def test_fixed_slow_tau_validation(tau):
+    tr = make_trace([(2e4, 158.5), (2e4, 43.3)], pulse=1000.0,
+                    t_end=3000.0, seed=5)
+    with pytest.raises(ValidationError, match="fixed_slow_tau"):
+        fit_decay(tr, kind="double", fixed_slow_tau=tau)
+
+
 def test_fit_window_validation():
     tr = make_trace([(1e4, 150.0)], seed=1)
     with pytest.raises(ValidationError):

@@ -66,6 +66,17 @@ def test_degenerate_parameters_named():
     msg = str(err.value)
     assert "p[0]" in msg and "p[1]" in msg
 
+    # a pinned parameter ahead of them leaves their indices unchanged
+    def shifted(p, xx):
+        return p[0] + model(p[1:], xx)
+
+    with pytest.raises(DegenerateFitError) as err:
+        minimize(FitProblem(model=shifted, x=x, y=1.0 + y, p0=np.array([1.0, 1.0, 1.0]),
+                            lower=np.array([1.0, -np.inf, -np.inf]),
+                            upper=np.array([1.0, np.inf, np.inf])))
+    msg = str(err.value)
+    assert "p[1]" in msg and "p[2]" in msg and "p[0]" not in msg
+
 
 def test_scale_disparity_is_not_degenerate():
     # a well-posed model must not be flagged just because parameter
@@ -93,6 +104,35 @@ def test_validation():
     with pytest.raises(ValidationError):
         FitProblem(model=linear, x=x, y=x, p0=np.array([5.0, 0.0]),
                    upper=np.array([1.0, 1.0]))
+    with pytest.raises(ValidationError):  # nothing left to fit
+        FitProblem(model=linear, x=x, y=x, p0=np.ones(2), lower=np.ones(2), upper=np.ones(2))
+
+
+def test_equal_bounds_pin_a_parameter():
+    # pinning the background of A exp(-t/tau) + B + C t must give the fit
+    # of the reduced model (A, tau, C) with B held at its value
+    rng = np.random.default_rng(7)
+    t = np.linspace(0.0, 400.0, 120)
+    y = 900.0 * np.exp(-t / 60.0) + 25.0 + 0.05 * t + rng.normal(0.0, 3.0, t.size)
+
+    def model(p, tt):
+        return p[0] * np.exp(-tt / p[1]) + p[2] + p[3] * tt
+
+    def reduced(q, tt):
+        return model(np.array([q[0], q[1], 20.0, q[2]]), tt)
+
+    inf = np.inf
+    pinned = minimize(FitProblem(model=model, x=t, y=y, p0=np.array([500.0, 30.0, 20.0, 0.0]),
+                                 lower=np.array([0.0, 1e-3, 20.0, -inf]),
+                                 upper=np.array([inf, inf, 20.0, inf])))
+    ref = minimize(FitProblem(model=reduced, x=t, y=y, p0=np.array([500.0, 30.0, 0.0]),
+                              lower=np.array([0.0, 1e-3, -inf])))
+    assert pinned.parameters[2] == 20.0
+    assert not pinned.covariance[2].any() and not pinned.covariance[:, 2].any()
+    free = [0, 1, 3]
+    assert np.allclose(pinned.parameters[free], ref.parameters, rtol=1e-9)
+    assert np.allclose(pinned.sigma3[free], ref.sigma3, rtol=1e-8)
+    assert pinned.reduced_chi2 == pytest.approx(ref.reduced_chi2, rel=1e-9)
 
 
 def test_non_finite_model_rejected():

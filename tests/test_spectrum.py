@@ -176,6 +176,30 @@ def test_hr_single_mode_poisson_weights():
         assert shape[i_zpl - n * off] == pytest.approx(w, rel=1e-9)
 
 
+def test_hr_multi_mode_compound_poisson_moments():
+    # phonon offsets in bins: 40, 70 and 120 = 3 x 40; the grid holds all
+    # but ~1e-30 of the mass, so the shape is the compound-Poisson law
+    modes = ((0.30, 20.0), (0.25, 35.0), (0.11, 60.0))
+    model = HRModel(modes=modes, zpl_energy=0.97)
+    grid = default_hr_grid(model, step_mev=0.5, n_max=30)
+    shape = hr_lineshape(model, grid)
+    i_zpl = int(np.argmin(np.abs(grid - 0.97)))
+    k = i_zpl - np.arange(grid.size)  # bins below the ZPL
+    offs = [int(round(hw / 0.5)) for _, hw in modes]
+    mean = sum(s * off for (s, _), off in zip(modes, offs))
+    var = sum(s * off**2 for (s, _), off in zip(modes, offs))
+    assert np.sum(shape[k < 0]) == 0.0
+    assert np.sum(k * shape) == pytest.approx(mean, rel=1e-12)
+    assert np.sum((k - mean) ** 2 * shape) == pytest.approx(var, rel=1e-12)
+    # one phonon of a mode whose offset no other phonon combination reaches
+    S = model.s_total
+    for s, off in ((0.30, 40), (0.25, 70)):
+        assert shape[i_zpl - off] == pytest.approx(s * math.exp(-S), rel=1e-12)
+    # offset 120 is reached by one 60 meV phonon or three 20 meV phonons
+    w120 = (0.11 + 0.30**3 / 6.0) * math.exp(-S)
+    assert shape[i_zpl - 120] == pytest.approx(w120, rel=1e-12)
+
+
 def test_hr_validation():
     with pytest.raises(ValidationError):
         HRModel(modes=((-0.1, 30.0),), zpl_energy=0.97)
