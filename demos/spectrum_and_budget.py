@@ -11,7 +11,6 @@ import numpy as np
 from sicpl.photophysics import CavityParams, budget, cooperativity, finesse_sweep
 from sicpl.spectrum import (
     EV_NM_MEV,
-    PsbConstraints,
     find_zpls,
     fit_psb,
     partition_dw,
@@ -48,7 +47,7 @@ for label, line in sorted(zpls.lines.items()):
           f"  area {line.area:7.1f}")
 print(f"doublet splitting: {zpls.doublet_splitting_mev:.3f} meV")
 
-psb = fit_psb(sp, zpls, PsbConstraints())
+psb = fit_psb(sp, zpls)
 print(f"\nsideband series: I0 = {psb.model.i0:.1f}, sigma = {psb.model.sigma:.2f} meV,"
       f" Delta0 = {psb.model.delta0:.2f} meV  (area {psb.model.area:.0f})")
 

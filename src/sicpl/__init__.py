@@ -39,7 +39,6 @@ from .photophysics import (
 from .spectrum import (
     DwPartition,
     HRModel,
-    PsbConstraints,
     PsbModel,
     ZplLine,
     ZplSet,

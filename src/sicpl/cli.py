@@ -11,6 +11,7 @@ the `exit_code` of the error raised: 2 validation error, 3 fit failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -26,7 +27,7 @@ from .errors import AggregationError, SicplError, ValidationError
 from .io import (load_sidecar, load_spectrum, load_trace, read_json, read_table,
                  save_two_column)
 from .photophysics import CavityParams, budget, cooperativity, finesse_sweep
-from .spectrum import PsbConstraints, find_zpls, fit_psb, partition_dw
+from .spectrum import find_zpls, fit_psb, partition_dw
 from .synth import GeneratorSpec, generate
 
 EXIT_OK = 0
@@ -173,7 +174,7 @@ def _cmd_zpl(args):
 
 def _cmd_fit_psb(args):
     spectrum, zpls = _find_zpls(args)
-    fit = fit_psb(spectrum, zpls, PsbConstraints())
+    fit = fit_psb(spectrum, zpls)
     part = partition_dw(spectrum, zpls, args.partition_mev, psb_fit=fit,
                         area_correction=args.area_correction)
     rows = [
@@ -254,17 +255,13 @@ def _cmd_simulate(args):
         if key not in raw:
             raise ValidationError(f"{args.spec}: missing generator key {key!r}")
     truth = _json_object(args.spec, "truth", raw["truth"])
-    if "components" in truth:
-        truth["components"] = [tuple(c) for c in truth["components"]]
-    if "zpl" in truth:
-        truth["zpl"] = [tuple(z) for z in truth["zpl"]]
-    for psb in truth.get("psb", ()):
-        if "doublet" in psb and psb["doublet"] is not None:
-            psb["doublet"] = tuple(psb["doublet"])
-    spec = GeneratorSpec(seed=raw["seed"], kind=raw["kind"], truth=truth,
-                         sampling=_json_object(args.spec, "sampling", raw["sampling"]),
-                         noise=_json_object(args.spec, "noise",
-                                            raw.get("noise", {"kind": "none"})))
+    sampling = _json_object(args.spec, "sampling", raw["sampling"])
+    noise = _json_object(args.spec, "noise", raw.get("noise", {"kind": "none"}))
+    try:
+        spec = GeneratorSpec(seed=raw["seed"], kind=raw["kind"], truth=truth,
+                             sampling=sampling, noise=noise)
+    except ValidationError as exc:
+        raise ValidationError(f"{args.spec}: {exc}") from None
     result = generate(spec)
     if spec.kind == "decay":
         data = (result.times, result.counts,
@@ -312,6 +309,8 @@ def _cmd_report(args):
 # argument parsing
 
 
+# built once per process: nothing may change the parser after it is built
+@functools.cache
 def build_parser():
     parser = _Parser(prog="sicpl",
                      description="Color-center photophysics analysis toolkit")

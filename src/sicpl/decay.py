@@ -29,6 +29,9 @@ CHANNEL_MATCH_RTOL = 0.30
 # "Decisive" evidence threshold for preferring the double exponential.
 AIC_THRESHOLD = 10.0
 
+# lower bounds of each (A, tau) pair of the exponential fits; no upper bounds
+EXP_LOWER = (0.0, 1e-6)
+
 
 @dataclass
 class BackgroundEstimate:
@@ -149,7 +152,7 @@ def _fit_exponentials(t, y, w, p0, background=0.0, fixed_slow_tau=None):
     fixed_slow_tau pins p[1], the first component's tau."""
     n_components = len(p0) // 2
     model, jac = _exp_model(n_components)
-    lower = np.array([0.0, 1e-6] * n_components)
+    lower = np.array(EXP_LOWER * n_components)
     upper = np.full(2 * n_components, np.inf)
     if fixed_slow_tau is not None:
         lower[1] = upper[1] = fixed_slow_tau
@@ -205,9 +208,8 @@ def fit_decay(trace: DecayTrace, kind: str = "auto", fit_window=None,
         for k in order:
             sig.extend([s3[2 * k], s3[2 * k + 1]])
         warns = list(warnings)
-        at_bound = fit.at_bound(np.array([0.0, 1e-6] * len(pairs)),
-                                np.full(2 * len(pairs), np.inf))
-        if np.any(at_bound):
+        n = len(pairs)
+        if np.any(fit.at_bound(np.array(EXP_LOWER * n), np.full(2 * n, np.inf))):
             warns.append("boundary-solution: parameter pinned at bound")
         return DecayFitResult(
             background=bg.mean,
@@ -228,32 +230,24 @@ def fit_decay(trace: DecayTrace, kind: str = "auto", fit_window=None,
     tau_s = single.parameters[1]
     amp = single.parameters[0] / 2.0
     slow_tau = 3.0 * tau_s if fixed_slow_tau is None else fixed_slow_tau
+    fallback = None
     try:
         double = _fit_exponentials(t, y, w, [amp, slow_tau, amp, tau_s / 3.0],
                                    bg.mean, fixed_slow_tau)
     except DegenerateFitError:
-        if kind == "double":
-            return as_result(single, "single",
-                             ["double fit degenerate; collapsed to single"])
-        double = None
-
-    if double is not None:
+        fallback = "double fit degenerate; collapsed to single"
+    else:
         taus = sorted([double.parameters[1], double.parameters[3]])
         if abs(taus[1] - taus[0]) < 0.02 * taus[1]:
-            msg = "double fit collapsed to single (tau1 ~= tau2)"
-            if kind == "double":
-                return as_result(single, "single", [msg])
-            double = None
-
-    if kind == "double":
-        return as_result(double, "double")
+            fallback = "double fit collapsed to single (tau1 ~= tau2)"
+    # only a forced double fit reports falling back to the single fit
+    if fallback is not None:
+        return as_result(single, "single", [fallback] if kind == "double" else [])
 
     # auto: decisive AIC improvement required to keep the extra component
-    if double is None:
-        return as_result(single, "single")
     aic_single = single.cost + 2 * 2
     aic_double = double.cost + 2 * len(double.parameters)
-    if aic_single - aic_double > AIC_THRESHOLD:
+    if kind == "double" or aic_single - aic_double > AIC_THRESHOLD:
         return as_result(double, "double")
     return as_result(single, "single")
 

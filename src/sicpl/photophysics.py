@@ -10,7 +10,7 @@ C = (2/pi) (sigma_E/sigma_C) eta_tot (f_L/n) F and eta_cav = 2C/(2C+1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -191,12 +191,6 @@ def finesse_sweep(params: CavityParams, start: float, stop: float, n: int):
     fs = np.logspace(math.log10(start), math.log10(stop), n)
     rows = []
     for f in fs:
-        p = CavityParams(
-            wavelength_nm=params.wavelength_nm, finesse=float(f),
-            roc_mm=params.roc_mm, l_vac_um=params.l_vac_um,
-            l_sic_um=params.l_sic_um, eta_tot=params.eta_tot,
-            n_sic=params.n_sic, w_c_um=params.w_c_um,
-        )
-        est = cooperativity(p)
+        est = cooperativity(replace(params, finesse=float(f)))
         rows.append((float(f), est.cooperativity, est.eta_cav))
     return rows

@@ -35,6 +35,12 @@ _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 DOUBLET_SPLITTING_MEV = 1.47
 DOUBLET_SPLITTING_TOL = 0.30
 
+# Sideband partition assumptions (see fit_psb); the alpha series has PSB_J_MAX terms
+BETA_PSB_MIN_MEV = 20.0
+PSB_MAX_MEV = 200.0
+ZPL_EXCLUSION_SIGMAS = 4.0
+PSB_J_MAX = 10
+
 
 # ---------------------------------------------------------------------------
 # ZPL identification
@@ -86,7 +92,7 @@ def _gaussian_jac(p, x):
     return J
 
 
-def fit_gaussian_line(wl, it, sigma0=None):
+def fit_gaussian_line(wl, it):
     """Constant + Gaussian fit of one emission line; raises if no peak."""
     if np.ptp(it) <= 0:
         raise LineNotFoundError("no local maximum: window is flat")
@@ -94,8 +100,7 @@ def fit_gaussian_line(wl, it, sigma0=None):
     if i_max in (0, it.size - 1):
         raise LineNotFoundError("maximum at window edge; no interior peak")
     span = wl[-1] - wl[0]
-    s0 = sigma0 if sigma0 else span / 8.0
-    p0 = np.array([float(np.min(it)), float(np.ptp(it)), float(wl[i_max]), s0])
+    p0 = np.array([float(np.min(it)), float(np.ptp(it)), float(wl[i_max]), span / 8.0])
     problem = FitProblem(
         model=_gaussian, x=wl, y=it, p0=p0,
         lower=np.array([0.0, 0.0, wl[0], 1e-6 * span]),
@@ -310,9 +315,8 @@ class PsbModel:
     i0: float
     sigma: float
     delta0: float
-    j_max: int = 10
+    j_max: int = PSB_J_MAX
     doublet: tuple | None = None
-    component: str = "alpha"
 
     def __post_init__(self):
         if self.i0 < 0:
@@ -341,17 +345,21 @@ def _psb_base(delta, i0, sigma, delta0, j_max):
     return i0 * out
 
 
-def psb_eval(model: PsbModel, delta):
-    """Evaluate the sideband series on a phonon-energy grid (meV)."""
-    if model.doublet is None:
-        return _psb_base(delta, model.i0, model.sigma, model.delta0, model.j_max)
-    splitting, ratio = model.doublet
+def _psb_series(delta, i0, sigma, delta0, j_max, doublet):
+    if doublet is None:
+        return _psb_base(delta, i0, sigma, delta0, j_max)
+    splitting, ratio = doublet
     w_primary = 1.0 / (1.0 + ratio)
-    d = np.asarray(delta, dtype=float)
-    primary = _psb_base(d, model.i0, model.sigma, model.delta0, model.j_max)
-    secondary = _psb_base(d, model.i0, model.sigma, model.delta0 - splitting,
-                          model.j_max)
+    primary = _psb_base(delta, i0, sigma, delta0, j_max)
+    secondary = _psb_base(delta, i0, sigma, delta0 - splitting, j_max)
     return w_primary * primary + (1.0 - w_primary) * secondary
+
+
+def psb_eval(model: PsbModel, delta):
+    """Evaluate the sideband series on a phonon-energy grid (meV); the fit
+    evaluates the same `_psb_series` without building a PsbModel."""
+    return _psb_series(delta, model.i0, model.sigma, model.delta0, model.j_max,
+                       model.doublet)
 
 
 def to_phonon_axis(spectrum: Spectrum, e_ref_mev: float):
@@ -366,25 +374,6 @@ def to_phonon_axis(spectrum: Spectrum, e_ref_mev: float):
 
 
 @dataclass
-class PsbConstraints:
-    """Spectral-partitioning assumptions for the sideband fit.
-
-    The fast emitter has no sideband below beta_psb_min_meV of phonon
-    energy, and no emitter has sideband beyond psb_max_meV. Phonon
-    energies below alpha_only_max_meV (default: beta ZPL offset plus
-    beta_psb_min_meV) are attributed solely to the alpha series.
-    alpha_feature_ranges (delta intervals, meV) are kept with alpha when
-    splitting the residual.
-    """
-
-    beta_psb_min_mev: float = 20.0
-    psb_max_mev: float = 200.0
-    alpha_only_max_mev: float | None = None
-    zpl_exclusion_sigmas: float = 4.0
-    alpha_feature_ranges: tuple = ()
-
-
-@dataclass
 class PsbFit:
     model: PsbModel
     delta: np.ndarray          # meV grid of the converted spectrum
@@ -395,38 +384,35 @@ class PsbFit:
     e_ref_mev: float
 
 
-def _zpl_mask(delta, zpls, e_ref_mev, n_sigmas):
+def _zpl_mask(delta, zpls, e_ref_mev):
     mask = np.zeros(delta.shape, dtype=bool)
     for line in zpls.lines.values():
         c = e_ref_mev - line.energy_mev
-        half = n_sigmas * (line.fwhm / 2.355) * EV_NM_MEV / line.center**2
+        half = ZPL_EXCLUSION_SIGMAS * (line.fwhm / 2.355) * EV_NM_MEV / line.center**2
         mask |= (delta >= c - half) & (delta <= c + half)
     return mask
 
 
-def fit_psb(spectrum: Spectrum, zpls: ZplSet,
-            constraints: PsbConstraints | None = None) -> PsbFit:
+def fit_psb(spectrum: Spectrum, zpls: ZplSet) -> PsbFit:
     """Fit the alpha Gaussian sideband series and split off the beta residual.
 
-    Requires 'alpha3' (reference ZPL) in zpls; 'beta' is used to place
-    the onset of the beta sideband. The alpha series is fitted on the
-    alpha-only phonon-energy region with ZPL neighborhoods excluded.
+    Requires 'alpha3' (reference ZPL) in zpls. The alpha series is fitted
+    up to the 'beta' ZPL offset (40 meV without one) plus BETA_PSB_MIN_MEV,
+    skipping ZPL_EXCLUSION_SIGMAS line sigmas around each ZPL; the residual
+    up to PSB_MAX_MEV, outside those ZPL neighborhoods, is assigned to beta.
     """
-    cons = constraints or PsbConstraints()
     if "alpha3" not in zpls.lines:
         raise ValidationError("zpls must contain the 'alpha3' reference line")
     e_ref = zpls["alpha3"].energy_mev
     delta, density = to_phonon_axis(spectrum, e_ref)
 
-    alpha_only_max = cons.alpha_only_max_mev
-    if alpha_only_max is None:
-        if "beta" in zpls.lines:
-            beta_offset = e_ref - zpls["beta"].energy_mev
-        else:
-            beta_offset = 40.0
-        alpha_only_max = beta_offset + cons.beta_psb_min_mev
+    if "beta" in zpls.lines:
+        beta_offset = e_ref - zpls["beta"].energy_mev
+    else:
+        beta_offset = 40.0
+    alpha_only_max = beta_offset + BETA_PSB_MIN_MEV
 
-    zmask = _zpl_mask(delta, zpls, e_ref, cons.zpl_exclusion_sigmas)
+    zmask = _zpl_mask(delta, zpls, e_ref)
     fit_sel = (delta > 0) & (delta <= alpha_only_max) & ~zmask
     if np.count_nonzero(fit_sel) < 10:
         raise ValidationError("too few sideband samples in the alpha-only region")
@@ -439,8 +425,7 @@ def fit_psb(spectrum: Spectrum, zpls: ZplSet,
         ratio = 30.0 / 70.0
 
     def model(p, dd):
-        return psb_eval(PsbModel(i0=max(p[0], 0.0), sigma=p[1], delta0=p[2],
-                                 doublet=(splitting, ratio)), dd)
+        return _psb_series(dd, max(p[0], 0.0), p[1], p[2], PSB_J_MAX, (splitting, ratio))
 
     d0_init = float(d_fit[np.argmax(y_fit)])
     peak = float(np.max(y_fit))
@@ -456,10 +441,8 @@ def fit_psb(spectrum: Spectrum, zpls: ZplSet,
 
     alpha_curve = psb_eval(psb, delta)
     residual = density - alpha_curve
-    # alpha ZPL neighborhoods and user-masked alpha features stay with alpha
-    keep = (delta > 0) & (delta <= cons.psb_max_mev) & ~zmask
-    for lo, hi in cons.alpha_feature_ranges:
-        keep &= ~((delta >= lo) & (delta <= hi))
+    # alpha ZPL neighborhoods stay with alpha
+    keep = (delta > 0) & (delta <= PSB_MAX_MEV) & ~zmask
     beta_residual = np.where(keep, residual, 0.0)
 
     check = residual[keep]

@@ -9,6 +9,7 @@ the corresponding fitter must return the truth parameters.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,8 +20,19 @@ from .decay import thermal_lifetime
 from .errors import ValidationError
 from .spectrum import EV_NM_MEV, HRModel, PsbModel, hr_lineshape, psb_eval
 
-KINDS = ("decay", "spectrum", "thermal_series", "power_series",
-         "polarization_series")
+# the truth keys and the sampling keys each generator kind requires
+REQUIRED_KEYS = {
+    "decay": (("components", "pulse_time"), ("t_start", "t_end", "bin_ns")),
+    "spectrum": ((), ("wl_start", "wl_end", "step_nm")),
+    "thermal_series": (("tau", "tau_p", "e_p"), ("temperatures",)),
+    "power_series": (("c", "k"), ("powers",)),
+    "polarization_series": (("a", "b"), ("angles",)),
+}
+
+
+def _is_pair(value):
+    return (isinstance(value, (list, tuple)) and len(value) == 2
+            and all(isinstance(v, numbers.Real) for v in value))
 
 
 @dataclass
@@ -40,8 +52,18 @@ class GeneratorSpec:
     noise: dict = field(default_factory=lambda: {"kind": "none"})
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in REQUIRED_KEYS:
             raise ValidationError(f"unknown generator kind {self.kind!r}")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValidationError(f"'seed' must be an integer >= 0, got {self.seed!r}")
+        for name, given, keys in zip(("truth", "sampling"), (self.truth, self.sampling),
+                                     REQUIRED_KEYS[self.kind]):
+            for key in keys:
+                if key not in given:
+                    raise ValidationError(f"{self.kind} {name} needs {key!r}")
+        comps = self.truth.get("components", [])
+        if not (isinstance(comps, (list, tuple)) and all(map(_is_pair, comps))):
+            raise ValidationError(f"'components' must be a list of (A, tau) pairs, got {comps!r}")
         if self.noise.get("kind") not in ("none", "poisson", "gaussian"):
             raise ValidationError(f"unknown noise kind {self.noise.get('kind')!r}")
         if self.noise.get("kind") == "gaussian" and "sigma_frac" not in self.noise:
@@ -52,6 +74,12 @@ def _point_rngs(seed, n):
     """One deterministic substream per data point."""
     children = np.random.SeedSequence(int(seed)).spawn(int(n))
     return [np.random.Generator(np.random.PCG64(c)) for c in children]
+
+
+def _gaussian_draws(seed, means, sds):
+    """One Gaussian draw per point, from that point's own substream."""
+    rngs = _point_rngs(seed, len(means))
+    return np.array([r.normal(mu, sd) for r, mu, sd in zip(rngs, means, sds)])
 
 
 def _sample_poisson(rng, rate):
@@ -75,13 +103,12 @@ def _apply_counts_noise(spec, expected):
     kind = spec.noise["kind"]
     if kind == "none":
         return np.round(expected)
-    rngs = _point_rngs(spec.seed, expected.size)
     if kind == "poisson":
+        rngs = _point_rngs(spec.seed, expected.size)
         return np.array([_sample_poisson(r, mu) for r, mu in zip(rngs, expected)],
                         dtype=float)
     frac = spec.noise["sigma_frac"]
-    out = np.array([r.normal(mu, frac * max(abs(mu), 1e-300))
-                    for r, mu in zip(rngs, expected)])
+    out = _gaussian_draws(spec.seed, expected, frac * np.maximum(np.abs(expected), 1e-300))
     return np.round(np.clip(out, 0.0, None))
 
 
@@ -137,7 +164,6 @@ def expected_spectrum(spec: GeneratorSpec):
         model = PsbModel(
             i0=psb["i0"], sigma=psb["sigma"], delta0=psb["delta0"],
             j_max=psb.get("j_max", 10), doublet=psb.get("doublet"),
-            component=psb.get("component", "alpha"),
         )
         e_ref = EV_NM_MEV / psb["e_ref_nm"]
         delta = e_ref - EV_NM_MEV / wl
@@ -182,10 +208,8 @@ def gen_thermal_series(spec: GeneratorSpec):
     tau_tot = thermal_lifetime(temps, truth["tau"], truth["tau_p"], truth["e_p"])
     kind = spec.noise["kind"]
     if kind == "gaussian":
-        frac = spec.noise["sigma_frac"]
-        rngs = _point_rngs(spec.seed, temps.size)
-        noisy = np.array([r.normal(v, frac * v) for r, v in zip(rngs, tau_tot)])
-        sigma = frac * tau_tot
+        sigma = spec.noise["sigma_frac"] * tau_tot
+        noisy = _gaussian_draws(spec.seed, tau_tot, sigma)
     elif kind == "none":
         noisy = tau_tot
         sigma = np.full(temps.shape, 1e-9) * tau_tot
@@ -202,9 +226,7 @@ def gen_power_series(spec: GeneratorSpec):
     c, k = spec.truth["c"], spec.truth["k"]
     ideal = c * powers**k
     if spec.noise["kind"] == "gaussian":
-        frac = spec.noise["sigma_frac"]
-        rngs = _point_rngs(spec.seed, powers.size)
-        vals = np.array([r.normal(v, frac * v) for r, v in zip(rngs, ideal)])
+        vals = _gaussian_draws(spec.seed, ideal, spec.noise["sigma_frac"] * ideal)
     else:
         vals = ideal
     return list(zip(powers.tolist(), vals.tolist()))
@@ -219,8 +241,7 @@ def gen_polarization_series(spec: GeneratorSpec):
     ideal = a + b * np.cos(np.radians(angles - t0)) ** 2
     if spec.noise["kind"] == "gaussian":
         frac = spec.noise["sigma_frac"]
-        rngs = _point_rngs(spec.seed, angles.size)
-        vals = np.array([r.normal(v, frac * max(v, 1e-12)) for r, v in zip(rngs, ideal)])
+        vals = _gaussian_draws(spec.seed, ideal, frac * np.maximum(ideal, 1e-12))
     else:
         vals = ideal
     return list(zip(angles.tolist(), vals.tolist()))

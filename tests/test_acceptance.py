@@ -18,7 +18,6 @@ from sicpl.photophysics import CavityParams, budget, cooperativity, fill_factor,
 from sicpl.spectrum import (
     EV_NM_MEV,
     HRModel,
-    PsbConstraints,
     PsbModel,
     ZplLine,
     ZplSet,
@@ -175,7 +174,7 @@ def test_7_psb_dw_partitioning():
     expected = [("alpha3", 1280.0, 3.0), ("alpha2", C_ALPHA2, 3.0),
                 ("beta", C_BETA, 4.0)]
     zpls = find_zpls(spectrum, expected)
-    psb = fit_psb(spectrum, zpls, PsbConstraints())
+    psb = fit_psb(spectrum, zpls)
     part = partition_dw(spectrum, zpls, 60.0, psb_fit=psb)
     dw_true = 1400.0 / (1400.0 + 900.0 + 690.0)
     ok = abs(part.dw_mean - dw_true) <= 0.02
@@ -318,8 +317,7 @@ def test_8_engine_properties():
         "alpha3": ZplLine("alpha3", 1280.0, 0.0, 0.3, False, 700.0, 1.0, 0.0),
         "alpha2": ZplLine("alpha2", C_ALPHA2, 0.0, 0.3, False, 280.0, 1.0, 0.0),
     }
-    f = fit_psb(gen_spectrum(spec), ZplSet(lines=lines, doublet_splitting_mev=1.47),
-                PsbConstraints())
+    f = fit_psb(gen_spectrum(spec), ZplSet(lines=lines, doublet_splitting_mev=1.47))
     closures += [abs(f.model.i0 - 90.0) / 90.0, abs(f.model.sigma - 6.0) / 6.0]
 
     worst_closure = max(closures)

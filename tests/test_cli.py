@@ -201,6 +201,17 @@ def test_zpl_and_psb_cli(tmp_path):
     assert (out2 / "fit-psb_model.txt").exists()
 
 
+DECAY_TRUTH = {"components": [[100, 10.0]], "pulse_time": 20.0}
+
+
+def _recipe_case(change, message):
+    """A decay recipe with `change` applied, whose error names the file."""
+    recipe = {"seed": 1, "kind": "decay", "noise": {"kind": "poisson"}, "truth": DECAY_TRUTH,
+              "sampling": {"t_start": 0.0, "t_end": 60.0, "bin_ns": 1.0}, **change}
+    return ({"r.json": json.dumps(recipe)},
+            ["simulate", "--spec", "r.json", "--outfile", "out"], f"r.json: {message}")
+
+
 TRACE = "".join(f"{i} {5 + 100 * (i >= 20)}\n" for i in range(60))
 CAVITY = ["cavity", "--lambda-nm", "1280", "--finesse", "34000", "--roc-mm", "1.3",
           "--lvac-um", "5", "--lsic-um", "5", "--eta-tot", "0.089"]
@@ -228,6 +239,14 @@ MALFORMED = {
     "simulate-truth-list": ({"r.json": '{"seed": 1, "kind": "decay", "truth": [], '
                                        '"sampling": {}}'},
                             ["simulate", "--spec", "r.json", "--outfile", "out"], "r.json"),
+    "simulate-truth-empty": _recipe_case({"truth": {}}, "decay truth needs 'components'"),
+    "simulate-components-number": _recipe_case(
+        {"truth": {**DECAY_TRUTH, "components": 5}}, "'components' must"),
+    "simulate-components-triple": _recipe_case(
+        {"truth": {**DECAY_TRUTH, "components": [[1, 2, 3]]}}, "'components' must"),
+    "simulate-sampling-no-end": _recipe_case(
+        {"sampling": {"t_start": 0.0, "bin_ns": 1.0}}, "decay sampling needs 't_end'"),
+    "simulate-seed-text": _recipe_case({"seed": "x"}, "'seed' must"),
 }
 
 
@@ -239,6 +258,17 @@ def test_malformed_input_exit_2(tmp_path, capsys, files, argv, named):
     assert run(*argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
+
+
+def test_parser_keeps_no_state_between_runs(decay_files):
+    tmp_path, trace = decay_files
+    for name, plot in (("a", ["--plot"]), ("b", [])):
+        assert run("fit-decay", "--trace", str(trace), "--pulse-ns", "100",
+                   "--out", str(tmp_path / name), *plot) == 0
+    manifest = json.loads((tmp_path / "b" / "fit-decay_manifest.json").read_text())
+    assert manifest["parameters"]["plot"] is False
+    assert (tmp_path / "a" / "fit-decay_model.txt").exists()
+    assert not (tmp_path / "b" / "fit-decay_model.txt").exists()
 
 
 EXIT_CODES = {

@@ -1,10 +1,13 @@
 """Decay fitting, model selection, thermal activation and pooling."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sicpl import decay
 from sicpl.constants import KB_MEV_PER_K
 from sicpl.datatypes import DecayTrace
 from sicpl.decay import (
@@ -95,6 +98,38 @@ def test_fixed_slow_tau():
     assert res.components[0][1] == 158.5
     assert res.sigma3[1] == 0.0  # pinned parameter carries no uncertainty
     assert abs(res.components[1][1] - 43.3) <= max(res.sigma3[3], 1.0)
+
+
+FALLBACK_WARNINGS = {
+    "accepted": [],
+    "collapsed": ["double fit collapsed to single (tau1 ~= tau2)"],
+    "degenerate": ["double fit degenerate; collapsed to single"],
+}
+
+
+@pytest.mark.parametrize("double_fit", FALLBACK_WARNINGS)
+@pytest.mark.parametrize("kind", ["double", "auto"])
+def test_double_fit_fallback(monkeypatch, kind, double_fit):
+    """A degenerate or collapsed double fit falls back to the single fit;
+    only a forced double fit says so in its warnings."""
+    real = decay._fit_exponentials
+
+    def fit_exponentials(t, y, w, p0, *args):
+        if len(p0) == 2 or double_fit == "accepted":
+            return real(t, y, w, p0, *args)
+        if double_fit == "degenerate":
+            raise DegenerateFitError("singular normal matrix")
+        fit = real(t, y, w, p0, *args)
+        p = fit.parameters.copy()
+        p[3] = p[1]
+        return dataclasses.replace(fit, parameters=p)
+
+    monkeypatch.setattr(decay, "_fit_exponentials", fit_exponentials)
+    tr = make_trace([(2e4, 158.5), (2e4, 43.3)], pulse=1000.0,
+                    t_end=3000.0, seed=7)
+    res = fit_decay(tr, kind=kind)
+    assert res.model_kind == ("double" if double_fit == "accepted" else "single")
+    assert res.warnings == (FALLBACK_WARNINGS[double_fit] if kind == "double" else [])
 
 
 @pytest.mark.parametrize("tau", [-5.0, 0.0, np.inf, np.nan])

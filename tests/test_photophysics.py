@@ -1,5 +1,6 @@
 """Efficiency budgeting and cavity-enhancement arithmetic."""
 
+import dataclasses
 import math
 
 import pytest
@@ -133,6 +134,13 @@ def test_finesse_sweep_monotone():
     assert all(b > a for a, b in zip(etas, etas[1:]))
     with pytest.raises(ValidationError):
         finesse_sweep(default_params(), 100.0, 50.0, 5)
+
+
+def test_finesse_sweep_carries_every_other_field():
+    base = default_params(n_sic=2.4, w_c_um=3.0)
+    for f, c, eta in finesse_sweep(base, 1e2, 1e5, 4):
+        est = cooperativity(dataclasses.replace(base, finesse=f))
+        assert (c, eta) == (est.cooperativity, est.eta_cav)
 
 
 def test_cavity_param_validation():

@@ -18,7 +18,6 @@ from sicpl.errors import (
 from sicpl.spectrum import (
     EV_NM_MEV,
     HRModel,
-    PsbConstraints,
     PsbModel,
     ZplLine,
     ZplSet,
@@ -147,7 +146,7 @@ def test_fit_psb_flags_oversubtraction():
                                               "step_nm": 0.2}))
     zpls = find_zpls(sp, [("alpha3", 1280.0, 1.5), ("alpha2", C2, 1.5)])
     with pytest.raises(ModelInconsistencyError):
-        fit_psb(sp, zpls, PsbConstraints())
+        fit_psb(sp, zpls)
 
 
 # ---------------------------------------------------------------------------
