@@ -3,8 +3,8 @@ estimation and simulation into reproducible pipelines.
 
 Each command handler computes its report and any extra files; `main`
 writes them, then a manifest (command, every resolved option, config
-hash, hashes of every input file, tool version) so the run can be
-re-executed identically. Exit codes: 0 success, 1 usage error, otherwise
+hash, hashes of every input file, tool version); `--config <manifest>`
+replays that run identically. Exit codes: 0 success, 1 usage error, otherwise
 the `exit_code` of the error raised: 2 validation error, 3 fit failure.
 """
 
@@ -34,8 +34,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 
 # options naming a file a command reads; the manifest hashes each one given
-INPUT_OPTIONS = ("config", "trace", "meta", "points", "spectrum", "zpl_config",
-                 "spec", "inputs")
+INPUT_OPTIONS = ("trace", "meta", "points", "spectrum", "zpl_config", "spec", "inputs")
+# the keys of a manifest; a replay reads the last two only as information
+MANIFEST_KEYS = ("command", "parameters", "inputs", "config_hash", "tool_version")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -251,15 +252,10 @@ def _cmd_cavity(args):
 
 def _cmd_simulate(args):
     raw = read_json(args.spec)
-    for key in ("seed", "kind", "truth", "sampling"):
-        if key not in raw:
-            raise ValidationError(f"{args.spec}: missing generator key {key!r}")
-    truth = _json_object(args.spec, "truth", raw["truth"])
-    sampling = _json_object(args.spec, "sampling", raw["sampling"])
-    noise = _json_object(args.spec, "noise", raw.get("noise", {"kind": "none"}))
     try:
-        spec = GeneratorSpec(seed=raw["seed"], kind=raw["kind"], truth=truth,
-                             sampling=sampling, noise=noise)
+        spec = GeneratorSpec(seed=raw.get("seed"), kind=raw.get("kind"), truth=raw.get("truth"),
+                             sampling=raw.get("sampling"),
+                             noise=raw.get("noise", {"kind": "none"}))
     except ValidationError as exc:
         raise ValidationError(f"{args.spec}: {exc}") from None
     result = generate(spec)
@@ -314,7 +310,7 @@ def _cmd_report(args):
 def build_parser():
     parser = _Parser(prog="sicpl",
                      description="Color-center photophysics analysis toolkit")
-    parser.add_argument("--config", help="JSON run configuration replacing flags")
+    parser.add_argument("--config", help="a run manifest to replay")
     sub = parser.add_subparsers(dest="command")
 
     def add(name, **kwargs):
@@ -391,27 +387,35 @@ HANDLERS = {
 
 
 def _args_from_config(parser, path):
+    """The arguments of the run the manifest at `path` records. Every input
+    file it lists must still have the SHA-256 it records."""
     cfg = read_json(path)
+    for key in cfg:
+        if key not in MANIFEST_KEYS:
+            raise ValidationError(f"{path}: unknown key {key!r}")
     command = cfg.get("command")
     if command not in HANDLERS:
-        raise ValidationError(f"unknown command {command!r} in config")
+        raise ValidationError(f"{path}: unknown command {command!r}")
+    for name, digest in _json_object(path, "inputs", cfg.get("inputs", {})).items():
+        if not isinstance(digest, str):
+            raise ValidationError(f"{path}: 'inputs' must map each file to its sha256, "
+                                  f"got {digest!r} for {name}")
+        if _sha256(name) != digest:
+            raise ValidationError(f"{path}: input {name} changed since the run")
     argv = [command]
-    options = {**_json_object(path, "inputs", cfg.get("inputs", {})),
-               **_json_object(path, "parameters", cfg.get("parameters", {}))}
-    for key, value in options.items():
+    for key, value in _json_object(path, "parameters", cfg.get("parameters", {})).items():
+        if key in ("command", "config") or value is None or value is False:
+            continue
         flag = "--" + key.replace("_", "-")
         if value is True:
             argv.append(flag)
         elif isinstance(value, list):
-            argv.extend([flag] + [str(v) for v in value])
-        elif value is not None:
-            argv.extend([flag, str(value)])
-    if cfg.get("output_dir"):
-        argv.extend(["--out", cfg["output_dir"]])
-    if cfg.get("emit_plot_data") and command in ("fit-decay", "fit-psb"):
-        argv.append("--plot")
-    args = parser.parse_args(argv)
-    args.config = path
+            argv += [flag, *map(str, value)]
+        else:
+            argv.append(f"{flag}={value}")
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:
+        raise ValidationError(f"{path}: unknown {command} parameters {' '.join(unknown)}")
     return args
 
 

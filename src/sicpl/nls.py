@@ -17,7 +17,10 @@ import numpy as np
 
 from .errors import DegenerateFitError, DomainError, EvaluationError, ValidationError
 
-DEFAULT_OPTIONS = {"max_iter": 200, "step_tol": 1e-8, "cost_tol": 1e-10, "fd_step": 1e-6}
+MAX_ITER = 200      # iterations before a fit ends unconverged
+STEP_TOL = 1e-8     # converged: relative step below STEP_TOL ...
+COST_TOL = 1e-10    # ... and relative cost change below COST_TOL
+FD_STEP = 1e-6      # relative step of the finite-difference Jacobian
 
 
 @dataclass
@@ -85,7 +88,7 @@ class FitResult:
         return (np.abs(p - lower) <= rtol * scale) | (np.abs(p - upper) <= rtol * scale)
 
 
-def finite_diff_jacobian(model, p, xs, h=1e-6) -> np.ndarray:
+def finite_diff_jacobian(model, p, xs, h=FD_STEP) -> np.ndarray:
     """Central-difference Jacobian of model(p, xs) w.r.t. p.
 
     h is a relative step, required in (0, 1e-2]. Serves as the oracle
@@ -117,19 +120,19 @@ def _cost(problem, p):
     return float(np.sum(problem.weights * r * r)), r
 
 
-def _jacobian(problem, p, h):
+def _jacobian(problem, p):
     if problem.jacobian is not None:
         J = np.asarray(problem.jacobian(p, problem.x), dtype=float)
         if np.any(~np.isfinite(J)):
             raise EvaluationError("analytic Jacobian returned non-finite values")
         return J
-    return finite_diff_jacobian(problem.model, p, problem.x, h)
+    return finite_diff_jacobian(problem.model, p, problem.x)
 
 
-def _covariance(problem, p, cost, h):
+def _covariance(problem, p, cost):
     """reduced_chi2 * (J^T W J)^-1 over the free parameters, symmetrized;
     pinned parameters get zero rows and columns. Raises on rank deficiency."""
-    J = _jacobian(problem, p, h)
+    J = _jacobian(problem, p)
     free = np.flatnonzero(problem.lower != problem.upper)
     A = (J.T @ (problem.weights[:, None] * J))[np.ix_(free, free)]
     d = np.sqrt(np.diag(A))
@@ -156,23 +159,20 @@ def _covariance(problem, p, cost, h):
     return cov, red_chi2
 
 
-def minimize(problem: FitProblem, options: dict | None = None) -> FitResult:
+def minimize(problem: FitProblem) -> FitResult:
     """Run Levenberg-Marquardt on a FitProblem.
 
-    Convergence requires relative step < step_tol AND relative cost
-    change < cost_tol; converged is False when max_iter is hit first.
+    Convergence requires relative step < STEP_TOL AND relative cost
+    change < COST_TOL; converged is False when MAX_ITER is hit first.
     """
-    opts = dict(DEFAULT_OPTIONS)
-    opts.update(options or {})
-    h = opts["fd_step"]
     p = problem.p0.copy()
     pinned = problem.lower == problem.upper
     cost, r = _cost(problem, p)
     lam = 1e-3
     converged = False
     n_iter = 0
-    for n_iter in range(1, opts["max_iter"] + 1):
-        J = _jacobian(problem, p, h)
+    for n_iter in range(1, MAX_ITER + 1):
+        J = _jacobian(problem, p)
         if pinned.any():  # a zero column gives a pinned parameter a zero step
             J = np.where(pinned, 0.0, J)
         W = problem.weights
@@ -200,14 +200,14 @@ def minimize(problem: FitProblem, options: dict | None = None) -> FitResult:
                 p, cost, r = p_new, cost_new, r_new
                 lam = max(lam / 10.0, 1e-12)
                 accepted = True
-                if (step_rel < opts["step_tol"] and cost_rel < opts["cost_tol"]) or cost == 0.0:
+                if (step_rel < STEP_TOL and cost_rel < COST_TOL) or cost == 0.0:
                     converged = True
                 break
             lam *= 10.0
         if not accepted or converged:
             converged = converged or not accepted  # stalled damping: local minimum
             break
-    cov, red_chi2 = _covariance(problem, p, cost, h)
+    cov, red_chi2 = _covariance(problem, p, cost)
     return FitResult(
         parameters=p,
         covariance=cov,

@@ -18,29 +18,77 @@ from .constants import EV_NM
 from .datatypes import DecayTrace, Spectrum
 from .decay import thermal_lifetime
 from .errors import ValidationError
-from .spectrum import EV_NM_MEV, HRModel, PsbModel, hr_lineshape, psb_eval
+from .spectrum import EV_NM_MEV, PSB_J_MAX, HRModel, PsbModel, hr_lineshape, psb_eval
 
-# the truth keys and the sampling keys each generator kind requires
-REQUIRED_KEYS = {
-    "decay": (("components", "pulse_time"), ("t_start", "t_end", "bin_ns")),
-    "spectrum": ((), ("wl_start", "wl_end", "step_nm")),
-    "thermal_series": (("tau", "tau_p", "e_p"), ("temperatures",)),
-    "power_series": (("c", "k"), ("powers",)),
-    "polarization_series": (("a", "b"), ("angles",)),
+# per generator kind: the truth keys and the sampling keys it needs, and the
+# noise kinds it takes
+RECIPES = {
+    "decay": (("components", "pulse_time"), ("t_start", "t_end", "bin_ns"),
+              ("none", "poisson", "gaussian")),
+    "spectrum": ((), ("wl_start", "wl_end", "step_nm"), ("none", "poisson", "gaussian")),
+    "thermal_series": (("tau", "tau_p", "e_p"), ("temperatures",), ("none", "gaussian")),
+    "power_series": (("c", "k"), ("powers",), ("none", "gaussian")),
+    "polarization_series": (("a", "b"), ("angles",), ("none", "gaussian")),
+}
+# the keys each entry of a spectrum truth's 'psb' list, and its 'hr', needs
+PSB_KEYS = ("i0", "sigma", "delta0", "e_ref_nm")
+HR_KEYS = ("modes", "zpl_energy_ev")
+
+
+def _real(value):
+    return isinstance(value, numbers.Real)
+
+
+def _reals(value, n=None):
+    return (isinstance(value, (list, tuple, np.ndarray)) and all(map(_real, value))
+            and n in (None, len(value)))
+
+
+def _pairs(value):
+    return isinstance(value, (list, tuple)) and all(_reals(v, 2) for v in value)
+
+
+def _zpl_rows(value):
+    return isinstance(value, (list, tuple)) and all(
+        isinstance(row, (list, tuple)) and len(row) == 4 and _reals(row[1:]) for row in value)
+
+
+REAL = (_real, "a real number")
+REALS = (_reals, "a list of reals")
+# the form of every truth, sampling, 'psb' and 'hr' value a generator reads
+FORMS = {
+    **dict.fromkeys(("pulse_time", "background", "temperature", "band_center", "band_width",
+                     "t_start", "t_end", "bin_ns", "wl_start", "wl_end", "step_nm",
+                     "tau", "tau_p", "e_p", "c", "k", "a", "b", "theta0",
+                     "i0", "sigma", "delta0", "e_ref_nm", "zpl_energy_ev", "area_nm"), REAL),
+    **dict.fromkeys(("temperatures", "powers", "angles"), REALS),
+    "components": (_pairs, "a list of (A, tau) pairs"),
+    "modes": (_pairs, "a list of (S, homega) pairs"),
+    "doublet": (lambda v: _reals(v, 2), "a (splitting, ratio) pair"),
+    "j_max": (lambda v: isinstance(v, numbers.Integral), "an integer"),
+    "zpl": (_zpl_rows, "a list of [label, center, fwhm, area] rows"),
+    "psb": (lambda v: isinstance(v, (list, tuple)) and all(isinstance(e, dict) for e in v),
+            "a list of objects"),
+    "hr": (lambda v: isinstance(v, dict), "an object"),
 }
 
 
-def _is_pair(value):
-    return (isinstance(value, (list, tuple)) and len(value) == 2
-            and all(isinstance(v, numbers.Real) for v in value))
+def _check_values(where, given, needs):
+    for key in needs:
+        if key not in given:
+            raise ValidationError(f"{where} needs {key!r}")
+    for key, value in given.items():
+        test, form = FORMS.get(key, (None, None))
+        if test is not None and not test(value):
+            raise ValidationError(f"{key!r} must be {form}, got {value!r}")
 
 
 @dataclass
 class GeneratorSpec:
-    """Recipe for one synthetic dataset.
+    """Recipe for one synthetic dataset, validated on construction.
 
     noise: {'kind': 'none'} | {'kind': 'poisson'} |
-           {'kind': 'gaussian', 'sigma_frac': f}
+           {'kind': 'gaussian', 'sigma_frac': f}, as RECIPES allows per kind;
     truth and sampling contents depend on kind; truth parameter names
     match the corresponding fit-report names one-to-one.
     """
@@ -52,22 +100,28 @@ class GeneratorSpec:
     noise: dict = field(default_factory=lambda: {"kind": "none"})
 
     def __post_init__(self):
-        if self.kind not in REQUIRED_KEYS:
+        if self.kind not in RECIPES:
             raise ValidationError(f"unknown generator kind {self.kind!r}")
         if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
             raise ValidationError(f"'seed' must be an integer >= 0, got {self.seed!r}")
-        for name, given, keys in zip(("truth", "sampling"), (self.truth, self.sampling),
-                                     REQUIRED_KEYS[self.kind]):
-            for key in keys:
-                if key not in given:
-                    raise ValidationError(f"{self.kind} {name} needs {key!r}")
-        comps = self.truth.get("components", [])
-        if not (isinstance(comps, (list, tuple)) and all(map(_is_pair, comps))):
-            raise ValidationError(f"'components' must be a list of (A, tau) pairs, got {comps!r}")
-        if self.noise.get("kind") not in ("none", "poisson", "gaussian"):
-            raise ValidationError(f"unknown noise kind {self.noise.get('kind')!r}")
-        if self.noise.get("kind") == "gaussian" and "sigma_frac" not in self.noise:
-            raise ValidationError("gaussian noise requires sigma_frac")
+        for name in ("truth", "sampling", "noise"):
+            if not isinstance(getattr(self, name), dict):
+                raise ValidationError(f"{name!r} must be an object, got {getattr(self, name)!r}")
+        truth_keys, sampling_keys, noises = RECIPES[self.kind]
+        _check_values(f"{self.kind} truth", self.truth, truth_keys)
+        _check_values(f"{self.kind} sampling", self.sampling, sampling_keys)
+        for entry in self.truth.get("psb", ()):
+            _check_values("psb entry", entry, PSB_KEYS)
+        if "hr" in self.truth:
+            _check_values("hr", self.truth["hr"], HR_KEYS)
+        noise = self.noise.get("kind")
+        if noise not in noises:
+            raise ValidationError(f"{self.kind} noise must be one of {', '.join(noises)}, "
+                                  f"got {noise!r}")
+        frac = self.noise.get("sigma_frac")
+        if noise == "gaussian" and not (_real(frac) and frac >= 0):
+            raise ValidationError(f"'sigma_frac' must be a real >= 0 for gaussian noise, "
+                                  f"got {frac!r}")
 
 
 def _point_rngs(seed, n):
@@ -163,7 +217,7 @@ def expected_spectrum(spec: GeneratorSpec):
     for psb in truth.get("psb", ()):
         model = PsbModel(
             i0=psb["i0"], sigma=psb["sigma"], delta0=psb["delta0"],
-            j_max=psb.get("j_max", 10), doublet=psb.get("doublet"),
+            j_max=psb.get("j_max", PSB_J_MAX), doublet=psb.get("doublet"),
         )
         e_ref = EV_NM_MEV / psb["e_ref_nm"]
         delta = e_ref - EV_NM_MEV / wl
@@ -206,15 +260,12 @@ def gen_thermal_series(spec: GeneratorSpec):
     if np.any(temps <= 0):
         raise ValidationError("temperatures must be positive")
     tau_tot = thermal_lifetime(temps, truth["tau"], truth["tau_p"], truth["e_p"])
-    kind = spec.noise["kind"]
-    if kind == "gaussian":
+    if spec.noise["kind"] == "gaussian":
         sigma = spec.noise["sigma_frac"] * tau_tot
         noisy = _gaussian_draws(spec.seed, tau_tot, sigma)
-    elif kind == "none":
+    else:
         noisy = tau_tot
         sigma = np.full(temps.shape, 1e-9) * tau_tot
-    else:
-        raise ValidationError("thermal series supports 'none' or 'gaussian' noise")
     return [(float(T), float(v), float(s)) for T, v, s in zip(temps, noisy, sigma)]
 
 

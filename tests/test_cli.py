@@ -138,10 +138,9 @@ def test_config_file_drives_run(decay_files, tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({
         "command": "fit-decay",
-        "inputs": {"trace": str(trace)},
-        "parameters": {"pulse_ns": 100.0, "kind": "auto"},
-        "output_dir": str(out),
-        "emit_plot_data": True,
+        "parameters": {"trace": str(trace), "pulse_ns": 100.0, "kind": "auto",
+                       "out": str(out), "plot": True},
+        "inputs": {str(trace): _sha256(trace)},
     }))
     assert run("--config", str(cfg)) == 0
     assert (out / "fit-decay_report.txt").exists()
@@ -247,6 +246,36 @@ MALFORMED = {
     "simulate-sampling-no-end": _recipe_case(
         {"sampling": {"t_start": 0.0, "bin_ns": 1.0}}, "decay sampling needs 't_end'"),
     "simulate-seed-text": _recipe_case({"seed": "x"}, "'seed' must"),
+    "simulate-pulse-time-text": _recipe_case(
+        {"truth": {**DECAY_TRUTH, "pulse_time": "x"}}, "'pulse_time' must"),
+    "simulate-bin-text": _recipe_case(
+        {"sampling": {"t_start": 0.0, "t_end": 60.0, "bin_ns": "x"}}, "'bin_ns' must"),
+    "simulate-sigma-frac-negative": _recipe_case(
+        {"noise": {"kind": "gaussian", "sigma_frac": -1}}, "'sigma_frac' must"),
+    "simulate-sigma-frac-text": _recipe_case(
+        {"noise": {"kind": "gaussian", "sigma_frac": "a"}}, "'sigma_frac' must"),
+    "simulate-temperatures-text": _recipe_case(
+        {"kind": "thermal_series", "truth": {"tau": 163.0, "tau_p": 83.0, "e_p": 28.0},
+         "sampling": {"temperatures": "abc"}, "noise": {"kind": "none"}}, "'temperatures' must"),
+    "simulate-psb-no-sigma": _recipe_case(
+        {"kind": "spectrum", "truth": {"psb": [{"i0": 90.0, "delta0": 35.0, "e_ref_nm": 1280.0}]},
+         "sampling": {"wl_start": 1255.0, "wl_end": 1300.0, "step_nm": 0.2}},
+        "psb entry needs 'sigma'"),
+    "simulate-power-poisson": _recipe_case(
+        {"kind": "power_series", "truth": {"c": 3.0, "k": 1.0}, "sampling": {"powers": [1.0, 2.0]}},
+        "power_series noise must be"),
+    "config-output-dir": ({"run.json": '{"command": "budget", "output_dir": "x"}'},
+                          ["--config", "run.json"], "run.json: unknown key 'output_dir'"),
+    "config-emit-plot-data": ({"run.json": '{"command": "fit-decay", "emit_plot_data": true}'},
+                              ["--config", "run.json"], "run.json: unknown key 'emit_plot_data'"),
+    "config-unknown-key": ({"run.json": '{"command": "budget", "colour": "red"}'},
+                           ["--config", "run.json"], "run.json: unknown key 'colour'"),
+    "config-unknown-parameter": (
+        {"run.json": json.dumps({"command": "budget", "parameters": {
+            "tau_rad": 704, "tau_tot": 163, "dw": 0.39, "s": 0.66, "colour": 1}})},
+        ["--config", "run.json"], "run.json: unknown budget parameters --colour=1"),
+    "config-inputs-hash-number": ({"run.json": '{"command": "budget", "inputs": {"a": 1}}'},
+                                  ["--config", "run.json"], "run.json"),
 }
 
 
@@ -357,3 +386,87 @@ def test_manifest_records_resolved_options_and_inputs(decay_files, tmp_path):
         manifest = json.loads((tmp_path / command / f"{command}_manifest.json").read_text())
         assert manifest["parameters"] == vars(build_parser().parse_args(argv))
         assert manifest["inputs"] == {str(p): _sha256(p) for p in inputs}
+
+
+def test_replay_refuses_a_changed_input(decay_files, capsys):
+    tmp_path, trace = decay_files
+    out = tmp_path / "fit"
+    assert run("fit-decay", "--trace", str(trace), "--pulse-ns", "100", "--out", str(out)) == 0
+    trace.write_text(trace.read_text() + "# edited\n")
+    capsys.readouterr()
+    assert run("--config", str(out / "fit-decay_manifest.json")) == 2
+    assert f"input {trace} changed" in capsys.readouterr().err
+
+
+def test_every_option_flag_spells_its_dest():
+    # a replay turns each manifest parameter `d` into the flag --d-with-dashes
+    import argparse
+
+    from sicpl.cli import HANDLERS, build_parser
+
+    sub, = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(HANDLERS)
+    for command, parser in sub.choices.items():
+        for action in parser._actions:
+            if action.dest != "help":
+                flag = "--" + action.dest.replace("_", "-")
+                assert flag in action.option_strings, (command, action.dest)
+
+
+@pytest.fixture
+def replay_files(decay_files):
+    """Every input file the replayed runs read, and an empty output directory."""
+    from sicpl.decay import thermal_lifetime
+
+    tmp_path, trace = decay_files
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    spectrum, lines = _spectrum_files(inputs)
+    files = {"trace": trace, "spec": tmp_path / "recipe.json", "spectrum": spectrum,
+             "lines": lines, "meta": inputs / "trace.meta", "points": inputs / "pts.txt",
+             "budget_k": inputs / "budget_k.json", "budget_h": inputs / "budget_h.json",
+             "out": tmp_path / "out"}
+    files["meta"].write_text("pulse_time_ns = 100\ntemperature_K = 4\n")
+    files["points"].write_text("".join(
+        f"{T} {thermal_lifetime(float(T), 163.0, 83.0, 28.0):.6f} 3\n"
+        for T in (4, 25, 50, 75, 100, 125, 150, 175)))
+    files["budget_k"].write_text(json.dumps({"site": "k", "tau_tot_exp": 163.0}))
+    files["budget_h"].write_text(json.dumps({"site": "h", "tau_tot_exp": 43.0}))
+    return {name: str(path) for name, path in files.items()}
+
+
+REPLAY = {
+    "fit-decay": ["fit-decay", "--trace", "{trace}", "--meta", "{meta}", "--window", "110,1500",
+                  "--kind", "single", "--plot"],
+    "fit-thermal": ["fit-thermal", "--points", "{points}"],
+    "zpl": ["zpl", "--spectrum", "{spectrum}", "--zpl-config", "{lines}"],
+    "fit-psb": ["fit-psb", "--spectrum", "{spectrum}", "--zpl-config", "{lines}",
+                "--partition-mev", "60", "--area-correction", "1.05", "--plot"],
+    "budget": ["budget", "--tau-rad", "704", "--tau-tot", "163", "--dw", "0.39", "--s", "0.66"],
+    "budget-site": ["budget", "--tau-rad", "277", "--tau-tot", "43", "--dw", "0.22",
+                    "--s", "0.79", "--site=-h", "--tau-nr-ref", "47"],
+    "cavity": CAVITY + ["--sweep", "finesse=100:100000:9", "--extraction", "0.5"],
+    "simulate": ["simulate", "--spec", "{spec}", "--outfile", "{out}/trace.txt"],
+    "report": ["report", "--inputs", "{budget_k}", "{budget_h}"],
+}
+
+
+def _outputs(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("argv", REPLAY.values(), ids=REPLAY.keys())
+def test_manifest_replays_its_run(replay_files, argv):
+    from pathlib import Path
+
+    out = Path(replay_files["out"])
+    assert run(*[a.format(**replay_files) for a in argv], "--out", str(out)) == 0
+    first = _outputs(out)
+    manifest = out / f"{argv[0]}_manifest.json"
+    assert manifest.name in first and len(first) > 1
+    for _ in range(2):
+        for name in first:  # the replay must write every output anew
+            if name != manifest.name:
+                (out / name).unlink()
+        assert run("--config", str(manifest)) == 0
+        assert _outputs(out) == first

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sicpl import nls
 from sicpl.errors import DegenerateFitError, DomainError, EvaluationError, ValidationError
 from sicpl.nls import FitProblem, finite_diff_jacobian, minimize
 
@@ -214,7 +215,8 @@ def test_analytic_jacobian_used_and_consistent():
     assert np.allclose(fit.parameters, p, rtol=1e-8)
 
 
-def test_max_iter_reported():
+def test_max_iter_reported(monkeypatch):
+    monkeypatch.setattr(nls, "MAX_ITER", 2)
     x = np.linspace(0.0, 10.0, 30)
     rng = np.random.default_rng(1)
     y = np.sin(x) + rng.normal(0.0, 0.1, x.size)
@@ -223,6 +225,5 @@ def test_max_iter_reported():
         return p[0] * np.sin(p[1] * xx + p[2])
 
     fit = minimize(FitProblem(model=model, x=x, y=y,
-                              p0=np.array([0.5, 0.9, 0.1])),
-                   options={"max_iter": 2})
+                              p0=np.array([0.5, 0.9, 0.1])))
     assert fit.n_iterations <= 2

@@ -174,3 +174,20 @@ def test_any_seed_gives_valid_trace(seed):
     tr = gen_decay(decay_spec(seed=seed))
     assert np.all(tr.counts >= 0)
     assert tr.counts.size == 901
+
+
+SERIES = {
+    "thermal_series": ({"tau": 163.0, "tau_p": 83.0, "e_p": 28.0}, {"temperatures": [4.0, 50.0]}),
+    "power_series": ({"c": 3.0, "k": 1.0}, {"powers": [0.1, 1.0]}),
+    "polarization_series": ({"a": 10.0, "b": 40.0}, {"angles": [0.0, 45.0]}),
+}
+
+
+@pytest.mark.parametrize("kind", SERIES)
+def test_series_refuse_poisson_noise(kind):
+    truth, sampling = SERIES[kind]
+    generate(GeneratorSpec(seed=1, kind=kind, truth=truth, sampling=sampling,
+                           noise={"kind": "gaussian", "sigma_frac": 0.1}))
+    with pytest.raises(ValidationError, match=f"{kind} noise must be one of none, gaussian"):
+        GeneratorSpec(seed=1, kind=kind, truth=truth, sampling=sampling,
+                      noise={"kind": "poisson"})
