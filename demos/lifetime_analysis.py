@@ -8,7 +8,7 @@ of the thermally assisted decay. Run with `python3 demos/lifetime_analysis.py`.
 import numpy as np
 
 from sicpl.decay import fit_decay, fit_thermal, pool_lifetimes, thermal_lifetime
-from sicpl.synth import GeneratorSpec, gen_decay, gen_thermal_series
+from sicpl.synth import GeneratorSpec, generate
 
 # ---------------------------------------------------------------------
 # 1. a single-channel trace, ~10^4 peak counts over a 20 counts/bin floor
@@ -19,7 +19,7 @@ spec = GeneratorSpec(
     sampling={"t_start": 0.0, "t_end": 1800.0, "bin_ns": 1.0},
     noise={"kind": "poisson"},
 )
-trace = gen_decay(spec)
+trace = generate(spec)
 res = fit_decay(trace)
 A, tau = res.components[0]
 print(f"fast channel: model={res.model_kind}  tau = {tau:.2f} +/- {res.sigma3[1]:.2f} ns"
@@ -35,7 +35,7 @@ spec = GeneratorSpec(
     sampling={"t_start": 0.0, "t_end": 3000.0, "bin_ns": 1.0},
     noise={"kind": "poisson"},
 )
-res2 = fit_decay(gen_decay(spec), kind="auto")
+res2 = fit_decay(generate(spec), kind="auto")
 print(f"mixed band:  model={res2.model_kind}")
 for i, (amp, t) in enumerate(res2.components, 1):
     print(f"  component {i}: tau = {t:7.2f} +/- {res2.sigma3[2 * i - 1]:.2f} ns"
@@ -59,7 +59,7 @@ spec = GeneratorSpec(
     sampling={"temperatures": [4, 25, 50, 75, 100, 125, 150, 175]},
     noise={"kind": "gaussian", "sigma_frac": 0.02},
 )
-points = gen_thermal_series(spec)
+points = generate(spec)
 model = fit_thermal(points)
 print(f"\nthermal model: tau = {model.tau:.1f} ns, tau_p = {model.tau_p:.1f} ns,"
       f" E_p = {model.e_p:.1f} +/- {model.sigma3[2]:.1f} meV  (truth 28)")

@@ -15,7 +15,7 @@ from sicpl.spectrum import (
     fit_psb,
     partition_dw,
 )
-from sicpl.synth import GeneratorSpec, gen_spectrum
+from sicpl.synth import GeneratorSpec, generate
 
 # line positions: doublet split by 1.47 meV, second emitter 40 meV below
 E3 = EV_NM_MEV / 1280.0
@@ -32,7 +32,7 @@ truth = {
              "e_ref_nm": C_B}],
     "temperature": 4.0,
 }
-sp = gen_spectrum(GeneratorSpec(
+sp = generate(GeneratorSpec(
     seed=5, kind="spectrum", truth=truth,
     sampling={"wl_start": 1255.0, "wl_end": 1470.0, "step_nm": 0.2},
     noise={"kind": "poisson"},

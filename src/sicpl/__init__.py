@@ -52,12 +52,4 @@ from .spectrum import (
     psb_eval,
     to_phonon_axis,
 )
-from .synth import (
-    GeneratorSpec,
-    gen_decay,
-    gen_polarization_series,
-    gen_power_series,
-    gen_spectrum,
-    gen_thermal_series,
-    generate,
-)
+from .synth import GeneratorSpec, generate

@@ -39,10 +39,13 @@ INPUT_OPTIONS = ("trace", "meta", "points", "spectrum", "zpl_config", "spec", "i
 MANIFEST_KEYS = ("command", "parameters", "inputs", "config_hash", "tool_version")
 
 
+class _Refused(Exception):
+    """argparse refused the arguments; args: the usage text and why."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        raise _Refused(self.format_usage(), message)
 
 
 def _sha256(path):
@@ -251,14 +254,17 @@ def _cmd_cavity(args):
 
 
 def _cmd_simulate(args):
-    raw = read_json(args.spec)
+    # the GeneratorSpec fields: a missing one is None, which it refuses; noise has a default
+    recipe = dict.fromkeys(("seed", "kind", "truth", "sampling"))
     try:
-        spec = GeneratorSpec(seed=raw.get("seed"), kind=raw.get("kind"), truth=raw.get("truth"),
-                             sampling=raw.get("sampling"),
-                             noise=raw.get("noise", {"kind": "none"}))
+        for key, value in read_json(args.spec).items():
+            if key not in (*recipe, "noise"):
+                raise ValidationError(f"unknown key {key!r}")
+            recipe[key] = value
+        spec = GeneratorSpec(**recipe)
+        result = generate(spec)
     except ValidationError as exc:
         raise ValidationError(f"{args.spec}: {exc}") from None
-    result = generate(spec)
     if spec.kind == "decay":
         data = (result.times, result.counts,
                 f"time_ns counts (pulse_time_ns={result.pulse_time})")
@@ -413,7 +419,10 @@ def _args_from_config(parser, path):
             argv += [flag, *map(str, value)]
         else:
             argv.append(f"{flag}={value}")
-    args, unknown = parser.parse_known_args(argv)
+    try:
+        args, unknown = parser.parse_known_args(argv)
+    except _Refused as exc:
+        raise ValidationError(f"{path}: {exc.args[1]}") from None
     if unknown:
         raise ValidationError(f"{path}: unknown {command} parameters {' '.join(unknown)}")
     return args
@@ -445,6 +454,10 @@ def main(argv=None):
                 save_two_column(path, *data)
         _write_manifest(out_dir, args)
         return EXIT_OK
+    except _Refused as exc:
+        usage, message = exc.args
+        print(f"{usage}error: {message}", file=sys.stderr)
+        return EXIT_USAGE
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except SicplError as exc:

@@ -159,6 +159,10 @@ def find_zpls(spectrum: Spectrum, expected) -> ZplSet:
 # Doublet thermometry
 
 
+def _doublet_ratio(r0, t0, temperature):
+    return 1.0 + (r0 - 1.0) * np.exp(-np.asarray(temperature) / t0)
+
+
 @dataclass
 class DoubletThermometry:
     """Phenomenological ratio model r(T) = 1 + (r0 - 1) exp(-T / T0)."""
@@ -170,7 +174,7 @@ class DoubletThermometry:
     warnings: list = field(default_factory=list)
 
     def ratio(self, temperature):
-        return 1.0 + (self.r0 - 1.0) * np.exp(-np.asarray(temperature) / self.t0)
+        return _doublet_ratio(self.r0, self.t0, temperature)
 
     def dominant_share(self, temperature):
         r = self.ratio(temperature)
@@ -203,12 +207,9 @@ def doublet_ratio_vs_T(spectra, expected_pair) -> DoubletThermometry:
     T = np.array([p[0] for p in points])
     r = np.array([p[1] for p in points])
 
-    def model(p, TT):
-        return 1.0 + (p[0] - 1.0) * np.exp(-TT / p[1])
-
     r0_init = float(r[np.argmin(T)])
     problem = FitProblem(
-        model=model, x=T, y=r,
+        model=lambda p, TT: _doublet_ratio(p[0], p[1], TT), x=T, y=r,
         p0=np.array([r0_init, 30.0]),
         lower=np.array([0.0, 1e-3]),
         upper=np.array([np.inf, 1e4]),
@@ -588,8 +589,8 @@ def partition_dw(spectrum: Spectrum, zpls: ZplSet, partition_energy_mev: float,
 
     # integrated areas (total counts) are coordinate-invariant, so the
     # nm-axis line areas compare directly with delta-axis integrals
-    zpl_alpha = sum(zpls[l].area for l in ALPHA_ZPL_LABELS if l in zpls.lines)
-    zpl_beta = sum(zpls[l].area for l in BETA_ZPL_LABELS if l in zpls.lines)
+    zpl_alpha = zpls.area_nm(ALPHA_ZPL_LABELS)
+    zpl_beta = zpls.area_nm(BETA_ZPL_LABELS)
     zpl_total = zpl_alpha + zpl_beta
 
     # region areas with the ZPL areas removed; clamp small negatives

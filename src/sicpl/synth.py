@@ -20,19 +20,30 @@ from .decay import thermal_lifetime
 from .errors import ValidationError
 from .spectrum import EV_NM_MEV, PSB_J_MAX, HRModel, PsbModel, hr_lineshape, psb_eval
 
-# per generator kind: the truth keys and the sampling keys it needs, and the
-# noise kinds it takes
+# a key with no default: a recipe must give it
+REQUIRED = object()
+# per generator kind: every truth key and every sampling key it reads, each
+# with its default, and the noise kinds it takes
 RECIPES = {
-    "decay": (("components", "pulse_time"), ("t_start", "t_end", "bin_ns"),
+    "decay": ({"components": REQUIRED, "pulse_time": REQUIRED, "background": 0.0,
+               "temperature": 4.0, "band_center": None, "band_width": None},
+              {"t_start": REQUIRED, "t_end": REQUIRED, "bin_ns": REQUIRED},
               ("none", "poisson", "gaussian")),
-    "spectrum": ((), ("wl_start", "wl_end", "step_nm"), ("none", "poisson", "gaussian")),
-    "thermal_series": (("tau", "tau_p", "e_p"), ("temperatures",), ("none", "gaussian")),
-    "power_series": (("c", "k"), ("powers",), ("none", "gaussian")),
-    "polarization_series": (("a", "b"), ("angles",), ("none", "gaussian")),
+    "spectrum": ({"zpl": (), "psb": (), "hr": None, "temperature": 4.0, "label": "synthetic"},
+                 {"wl_start": REQUIRED, "wl_end": REQUIRED, "step_nm": REQUIRED},
+                 ("none", "poisson", "gaussian")),
+    "thermal_series": ({"tau": REQUIRED, "tau_p": REQUIRED, "e_p": REQUIRED},
+                       {"temperatures": REQUIRED}, ("none", "gaussian")),
+    "power_series": ({"c": REQUIRED, "k": REQUIRED}, {"powers": REQUIRED}, ("none", "gaussian")),
+    "polarization_series": ({"a": REQUIRED, "b": REQUIRED, "theta0": 0.0},
+                            {"angles": REQUIRED}, ("none", "gaussian")),
 }
-# the keys each entry of a spectrum truth's 'psb' list, and its 'hr', needs
-PSB_KEYS = ("i0", "sigma", "delta0", "e_ref_nm")
-HR_KEYS = ("modes", "zpl_energy_ev")
+# the keys of each entry of a spectrum truth's 'psb' list, of its 'hr', and
+# of each noise kind besides 'kind'
+PSB_KEYS = {"i0": REQUIRED, "sigma": REQUIRED, "delta0": REQUIRED, "e_ref_nm": REQUIRED,
+            "j_max": PSB_J_MAX, "doublet": None}
+HR_KEYS = {"modes": REQUIRED, "zpl_energy_ev": REQUIRED, "area_nm": 1.0}
+NOISE_KEYS = {"none": {}, "poisson": {}, "gaussian": {"sigma_frac": REQUIRED}}
 
 
 def _real(value):
@@ -55,12 +66,13 @@ def _zpl_rows(value):
 
 REAL = (_real, "a real number")
 REALS = (_reals, "a list of reals")
-# the form of every truth, sampling, 'psb' and 'hr' value a generator reads
+# the form of every recipe value; 'label' and the noise 'kind' take any
 FORMS = {
     **dict.fromkeys(("pulse_time", "background", "temperature", "band_center", "band_width",
-                     "t_start", "t_end", "bin_ns", "wl_start", "wl_end", "step_nm",
-                     "tau", "tau_p", "e_p", "c", "k", "a", "b", "theta0",
+                     "t_start", "t_end", "wl_start", "wl_end", "tau", "tau_p", "e_p",
+                     "c", "k", "a", "b", "theta0",
                      "i0", "sigma", "delta0", "e_ref_nm", "zpl_energy_ev", "area_nm"), REAL),
+    **dict.fromkeys(("bin_ns", "step_nm"), (lambda v: _real(v) and v > 0, "a real > 0")),
     **dict.fromkeys(("temperatures", "powers", "angles"), REALS),
     "components": (_pairs, "a list of (A, tau) pairs"),
     "modes": (_pairs, "a list of (S, homega) pairs"),
@@ -70,27 +82,35 @@ FORMS = {
     "psb": (lambda v: isinstance(v, (list, tuple)) and all(isinstance(e, dict) for e in v),
             "a list of objects"),
     "hr": (lambda v: isinstance(v, dict), "an object"),
+    "sigma_frac": (lambda v: _real(v) and v >= 0, "a real >= 0"),
 }
 
 
-def _check_values(where, given, needs):
-    for key in needs:
-        if key not in given:
-            raise ValidationError(f"{where} needs {key!r}")
+def _resolve(where, given, keys):
+    """The object `given` with the default of every key of `keys` it leaves
+    out; each key it gives must be one of `keys` and of its form."""
     for key, value in given.items():
+        if key not in keys:
+            raise ValidationError(f"{where}: unknown key {key!r}")
         test, form = FORMS.get(key, (None, None))
         if test is not None and not test(value):
             raise ValidationError(f"{key!r} must be {form}, got {value!r}")
+    for key, default in keys.items():
+        if default is REQUIRED and key not in given:
+            raise ValidationError(f"{where} needs {key!r}")
+    return {**keys, **given}
 
 
 @dataclass
 class GeneratorSpec:
-    """Recipe for one synthetic dataset, validated on construction.
+    """Recipe for one synthetic dataset, resolved against RECIPES on
+    construction: truth, sampling and noise hold every key their generator
+    reads, defaults filled in, and no other.
 
     noise: {'kind': 'none'} | {'kind': 'poisson'} |
            {'kind': 'gaussian', 'sigma_frac': f}, as RECIPES allows per kind;
-    truth and sampling contents depend on kind; truth parameter names
-    match the corresponding fit-report names one-to-one.
+    truth parameter names match the corresponding fit-report names
+    one-to-one.
     """
 
     seed: int
@@ -108,20 +128,17 @@ class GeneratorSpec:
             if not isinstance(getattr(self, name), dict):
                 raise ValidationError(f"{name!r} must be an object, got {getattr(self, name)!r}")
         truth_keys, sampling_keys, noises = RECIPES[self.kind]
-        _check_values(f"{self.kind} truth", self.truth, truth_keys)
-        _check_values(f"{self.kind} sampling", self.sampling, sampling_keys)
-        for entry in self.truth.get("psb", ()):
-            _check_values("psb entry", entry, PSB_KEYS)
-        if "hr" in self.truth:
-            _check_values("hr", self.truth["hr"], HR_KEYS)
+        self.truth = _resolve(f"{self.kind} truth", self.truth, truth_keys)
+        self.sampling = _resolve(f"{self.kind} sampling", self.sampling, sampling_keys)
+        if self.kind == "spectrum":
+            self.truth["psb"] = [_resolve("psb entry", e, PSB_KEYS) for e in self.truth["psb"]]
+            if self.truth["hr"] is not None:
+                self.truth["hr"] = _resolve("hr", self.truth["hr"], HR_KEYS)
         noise = self.noise.get("kind")
         if noise not in noises:
             raise ValidationError(f"{self.kind} noise must be one of {', '.join(noises)}, "
                                   f"got {noise!r}")
-        frac = self.noise.get("sigma_frac")
-        if noise == "gaussian" and not (_real(frac) and frac >= 0):
-            raise ValidationError(f"'sigma_frac' must be a real >= 0 for gaussian noise, "
-                                  f"got {frac!r}")
+        self.noise = _resolve(f"{noise} noise", self.noise, {"kind": noise, **NOISE_KEYS[noise]})
 
 
 def _point_rngs(seed, n):
@@ -152,24 +169,25 @@ def _sample_poisson(rng, rate):
     return max(int(round(rng.normal(rate, math.sqrt(rate)))), 0)
 
 
-def _apply_counts_noise(spec, expected):
-    """Counting noise on expected rates; output rounded to integer counts."""
+def _noise(spec, mean):
+    """`mean` with the recipe's noise: one Poisson draw per point, or one
+    Gaussian draw with sd sigma_frac * |mean|; no noise returns `mean`."""
     kind = spec.noise["kind"]
     if kind == "none":
-        return np.round(expected)
+        return mean
     if kind == "poisson":
-        rngs = _point_rngs(spec.seed, expected.size)
-        return np.array([_sample_poisson(r, mu) for r, mu in zip(rngs, expected)],
-                        dtype=float)
+        rngs = _point_rngs(spec.seed, mean.size)
+        return np.array([_sample_poisson(r, mu) for r, mu in zip(rngs, mean)], dtype=float)
     frac = spec.noise["sigma_frac"]
-    out = _gaussian_draws(spec.seed, expected, frac * np.maximum(np.abs(expected), 1e-300))
-    return np.round(np.clip(out, 0.0, None))
+    draws = _gaussian_draws(spec.seed, mean, frac * np.maximum(np.abs(mean), 1e-300))
+    # the kinds that take Poisson noise give counts: whole and non-negative
+    return np.round(np.clip(draws, 0.0, None)) if "poisson" in RECIPES[spec.kind][2] else draws
 
 
 def expected_decay(spec: GeneratorSpec):
     """Noise-free expected counts of a decay recipe; returns (t, counts)."""
     truth, samp = spec.truth, spec.sampling
-    bg = float(truth.get("background", 0.0))
+    bg = float(truth["background"])
     comps = truth["components"]
     pulse = float(truth["pulse_time"])
     if bg < 0 or any(a < 0 or tau <= 0 for a, tau in comps):
@@ -183,19 +201,12 @@ def expected_decay(spec: GeneratorSpec):
     return t, y
 
 
-def gen_decay(spec: GeneratorSpec) -> DecayTrace:
-    if spec.kind != "decay":
-        raise ValidationError("spec.kind must be 'decay'")
+def _decay(spec):
     t, y = expected_decay(spec)
-    counts = _apply_counts_noise(spec, y)
-    return DecayTrace(
-        times=t,
-        counts=counts,
-        pulse_time=float(spec.truth["pulse_time"]),
-        band_center=spec.truth.get("band_center"),
-        band_width=spec.truth.get("band_width"),
-        temperature=spec.truth.get("temperature", 4.0),
-    )
+    truth = spec.truth
+    return DecayTrace(times=t, counts=np.round(_noise(spec, y)),
+                      pulse_time=float(truth["pulse_time"]), band_center=truth["band_center"],
+                      band_width=truth["band_width"], temperature=truth["temperature"])
 
 
 def expected_spectrum(spec: GeneratorSpec):
@@ -204,26 +215,24 @@ def expected_spectrum(spec: GeneratorSpec):
     wl = np.arange(samp["wl_start"], samp["wl_end"] + samp["step_nm"] / 2.0,
                    samp["step_nm"], dtype=float)
     y = np.zeros(wl.shape)
-    labels = [z[0] for z in truth.get("zpl", ())]
+    labels = [z[0] for z in truth["zpl"]]
     if len(set(labels)) != len(labels):
         raise ValidationError("duplicate ZPL labels in truth")
-    for _, center, fwhm, area in truth.get("zpl", ()):
+    for _, center, fwhm, area in truth["zpl"]:
         s = fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
         y += area / (s * math.sqrt(2.0 * math.pi)) * np.exp(
             -((wl - center) ** 2) / (2.0 * s**2)
         )
     # sideband series are defined on the phonon-energy axis; the Jacobian
     # hc/lambda^2 converts counts/meV to counts/nm
-    for psb in truth.get("psb", ()):
-        model = PsbModel(
-            i0=psb["i0"], sigma=psb["sigma"], delta0=psb["delta0"],
-            j_max=psb.get("j_max", PSB_J_MAX), doublet=psb.get("doublet"),
-        )
+    for psb in truth["psb"]:
+        model = PsbModel(i0=psb["i0"], sigma=psb["sigma"], delta0=psb["delta0"],
+                         j_max=psb["j_max"], doublet=psb["doublet"])
         e_ref = EV_NM_MEV / psb["e_ref_nm"]
         delta = e_ref - EV_NM_MEV / wl
         y += psb_eval(model, delta) * EV_NM_MEV / wl**2
-    if "hr" in truth:
-        hr = truth["hr"]
+    hr = truth["hr"]
+    if hr is not None:
         model = HRModel(modes=tuple(hr["modes"]), zpl_energy=hr["zpl_energy_ev"])
         e_nodes = EV_NM / wl
         step_ev = 0.25e-3
@@ -231,79 +240,50 @@ def expected_spectrum(spec: GeneratorSpec):
         mass = hr_lineshape(model, grid)
         dens_ev = mass / step_ev
         dens_at = np.interp(e_nodes, grid, dens_ev)
-        y += hr.get("area_nm", 1.0) * dens_at * EV_NM / wl**2
+        y += hr["area_nm"] * dens_at * EV_NM / wl**2
     return wl, y
 
 
-def gen_spectrum(spec: GeneratorSpec) -> Spectrum:
-    if spec.kind != "spectrum":
-        raise ValidationError("spec.kind must be 'spectrum'")
+def _spectrum(spec):
     wl, y = expected_spectrum(spec)
-    if spec.noise["kind"] == "none":
-        counts = y
-    else:
-        counts = _apply_counts_noise(spec, y)
-    return Spectrum(
-        wavelengths=wl,
-        intensities=counts,
-        temperature=float(spec.truth.get("temperature", 4.0)),
-        label=spec.truth.get("label", "synthetic"),
-    )
+    return Spectrum(wavelengths=wl, intensities=_noise(spec, y),
+                    temperature=float(spec.truth["temperature"]), label=spec.truth["label"])
 
 
-def gen_thermal_series(spec: GeneratorSpec):
+def _thermal_series(spec):
     """(T, tau_tot, sigma) triples from the thermally activated decay model."""
-    if spec.kind != "thermal_series":
-        raise ValidationError("spec.kind must be 'thermal_series'")
     truth = spec.truth
     temps = np.asarray(spec.sampling["temperatures"], dtype=float)
     if np.any(temps <= 0):
         raise ValidationError("temperatures must be positive")
     tau_tot = thermal_lifetime(temps, truth["tau"], truth["tau_p"], truth["e_p"])
-    if spec.noise["kind"] == "gaussian":
-        sigma = spec.noise["sigma_frac"] * tau_tot
-        noisy = _gaussian_draws(spec.seed, tau_tot, sigma)
-    else:
-        noisy = tau_tot
-        sigma = np.full(temps.shape, 1e-9) * tau_tot
-    return [(float(T), float(v), float(s)) for T, v, s in zip(temps, noisy, sigma)]
+    frac = spec.noise["sigma_frac"] if spec.noise["kind"] == "gaussian" else 1e-9
+    return [(float(T), float(v), float(s))
+            for T, v, s in zip(temps, _noise(spec, tau_tot), frac * tau_tot)]
 
 
-def gen_power_series(spec: GeneratorSpec):
+def _power_series(spec):
     """(power_mW, intensity) pairs from I = c * P^k."""
-    if spec.kind != "power_series":
-        raise ValidationError("spec.kind must be 'power_series'")
     powers = np.asarray(spec.sampling["powers"], dtype=float)
-    c, k = spec.truth["c"], spec.truth["k"]
-    ideal = c * powers**k
-    if spec.noise["kind"] == "gaussian":
-        vals = _gaussian_draws(spec.seed, ideal, spec.noise["sigma_frac"] * ideal)
-    else:
-        vals = ideal
-    return list(zip(powers.tolist(), vals.tolist()))
+    ideal = spec.truth["c"] * powers ** spec.truth["k"]
+    return list(zip(powers.tolist(), _noise(spec, ideal).tolist()))
 
 
-def gen_polarization_series(spec: GeneratorSpec):
+def _polarization_series(spec):
     """(angle_deg, intensity) pairs from I = a + b cos^2(theta - theta0)."""
-    if spec.kind != "polarization_series":
-        raise ValidationError("spec.kind must be 'polarization_series'")
     angles = np.asarray(spec.sampling["angles"], dtype=float)
-    a, b, t0 = spec.truth["a"], spec.truth["b"], spec.truth.get("theta0", 0.0)
+    a, b, t0 = spec.truth["a"], spec.truth["b"], spec.truth["theta0"]
     ideal = a + b * np.cos(np.radians(angles - t0)) ** 2
-    if spec.noise["kind"] == "gaussian":
-        frac = spec.noise["sigma_frac"]
-        vals = _gaussian_draws(spec.seed, ideal, frac * np.maximum(ideal, 1e-12))
-    else:
-        vals = ideal
-    return list(zip(angles.tolist(), vals.tolist()))
+    return list(zip(angles.tolist(), _noise(spec, ideal).tolist()))
 
 
 def generate(spec: GeneratorSpec):
-    """Dispatch on spec.kind."""
+    """The dataset a recipe describes: a DecayTrace, a Spectrum, or for the
+    series kinds a list of rows."""
     return {
-        "decay": gen_decay,
-        "spectrum": gen_spectrum,
-        "thermal_series": gen_thermal_series,
-        "power_series": gen_power_series,
-        "polarization_series": gen_polarization_series,
+        "decay": _decay,
+        "spectrum": _spectrum,
+        "thermal_series": _thermal_series,
+        "power_series": _power_series,
+        "polarization_series": _polarization_series,
     }[spec.kind](spec)

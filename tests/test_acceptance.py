@@ -29,12 +29,7 @@ from sicpl.spectrum import (
     partition_dw,
     psb_eval,
 )
-from sicpl.synth import (
-    GeneratorSpec,
-    gen_decay,
-    gen_spectrum,
-    gen_thermal_series,
-)
+from sicpl.synth import GeneratorSpec, generate
 
 E3_MEV = EV_NM_MEV / 1280.0
 C_ALPHA2 = EV_NM_MEV / (E3_MEV + 1.47)
@@ -54,7 +49,7 @@ def test_1_decay_round_trip_fast_emitter():
         sampling={"t_start": 0.0, "t_end": 1800.0, "bin_ns": 1.0},
         noise={"kind": "poisson"},
     )
-    res = fit_decay(gen_decay(spec))
+    res = fit_decay(generate(spec))
     elapsed = time.time() - t0
     tau, s3 = res.components[0][1], res.sigma3[1]
     ok = (abs(tau - 164.2) <= s3 and abs(tau - 164.2) <= 1.5
@@ -72,7 +67,7 @@ def test_2_decay_round_trip_two_channels():
         sampling={"t_start": 0.0, "t_end": 3000.0, "bin_ns": 1.0},
         noise={"kind": "poisson"},
     )
-    res = fit_decay(gen_decay(spec), kind="auto")
+    res = fit_decay(generate(spec), kind="auto")
     elapsed = time.time() - t0
     taus = [c[1] for c in res.components]
     ok = (res.model_kind == "double"
@@ -97,7 +92,7 @@ def test_3_thermal_activation_recovery():
             sampling={"temperatures": temps},
             noise={"kind": "gaussian", "sigma_frac": 0.02},
         )
-        model = fit_thermal(gen_thermal_series(spec))
+        model = fit_thermal(generate(spec))
         ok &= abs(model.e_p - e_p) <= tol
         details.append(f"E_p={model.e_p:.2f} (truth {e_p})")
     _verdict(3, "thermal activation energy", ok, "; ".join(details))
@@ -162,7 +157,7 @@ def _composite_spectrum(seed, noise):
                  "e_ref_nm": C_BETA}],
         "temperature": 4.0,
     }
-    return gen_spectrum(GeneratorSpec(
+    return generate(GeneratorSpec(
         seed=seed, kind="spectrum", truth=truth,
         sampling={"wl_start": 1255.0, "wl_end": 1470.0, "step_nm": 0.2},
         noise=noise,
@@ -280,21 +275,21 @@ def test_8_engine_properties():
                          truth={"components": [(1e8, 164.2)],
                                 "background": 50.0, "pulse_time": 100.0},
                          sampling={"t_start": 0.0, "t_end": 1800.0, "bin_ns": 1.0})
-    r = fit_decay(gen_decay(spec), kind="single")
+    r = fit_decay(generate(spec), kind="single")
     closures.append(abs(r.components[0][1] - 164.2) / 164.2)
 
     spec = GeneratorSpec(seed=1, kind="decay",
                          truth={"components": [(5e7, 200.0), (5e7, 40.0)],
                                 "background": 50.0, "pulse_time": 100.0},
                          sampling={"t_start": 0.0, "t_end": 2000.0, "bin_ns": 1.0})
-    r = fit_decay(gen_decay(spec), kind="double")
+    r = fit_decay(generate(spec), kind="double")
     closures.append(abs(r.components[0][1] - 200.0) / 200.0)
     closures.append(abs(r.components[1][1] - 40.0) / 40.0)
 
     spec = GeneratorSpec(seed=1, kind="thermal_series",
                          truth={"tau": 163.0, "tau_p": 83.0, "e_p": 28.0},
                          sampling={"temperatures": [4, 25, 50, 75, 100, 125, 150, 175]})
-    tm = fit_thermal(gen_thermal_series(spec))
+    tm = fit_thermal(generate(spec))
     closures += [abs(tm.tau - 163.0) / 163.0, abs(tm.e_p - 28.0) / 28.0]
 
     spec = GeneratorSpec(seed=1, kind="spectrum",
@@ -302,7 +297,7 @@ def test_8_engine_properties():
                                         ("alpha2", C_ALPHA2, 0.30, 300.0)]},
                          sampling={"wl_start": 1270.0, "wl_end": 1290.0,
                                    "step_nm": 0.05})
-    z = find_zpls(gen_spectrum(spec),
+    z = find_zpls(generate(spec),
                   [("alpha3", 1280.0, 1.5), ("alpha2", C_ALPHA2, 1.5)])
     closures += [abs(z["alpha3"].center - 1280.0) / 1280.0,
                  abs(z["alpha3"].area - 700.0) / 700.0]
@@ -317,7 +312,7 @@ def test_8_engine_properties():
         "alpha3": ZplLine("alpha3", 1280.0, 0.0, 0.3, False, 700.0, 1.0, 0.0),
         "alpha2": ZplLine("alpha2", C_ALPHA2, 0.0, 0.3, False, 280.0, 1.0, 0.0),
     }
-    f = fit_psb(gen_spectrum(spec), ZplSet(lines=lines, doublet_splitting_mev=1.47))
+    f = fit_psb(generate(spec), ZplSet(lines=lines, doublet_splitting_mev=1.47))
     closures += [abs(f.model.i0 - 90.0) / 90.0, abs(f.model.sigma - 6.0) / 6.0]
 
     worst_closure = max(closures)
@@ -339,7 +334,7 @@ def test_9_doublet_thermometry():
         truth = {"zpl": [("alpha3", 1280.0, 0.30, 1400.0 * r / (1 + r)),
                          ("alpha2", C_ALPHA2, 0.30, 1400.0 / (1 + r))],
                  "temperature": float(T)}
-        spectra.append(gen_spectrum(GeneratorSpec(
+        spectra.append(generate(GeneratorSpec(
             seed=100 + T, kind="spectrum", truth=truth,
             sampling={"wl_start": 1270.0, "wl_end": 1290.0, "step_nm": 0.05},
             noise={"kind": "none"},

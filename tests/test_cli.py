@@ -3,9 +3,11 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from sicpl.cli import main
+from sicpl.decay import thermal_lifetime
 
 
 def run(*argv):
@@ -70,6 +72,51 @@ def test_simulate_deterministic(decay_files, tmp_path):
     assert t2.read_bytes() == trace.read_bytes()
 
 
+# kind: (truth, sampling, noise, the x column, the comment lines)
+SIMULATED = {
+    "spectrum": ({"zpl": [["a", 1280.0, 2.0, 5e4]]},
+                 {"wl_start": 1270.0, "wl_end": 1290.0, "step_nm": 0.5}, {"kind": "poisson"},
+                 np.arange(41) * 0.5 + 1270.0, ["# wavelength_nm counts"]),
+    "thermal_series": ({"tau": 163.0, "tau_p": 83.0, "e_p": 28.0},
+                       {"temperatures": [4.0, 50.0, 100.0, 150.0]},
+                       {"kind": "gaussian", "sigma_frac": 0.02}, [4.0, 50.0, 100.0, 150.0], []),
+    "power_series": ({"c": 3.0, "k": 1.5}, {"powers": [0.5, 1.0, 2.0]}, {"kind": "none"},
+                     [0.5, 1.0, 2.0], []),
+    "polarization_series": ({"a": 10.0, "b": 40.0, "theta0": 30.0},
+                            {"angles": [0.0, 30.0, 90.0, 120.0]},
+                            {"kind": "gaussian", "sigma_frac": 0.01}, [0.0, 30.0, 90.0, 120.0], []),
+}
+
+
+@pytest.mark.parametrize("kind", SIMULATED)
+def test_simulate_writes_spectrum_and_series(tmp_path, kind):
+    truth, sampling, noise, x, comments = SIMULATED[kind]
+    spec = tmp_path / "r.json"
+    spec.write_text(json.dumps({"seed": 3, "kind": kind, "truth": truth, "sampling": sampling,
+                                "noise": noise}))
+    out = tmp_path / "data.txt"
+    assert run("simulate", "--spec", str(spec), "--outfile", str(out)) == 0
+    lines = out.read_text().splitlines()
+    assert [l for l in lines if l.startswith("#")] == comments
+    rows = np.array([[float(v) for v in l.split()] for l in lines if not l.startswith("#")])
+    assert rows.shape == (len(x), 3 if kind == "thermal_series" else 2)
+    assert np.allclose(rows[:, 0], x, rtol=1e-9)
+    y = rows[:, 1]
+    if kind == "spectrum":
+        assert np.all(y >= 0) and np.all(y == np.round(y))
+        assert y.sum() * 0.5 == pytest.approx(5e4, rel=0.02)
+    elif kind == "thermal_series":
+        tau = thermal_lifetime(rows[:, 0], 163.0, 83.0, 28.0)
+        assert np.allclose(rows[:, 2], 0.02 * tau, rtol=1e-8)
+        assert np.all(np.abs(y - tau) < 5 * 0.02 * tau)
+    elif kind == "power_series":
+        assert np.allclose(y, 3.0 * rows[:, 0] ** 1.5, rtol=1e-8)
+    else:
+        ideal = 10.0 + 40.0 * np.cos(np.radians(rows[:, 0] - 30.0)) ** 2
+        assert np.all(np.abs(y - ideal) < 5 * 0.01 * ideal)
+    assert (tmp_path / "simulate_manifest.json").exists()
+
+
 def test_missing_input_exit_2(tmp_path, capsys):
     code = run("fit-decay", "--trace", str(tmp_path / "nope.txt"),
                "--pulse-ns", "5", "--out", str(tmp_path))
@@ -80,6 +127,13 @@ def test_missing_input_exit_2(tmp_path, capsys):
 def test_unknown_command_exit_1(capsys):
     assert run("transmogrify") == 1
     assert run() == 1
+
+
+def test_refused_argument_exit_1_names_it(capsys):
+    assert run("fit-decay", "--trace", "t.txt", "--pulse-ns", "abc") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: sicpl fit-decay")
+    assert err.endswith("\nerror: argument --pulse-ns: invalid float value: 'abc'\n")
 
 
 def test_fit_failure_exit_3(tmp_path):
@@ -166,7 +220,7 @@ def test_fit_thermal_cli(tmp_path):
 
 def test_zpl_and_psb_cli(tmp_path):
     from sicpl.spectrum import EV_NM_MEV
-    from sicpl.synth import GeneratorSpec, gen_spectrum
+    from sicpl.synth import GeneratorSpec, generate
     from sicpl.io import save_two_column
 
     e3 = EV_NM_MEV / 1280.0
@@ -180,7 +234,7 @@ def test_zpl_and_psb_cli(tmp_path):
                 {"i0": 230.0, "sigma": 6.0, "delta0": 50.0, "j_max": 3,
                  "e_ref_nm": cb}],
     }
-    sp = gen_spectrum(GeneratorSpec(
+    sp = generate(GeneratorSpec(
         seed=5, kind="spectrum", truth=truth,
         sampling={"wl_start": 1255.0, "wl_end": 1470.0, "step_nm": 0.2}))
     data = tmp_path / "spec.txt"
@@ -264,6 +318,31 @@ MALFORMED = {
     "simulate-power-poisson": _recipe_case(
         {"kind": "power_series", "truth": {"c": 3.0, "k": 1.0}, "sampling": {"powers": [1.0, 2.0]}},
         "power_series noise must be"),
+    "simulate-bin-zero": _recipe_case(
+        {"sampling": {"t_start": 0.0, "t_end": 60.0, "bin_ns": 0}}, "'bin_ns' must be a real > 0"),
+    "simulate-step-zero": _recipe_case(
+        {"kind": "spectrum", "truth": {"zpl": [["a", 1280.0, 0.3, 10.0]]},
+         "sampling": {"wl_start": 1270.0, "wl_end": 1290.0, "step_nm": 0}},
+        "'step_nm' must be a real > 0"),
+    "simulate-unknown-key": _recipe_case({"nosie": {"kind": "none"}}, "unknown key 'nosie'"),
+    "simulate-unknown-truth-key": _recipe_case(
+        {"truth": {**DECAY_TRUTH, "backgound": 5.0}}, "decay truth: unknown key 'backgound'"),
+    "simulate-unknown-sampling-key": _recipe_case(
+        {"sampling": {"t_start": 0.0, "t_end": 60.0, "bin_ns": 1.0, "bins": 60}},
+        "decay sampling: unknown key 'bins'"),
+    "simulate-poisson-sigma-frac": _recipe_case(
+        {"noise": {"kind": "poisson", "sigma_frac": 0.1}},
+        "poisson noise: unknown key 'sigma_frac'"),
+    "simulate-unknown-psb-key": _recipe_case(
+        {"kind": "spectrum", "truth": {"psb": [{"i0": 90.0, "sigma": 6.0, "delta0": 35.0,
+                                                "e_ref_nm": 1280.0, "jmax": 3}]},
+         "sampling": {"wl_start": 1255.0, "wl_end": 1300.0, "step_nm": 0.2}},
+        "psb entry: unknown key 'jmax'"),
+    "simulate-unknown-hr-key": _recipe_case(
+        {"kind": "spectrum", "truth": {"hr": {"modes": [[0.3, 20.0]], "zpl_energy_ev": 0.9686,
+                                              "area": 500.0}},
+         "sampling": {"wl_start": 1255.0, "wl_end": 1300.0, "step_nm": 0.2}},
+        "hr: unknown key 'area'"),
     "config-output-dir": ({"run.json": '{"command": "budget", "output_dir": "x"}'},
                           ["--config", "run.json"], "run.json: unknown key 'output_dir'"),
     "config-emit-plot-data": ({"run.json": '{"command": "fit-decay", "emit_plot_data": true}'},
@@ -276,6 +355,10 @@ MALFORMED = {
         ["--config", "run.json"], "run.json: unknown budget parameters --colour=1"),
     "config-inputs-hash-number": ({"run.json": '{"command": "budget", "inputs": {"a": 1}}'},
                                   ["--config", "run.json"], "run.json"),
+    "config-parameter-refused": (
+        {"run.json": json.dumps({"command": "budget", "parameters": {
+            "tau_rad": "abc", "tau_tot": 163, "dw": 0.39, "s": 0.66}})},
+        ["--config", "run.json"], "run.json: argument --tau-rad: invalid float value: 'abc'"),
 }
 
 
@@ -335,7 +418,7 @@ def _spectrum_files(tmp_path):
     comma-delimited ZPL config for it."""
     from sicpl.io import save_two_column
     from sicpl.spectrum import EV_NM_MEV
-    from sicpl.synth import GeneratorSpec, gen_spectrum
+    from sicpl.synth import GeneratorSpec, generate
 
     e3 = EV_NM_MEV / 1280.0
     c2 = EV_NM_MEV / (e3 + 1.47)
@@ -348,7 +431,7 @@ def _spectrum_files(tmp_path):
                 {"i0": 230.0, "sigma": 6.0, "delta0": 50.0, "j_max": 3,
                  "e_ref_nm": cb}],
     }
-    sp = gen_spectrum(GeneratorSpec(
+    sp = generate(GeneratorSpec(
         seed=5, kind="spectrum", truth=truth,
         sampling={"wl_start": 1255.0, "wl_end": 1470.0, "step_nm": 0.2}))
     data = tmp_path / "spec.txt"

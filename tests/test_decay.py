@@ -23,7 +23,7 @@ from sicpl.errors import (
     NoDataError,
     ValidationError,
 )
-from sicpl.synth import GeneratorSpec, gen_decay, gen_thermal_series
+from sicpl.synth import GeneratorSpec, generate
 
 
 def make_trace(components, background=20.0, pulse=100.0, t_end=1800.0,
@@ -35,7 +35,7 @@ def make_trace(components, background=20.0, pulse=100.0, t_end=1800.0,
         sampling={"t_start": 0.0, "t_end": t_end, "bin_ns": 1.0},
         noise={"kind": noise},
     )
-    return gen_decay(spec)
+    return generate(spec)
 
 
 def test_background_estimate():
@@ -182,7 +182,7 @@ def test_fit_thermal_recovery():
         sampling={"temperatures": [4, 25, 50, 75, 100, 125, 150, 175]},
         noise={"kind": "gaussian", "sigma_frac": 0.02},
     )
-    m = fit_thermal(gen_thermal_series(spec))
+    m = fit_thermal(generate(spec))
     assert abs(m.e_p - 28.0) < 2.0
     assert abs(m.tau - 163.0) / 163.0 < 0.05
     # the fitted model is callable

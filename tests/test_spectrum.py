@@ -32,7 +32,7 @@ from sicpl.spectrum import (
     psb_eval,
     to_phonon_axis,
 )
-from sicpl.synth import GeneratorSpec, gen_polarization_series, gen_power_series, gen_spectrum
+from sicpl.synth import GeneratorSpec, generate
 
 E3 = EV_NM_MEV / 1280.0
 C2 = EV_NM_MEV / (E3 + 1.47)
@@ -44,7 +44,7 @@ def spectrum_with_lines(zpl, step=0.05, wl=(1270.0, 1290.0), seed=1, noise="none
                          sampling={"wl_start": wl[0], "wl_end": wl[1],
                                    "step_nm": step},
                          noise={"kind": noise})
-    return gen_spectrum(spec)
+    return generate(spec)
 
 
 def test_find_zpls_doublet():
@@ -140,10 +140,10 @@ def test_fit_psb_flags_oversubtraction():
                       "e_ref_nm": 1280.0}],
              "zpl": [("alpha3", 1280.0, 0.3, 700.0),
                      ("alpha2", C2, 0.3, 300.0)]}
-    sp = gen_spectrum(GeneratorSpec(seed=2, kind="spectrum", truth=truth,
-                                    sampling={"wl_start": 1256.0,
-                                              "wl_end": 1400.0,
-                                              "step_nm": 0.2}))
+    sp = generate(GeneratorSpec(seed=2, kind="spectrum", truth=truth,
+                                sampling={"wl_start": 1256.0,
+                                          "wl_end": 1400.0,
+                                          "step_nm": 0.2}))
     zpls = find_zpls(sp, [("alpha3", 1280.0, 1.5), ("alpha2", C2, 1.5)])
     with pytest.raises(ModelInconsistencyError):
         fit_psb(sp, zpls)
@@ -257,7 +257,7 @@ def test_partition_requires_reference_line():
 
 
 def test_power_law_linear():
-    pts = gen_power_series(GeneratorSpec(
+    pts = generate(GeneratorSpec(
         seed=1, kind="power_series", truth={"c": 3.0, "k": 1.0},
         sampling={"powers": [0.1, 0.3, 1.0, 3.0, 10.0]},
         noise={"kind": "gaussian", "sigma_frac": 0.01}))
@@ -268,7 +268,7 @@ def test_power_law_linear():
 
 
 def test_polarization_fit_and_flat_flag():
-    pts = gen_polarization_series(GeneratorSpec(
+    pts = generate(GeneratorSpec(
         seed=1, kind="polarization_series",
         truth={"a": 10.0, "b": 40.0, "theta0": 30.0},
         sampling={"angles": list(range(0, 180, 15))}))

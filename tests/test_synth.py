@@ -10,11 +10,7 @@ from sicpl.spectrum import EV_NM_MEV
 from sicpl.synth import (
     GeneratorSpec,
     expected_decay,
-    gen_decay,
-    gen_polarization_series,
-    gen_power_series,
-    gen_spectrum,
-    gen_thermal_series,
+    expected_spectrum,
     generate,
 )
 
@@ -41,28 +37,28 @@ def test_spec_validation():
 
 
 def test_determinism_byte_identical():
-    a = gen_decay(decay_spec())
-    b = gen_decay(decay_spec())
+    a = generate(decay_spec())
+    b = generate(decay_spec())
     assert a.counts.tobytes() == b.counts.tobytes()
     assert a.times.tobytes() == b.times.tobytes()
-    c = gen_decay(decay_spec(seed=4))
+    c = generate(decay_spec(seed=4))
     assert c.counts.tobytes() != a.counts.tobytes()
 
 
 def test_point_independence():
     # the substream-per-point scheme makes each bin's draw independent of
     # the sampling extent: a longer trace reproduces the shared prefix
-    short = gen_decay(decay_spec())
+    short = generate(decay_spec())
     long_spec = decay_spec()
     long_spec.sampling = dict(long_spec.sampling, t_end=1200.0)
-    longer = gen_decay(long_spec)
+    longer = generate(long_spec)
     assert np.array_equal(longer.counts[: short.counts.size], short.counts)
 
 
 def test_noiseless_decay_matches_expectation():
     spec = decay_spec(noise={"kind": "none"})
     t, y = expected_decay(spec)
-    tr = gen_decay(spec)
+    tr = generate(spec)
     assert np.array_equal(tr.counts, np.round(y))
     assert np.all(tr.counts == np.round(tr.counts))
 
@@ -76,7 +72,7 @@ def test_poisson_noise_statistics():
         sampling={"t_start": 0.0, "t_end": 4999.0, "bin_ns": 1.0},
         noise={"kind": "poisson"},
     )
-    tr = gen_decay(spec)
+    tr = generate(spec)
     mean = tr.counts.mean()
     var = tr.counts.var()
     assert abs(mean - 40.0) < 3.0 * np.sqrt(40.0 / tr.counts.size)
@@ -91,7 +87,7 @@ def test_low_rate_poisson_counts_are_nonnegative_ints():
         sampling={"t_start": 0.0, "t_end": 600.0, "bin_ns": 1.0},
         noise={"kind": "poisson"},
     )
-    tr = gen_decay(spec)
+    tr = generate(spec)
     assert np.all(tr.counts >= 0)
     assert np.all(tr.counts == np.round(tr.counts))
 
@@ -100,14 +96,14 @@ def test_invalid_truth_rejected():
     spec = decay_spec()
     spec.truth = dict(spec.truth, components=[(100.0, -5.0)])
     with pytest.raises(ValidationError):
-        gen_decay(spec)
+        generate(spec)
     sspec = GeneratorSpec(
         seed=1, kind="spectrum",
         truth={"zpl": [("a", 1280.0, 0.3, 10.0), ("a", 1281.0, 0.3, 5.0)]},
         sampling={"wl_start": 1270.0, "wl_end": 1290.0, "step_nm": 0.1},
     )
     with pytest.raises(ValidationError):
-        gen_spectrum(sspec)
+        generate(sspec)
 
 
 def test_spectrum_generator_area():
@@ -116,7 +112,7 @@ def test_spectrum_generator_area():
         truth={"zpl": [("alpha3", 1280.0, 0.3, 700.0)]},
         sampling={"wl_start": 1270.0, "wl_end": 1290.0, "step_nm": 0.02},
     )
-    sp = gen_spectrum(spec)
+    sp = generate(spec)
     area = np.trapezoid(sp.intensities, sp.wavelengths)
     assert area == pytest.approx(700.0, rel=1e-6)
 
@@ -130,7 +126,7 @@ def test_psb_generator_area_via_jacobian():
                         "e_ref_nm": 1280.0}]},
         sampling={"wl_start": 1281.0, "wl_end": 1420.0, "step_nm": 0.05},
     )
-    sp = gen_spectrum(spec)
+    sp = generate(spec)
     area = np.trapezoid(sp.intensities, sp.wavelengths)
     assert area == pytest.approx(200.0, rel=1e-3)
 
@@ -142,13 +138,13 @@ def test_thermal_series_shapes():
         sampling={"temperatures": [4.0, 50.0, 100.0, 150.0]},
         noise={"kind": "gaussian", "sigma_frac": 0.02},
     )
-    pts = gen_thermal_series(spec)
+    pts = generate(spec)
     assert len(pts) == 4
     for T, tau, sig in pts:
         assert sig == pytest.approx(0.02 * (tau / (1.0 + np.finfo(float).eps)),
                                     rel=0.2)
     with pytest.raises(ValidationError):
-        gen_thermal_series(GeneratorSpec(
+        generate(GeneratorSpec(
             seed=1, kind="thermal_series",
             truth={"tau": 163.0, "tau_p": 83.0, "e_p": 28.0},
             sampling={"temperatures": [4.0, 50.0, 100.0, 150.0]},
@@ -171,7 +167,7 @@ def test_generate_dispatch():
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=0, max_value=2**31))
 def test_any_seed_gives_valid_trace(seed):
-    tr = gen_decay(decay_spec(seed=seed))
+    tr = generate(decay_spec(seed=seed))
     assert np.all(tr.counts >= 0)
     assert tr.counts.size == 901
 
@@ -191,3 +187,60 @@ def test_series_refuse_poisson_noise(kind):
     with pytest.raises(ValidationError, match=f"{kind} noise must be one of none, gaussian"):
         GeneratorSpec(seed=1, kind=kind, truth=truth, sampling=sampling,
                       noise={"kind": "poisson"})
+
+
+HR_MODES = [[0.30, 20.0], [0.25, 35.0], [0.11, 60.0]]
+
+
+def test_hr_spectrum_area_and_zpl_share():
+    # the Huang-Rhys lineshape carries area_nm counts*nm, and the ZPL bin
+    # holds exp(-S) of them
+    e_zpl = 1e-3 * EV_NM_MEV / 1280.0
+    sp = generate(GeneratorSpec(
+        seed=1, kind="spectrum",
+        truth={"hr": {"modes": HR_MODES, "zpl_energy_ev": e_zpl, "area_nm": 500.0}},
+        sampling={"wl_start": 1270.0, "wl_end": 1520.0, "step_nm": 0.02}))
+    wl, y = sp.wavelengths, sp.intensities
+    assert np.all(y >= 0)
+    assert np.trapezoid(y, wl) == pytest.approx(500.0, rel=2e-3)
+    near = np.abs(EV_NM_MEV / wl - 1e3 * e_zpl) < 0.3
+    share = np.trapezoid(y[near], wl[near]) / np.trapezoid(y, wl)
+    assert share == pytest.approx(np.exp(-sum(s for s, _ in HR_MODES)), rel=5e-3)
+
+
+def test_gaussian_counts_noise_on_decay():
+    spec = GeneratorSpec(
+        seed=5, kind="decay",
+        truth={"components": [(0.0, 1.0)], "background": 400.0, "pulse_time": 5000.0},
+        sampling={"t_start": 0.0, "t_end": 3999.0, "bin_ns": 1.0},
+        noise={"kind": "gaussian", "sigma_frac": 0.1})
+    counts = generate(spec).counts
+    assert counts.size == 4000
+    assert np.all(counts >= 0) and np.all(counts == np.round(counts))
+    assert abs(counts.mean() - 400.0) < 3.0 * 40.0 / np.sqrt(counts.size)
+    assert counts.std() == pytest.approx(40.0, rel=0.1)
+
+
+def test_gaussian_counts_noise_on_spectrum():
+    spec = GeneratorSpec(
+        seed=6, kind="spectrum",
+        truth={"zpl": [("wide", 1280.0, 50.0, 1e6)]},
+        sampling={"wl_start": 1270.0, "wl_end": 1290.0, "step_nm": 0.01},
+        noise={"kind": "gaussian", "sigma_frac": 0.01})
+    _, mean = expected_spectrum(spec)
+    counts = generate(spec).intensities
+    assert counts.size == mean.size == 2001
+    assert np.all(counts >= 0) and np.all(counts == np.round(counts))
+    z = (counts - mean) / (0.01 * mean)
+    assert abs(z.mean()) < 3.0 / np.sqrt(z.size)
+    assert z.std() == pytest.approx(1.0, rel=0.1)
+
+
+def test_gaussian_noise_on_a_negative_mean():
+    # sd is sigma_frac * |mean|, so a negative intensity gets noise too
+    rows = generate(GeneratorSpec(seed=1, kind="power_series", truth={"c": -3.0, "k": 1.0},
+                                  sampling={"powers": [1.0, 2.0, 4.0]},
+                                  noise={"kind": "gaussian", "sigma_frac": 0.01}))
+    for power, value in rows:
+        assert value != -3.0 * power
+        assert abs(value + 3.0 * power) < 5 * 0.01 * 3.0 * power
