@@ -152,12 +152,10 @@ def load_trace(path, metadata: dict | None = None) -> DecayTrace:
 
 def save_two_column(path, x, y, header: str = "") -> None:
     """Write two-column text, 9 significant digits (round-trip safe)."""
+    text = "".join(f"# {line}\n" for line in header.splitlines()) + "".join(
+        map("{:.9g} {:.9g}\n".format, np.asarray(x).tolist(), np.asarray(y).tolist()))
     with open(path, "w") as fh:
-        if header:
-            for line in header.splitlines():
-                fh.write(f"# {line}\n")
-        for xi, yi in zip(np.asarray(x), np.asarray(y)):
-            fh.write(f"{xi:.9g} {yi:.9g}\n")
+        fh.write(text)
 
 
 def _opt(meta, key):

@@ -4,6 +4,12 @@ fit-input series from known truth parameters.
 These are the independent oracles for every round-trip fit test: a fixed
 GeneratorSpec produces byte-identical output, and noiseless output fed to
 the corresponding fitter must return the truth parameters.
+
+Noise is counter based and vectorised: each uniform is a splitmix64 hash
+of (seed, point index, draw number), so no generator state is kept and a
+point's draw does not depend on the size of the sampling. Poisson draws
+are exact: cdf inversion below rate 10, transformed rejection (PTRS)
+above.
 """
 
 from __future__ import annotations
@@ -44,6 +50,8 @@ PSB_KEYS = {"i0": REQUIRED, "sigma": REQUIRED, "delta0": REQUIRED, "e_ref_nm": R
             "j_max": PSB_J_MAX, "doublet": None}
 HR_KEYS = {"modes": REQUIRED, "zpl_energy_ev": REQUIRED, "area_nm": 1.0}
 NOISE_KEYS = {"none": {}, "poisson": {}, "gaussian": {"sigma_frac": REQUIRED}}
+# the most points a sampling grid may hold (80 MB a float column)
+MAX_GRID_POINTS = 10**7
 
 
 def _real(value):
@@ -122,8 +130,8 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.kind not in RECIPES:
             raise ValidationError(f"unknown generator kind {self.kind!r}")
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
-            raise ValidationError(f"'seed' must be an integer >= 0, got {self.seed!r}")
+        if not isinstance(self.seed, numbers.Integral) or not 0 <= self.seed < 2**64:
+            raise ValidationError(f"'seed' must be an integer in [0, 2**64), got {self.seed!r}")
         for name in ("truth", "sampling", "noise"):
             if not isinstance(getattr(self, name), dict):
                 raise ValidationError(f"{name!r} must be an object, got {getattr(self, name)!r}")
@@ -141,47 +149,131 @@ class GeneratorSpec:
         self.noise = _resolve(f"{noise} noise", self.noise, {"kind": noise, **NOISE_KEYS[noise]})
 
 
-def _point_rngs(seed, n):
-    """One deterministic substream per data point."""
-    children = np.random.SeedSequence(int(seed)).spawn(int(n))
-    return [np.random.Generator(np.random.PCG64(c)) for c in children]
+# splitmix64 (Steele, Lea & Flood, OOPSLA 2014): the golden-ratio
+# increment and the finaliser's two multipliers
+GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+MIX1, MIX2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+# Poisson draws invert the cdf below this rate and use PTRS at or above it
+PTRS_MIN_RATE = 10.0
+# log n! for n below the table's size; Stirling's series above
+LOG_FACTORIAL = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, 32.0)))))
+HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-def _gaussian_draws(seed, means, sds):
-    """One Gaussian draw per point, from that point's own substream."""
-    rngs = _point_rngs(seed, len(means))
-    return np.array([r.normal(mu, sd) for r, mu, sd in zip(rngs, means, sds)])
+def _mix(z):
+    """The splitmix64 finaliser of each element of a uint64 array; numpy
+    wraps array products modulo 2**64."""
+    z = (z ^ (z >> np.uint64(30))) * MIX1
+    z = (z ^ (z >> np.uint64(27))) * MIX2
+    return z ^ (z >> np.uint64(31))
 
 
-def _sample_poisson(rng, rate):
-    """Inversion sampling below rate 30, rounded Gaussian approximation above."""
-    if rate <= 0:
-        return 0
-    if rate < 30.0:
-        u = rng.uniform()
-        k, p = 0, math.exp(-rate)
-        cum = p
-        while u > cum and k < 10_000:
-            k += 1
-            p *= rate / k
-            cum += p
-        return k
-    return max(int(round(rng.normal(rate, math.sqrt(rate)))), 0)
+def _point_keys(seed, n):
+    """The key of each of n points: a hash of (seed, point index)."""
+    key = _mix(np.full(1, seed, np.uint64) + GOLDEN)
+    return _mix(key + np.arange(n, dtype=np.uint64) * GOLDEN)
+
+
+def _unit(z):
+    """A uniform strictly inside (0, 1) from each uint64 hash: its top 52
+    bits j give (j + 1/2) 2**-52, which a double holds exactly."""
+    return ((z >> np.uint64(12)).astype(float) + 0.5) * 2.0**-52
+
+
+def _uniforms(keys, draw):
+    """Draw number `draw` of the points with these keys, one uniform each."""
+    return _unit(_mix(keys + np.full(1, draw + 1, np.uint64) * GOLDEN))
+
+
+def _log_factorial(n):
+    """log n! of each element of a float array of whole numbers >= 0."""
+    out = np.empty(n.shape)
+    small = n < LOG_FACTORIAL.size
+    out[small] = LOG_FACTORIAL[n[small].astype(int)]
+    m = n[~small]
+    out[~small] = ((m + 0.5) * np.log(m) - m + HALF_LOG_2PI
+                   + (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / (1260.0 * m * m)) / (m * m)) / m)
+    return out
+
+
+def _poisson_inversion(keys, rate):
+    """Poisson draws by inverting the cdf, one uniform per point; rate < 10.
+    A point stops once its cdf passes its uniform or stops growing."""
+    u = _uniforms(keys, 0)
+    k = np.zeros(rate.size)
+    p = np.exp(-rate)
+    cdf = p.copy()
+    pending = np.flatnonzero(u > cdf)
+    n = 0
+    while pending.size:
+        n += 1
+        k[pending] = n
+        p[pending] *= rate[pending] / n
+        grown = cdf[pending] + p[pending]
+        moved = grown > cdf[pending]
+        cdf[pending] = grown
+        pending = pending[moved & (u[pending] > grown)]
+    return k
+
+
+def _poisson_ptrs(keys, rate):
+    """Poisson draws by transformed rejection with squeeze (PTRS, Hoermann
+    1993, Insurance: Math. Econ. 12, 39); rate >= 10. Round r reads draws
+    2r and 2r + 1 of the points still pending."""
+    k = np.empty(rate.size)
+    pending = np.arange(rate.size)
+    draw = 0
+    while pending.size:
+        lam = rate[pending]
+        u = _uniforms(keys[pending], draw) - 0.5
+        v = _uniforms(keys[pending], draw + 1)
+        draw += 2
+        b = 0.931 + 2.53 * np.sqrt(lam)
+        a = -0.059 + 0.02483 * b
+        us = 0.5 - np.abs(u)
+        kk = np.floor((2.0 * a / us + b) * u + lam + 0.43)
+        accept = (us >= 0.07) & (v <= 0.9277 - 3.6224 / (b - 2.0))
+        t = ~accept & (kk >= 0) & ~((us < 0.013) & (v > us))
+        accept[t] = (np.log(v[t] * (1.1239 + 1.1328 / (b[t] - 3.4)) / (a[t] / us[t] ** 2 + b[t]))
+                     <= -lam[t] + kk[t] * np.log(lam[t]) - _log_factorial(kk[t]))
+        k[pending[accept]] = kk[accept]
+        pending = pending[~accept]
+    return k
 
 
 def _noise(spec, mean):
-    """`mean` with the recipe's noise: one Poisson draw per point, or one
-    Gaussian draw with sd sigma_frac * |mean|; no noise returns `mean`."""
+    """`mean` with the recipe's noise: one exact Poisson draw per point, or
+    one Gaussian draw with sd sigma_frac * |mean|; no noise returns `mean`.
+
+    Every uniform is a hash of (seed, point index, draw number), so a
+    point's draw depends on nothing else: a longer sampling reproduces the
+    shared prefix. Gaussian draws take draws 0 and 1 through Box-Muller."""
     kind = spec.noise["kind"]
     if kind == "none":
         return mean
+    if not np.all(np.isfinite(mean)):
+        raise ValidationError("the noise-free values are not all finite")
+    keys = _point_keys(spec.seed, mean.size)
     if kind == "poisson":
-        rngs = _point_rngs(spec.seed, mean.size)
-        return np.array([_sample_poisson(r, mu) for r, mu in zip(rngs, mean)], dtype=float)
-    frac = spec.noise["sigma_frac"]
-    draws = _gaussian_draws(spec.seed, mean, frac * np.maximum(np.abs(mean), 1e-300))
+        counts = np.zeros(mean.size)
+        low = mean < PTRS_MIN_RATE
+        counts[low] = _poisson_inversion(keys[low], np.maximum(mean[low], 0.0))
+        counts[~low] = _poisson_ptrs(keys[~low], mean[~low])
+        return counts
+    z = np.sqrt(-2.0 * np.log(_uniforms(keys, 0))) * np.cos(2.0 * math.pi * _uniforms(keys, 1))
+    draws = mean + spec.noise["sigma_frac"] * np.abs(mean) * z
     # the kinds that take Poisson noise give counts: whole and non-negative
     return np.round(np.clip(draws, 0.0, None)) if "poisson" in RECIPES[spec.kind][2] else draws
+
+
+def _grid(start, stop, step):
+    """np.arange(start, stop, step), refused before it is allocated if it
+    would hold more than MAX_GRID_POINTS points."""
+    n = (stop - start) / step
+    if not n <= MAX_GRID_POINTS:
+        raise ValidationError(f"sampling gives a grid of {n:.3g} points, "
+                              f"more than {MAX_GRID_POINTS:.0e}")
+    return np.arange(start, stop, step, dtype=float)
 
 
 def expected_decay(spec: GeneratorSpec):
@@ -192,8 +284,7 @@ def expected_decay(spec: GeneratorSpec):
     pulse = float(truth["pulse_time"])
     if bg < 0 or any(a < 0 or tau <= 0 for a, tau in comps):
         raise ValidationError("invalid decay truth: need background >= 0, A >= 0, tau > 0")
-    t = np.arange(samp["t_start"], samp["t_end"] + samp["bin_ns"] / 2.0,
-                  samp["bin_ns"], dtype=float)
+    t = _grid(samp["t_start"], samp["t_end"] + samp["bin_ns"] / 2.0, samp["bin_ns"])
     y = np.full(t.shape, bg)
     after = t >= pulse
     for a, tau in comps:
@@ -212,8 +303,7 @@ def _decay(spec):
 def expected_spectrum(spec: GeneratorSpec):
     """Noise-free expected counts/nm of a spectrum recipe; returns (wl, y)."""
     truth, samp = spec.truth, spec.sampling
-    wl = np.arange(samp["wl_start"], samp["wl_end"] + samp["step_nm"] / 2.0,
-                   samp["step_nm"], dtype=float)
+    wl = _grid(samp["wl_start"], samp["wl_end"] + samp["step_nm"] / 2.0, samp["step_nm"])
     y = np.zeros(wl.shape)
     labels = [z[0] for z in truth["zpl"]]
     if len(set(labels)) != len(labels):
@@ -236,7 +326,7 @@ def expected_spectrum(spec: GeneratorSpec):
         model = HRModel(modes=tuple(hr["modes"]), zpl_energy=hr["zpl_energy_ev"])
         e_nodes = EV_NM / wl
         step_ev = 0.25e-3
-        grid = np.arange(e_nodes.min() - step_ev, e_nodes.max() + step_ev, step_ev)
+        grid = _grid(e_nodes.min() - step_ev, e_nodes.max() + step_ev, step_ev)
         mass = hr_lineshape(model, grid)
         dens_ev = mass / step_ev
         dens_at = np.interp(e_nodes, grid, dens_ev)
@@ -253,6 +343,8 @@ def _spectrum(spec):
 def _thermal_series(spec):
     """(T, tau_tot, sigma) triples from the thermally activated decay model."""
     truth = spec.truth
+    if not (truth["tau"] > 0 and truth["tau_p"] > 0 and truth["e_p"] >= 0):
+        raise ValidationError("invalid thermal truth: need tau > 0, tau_p > 0, e_p >= 0")
     temps = np.asarray(spec.sampling["temperatures"], dtype=float)
     if np.any(temps <= 0):
         raise ValidationError("temperatures must be positive")

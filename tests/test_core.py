@@ -180,3 +180,28 @@ def test_non_text_file(tmp_path):
     p.write_bytes(b"1300 5\n\xff\xfe 6\n")
     with pytest.raises(ParseError, match="bin.txt"):
         load_spectrum(p)
+
+
+def _old_save_two_column(path, x, y, header=""):
+    # the row-by-row writer the one-string writer replaced
+    with open(path, "w") as fh:
+        if header:
+            for line in header.splitlines():
+                fh.write(f"# {line}\n")
+        for xi, yi in zip(np.asarray(x), np.asarray(y)):
+            fh.write(f"{xi:.9g} {yi:.9g}\n")
+
+
+@pytest.mark.parametrize("x, y", [
+    (np.linspace(1250.0, 1350.0, 41), np.exp(np.sin(np.arange(41) / 7.0)) * 1234.5678),
+    (np.arange(-5, 5), np.arange(10) ** 9),
+    (np.array([1e300, -1.7976931348623157e308, 123456789012.0, np.inf]),
+     np.array([5e-324, -2.2250738585072014e-308, 1e-12, np.nan])),
+    (np.array([0.0, -0.0, 0.1, 1 / 3], dtype=np.float32), [7, 2**40, -(2**62), 0]),
+    ([], []),
+])
+def test_save_two_column_bytes_match_row_writer(tmp_path, x, y):
+    for header in ("", "time_ns counts (pulse_time_ns=100.0)", "a\nb"):
+        save_two_column(tmp_path / "new.txt", x, y, header=header)
+        _old_save_two_column(tmp_path / "old.txt", x, y, header=header)
+        assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()

@@ -1,5 +1,7 @@
 """Synthetic-data generators: determinism, noise statistics, closure."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,11 @@ from sicpl.errors import ValidationError
 from sicpl.spectrum import EV_NM_MEV
 from sicpl.synth import (
     GeneratorSpec,
+    _log_factorial,
+    _noise,
+    _point_keys,
+    _uniforms,
+    _unit,
     expected_decay,
     expected_spectrum,
     generate,
@@ -46,8 +53,9 @@ def test_determinism_byte_identical():
 
 
 def test_point_independence():
-    # the substream-per-point scheme makes each bin's draw independent of
-    # the sampling extent: a longer trace reproduces the shared prefix
+    # each uniform is a hash of (seed, point index, draw number), so a bin's
+    # draw does not depend on the sampling extent: a longer trace
+    # reproduces the shared prefix
     short = generate(decay_spec())
     long_spec = decay_spec()
     long_spec.sampling = dict(long_spec.sampling, t_end=1200.0)
@@ -244,3 +252,105 @@ def test_gaussian_noise_on_a_negative_mean():
     for power, value in rows:
         assert value != -3.0 * power
         assert abs(value + 3.0 * power) < 5 * 0.01 * 3.0 * power
+
+
+# ---------------------------------------------------------------------------
+# the noise draws: bounds below are 4 sigma, so a correct sampler fails
+# each with probability below 1e-4
+
+
+def _poisson_draws(rate, n):
+    spec = GeneratorSpec(seed=21, kind="decay",
+                         truth={"components": [], "pulse_time": 0.0},
+                         sampling={"t_start": 0.0, "t_end": 1.0, "bin_ns": 1.0},
+                         noise={"kind": "poisson"})
+    return _noise(spec, np.full(n, rate))
+
+
+@pytest.mark.parametrize("rate", [0.3, 9.99, 10.0, 30.0, 2e4])
+def test_poisson_draws_match_the_pmf(rate):
+    n = 200_000
+    k = _poisson_draws(rate, n)
+    assert np.all(k >= 0) and np.all(k == np.round(k))
+    # mean and variance: var(mean) = rate / n, var(variance) ~ (rate + 2 rate^2) / n
+    assert abs(k.mean() - rate) < 4.0 * np.sqrt(rate / n)
+    assert abs(k.var() - rate) < 4.0 * np.sqrt((rate + 2.0 * rate**2) / n)
+    # chi-square against the pmf over the values expecting >= 5 draws, with
+    # each tail pooled into the end bin next to it
+    values = np.arange(int(rate + 10.0 * np.sqrt(rate) + 10.0))
+    expected = n * np.exp([v * math.log(rate) - rate - math.lgamma(v + 1.0) for v in values])
+    kept = values[expected >= 5.0]
+    lo, hi = kept[0], kept[-1]
+    observed = np.bincount(np.clip(k.astype(int), lo, hi) - lo, minlength=hi - lo + 1)
+    exp_bins = expected[lo:hi + 1].copy()
+    exp_bins[0] += expected[:lo].sum()
+    exp_bins[-1] = n - exp_bins[:-1].sum()
+    chi2 = np.sum((observed - exp_bins) ** 2 / exp_bins)
+    dof = exp_bins.size - 1
+    # Wilson-Hilferty: (chi2 / dof)^(1/3) is near normal
+    z = ((chi2 / dof) ** (1.0 / 3.0) - (1.0 - 2.0 / (9.0 * dof))) / math.sqrt(2.0 / (9.0 * dof))
+    assert z < 4.0, f"chi2 {chi2:.1f} on {dof} dof"
+
+
+def test_log_factorial_matches_lgamma():
+    n = np.concatenate((np.arange(300.0), [1e3, 2e4, 1e6, 1e12]))
+    exact = np.array([math.lgamma(v + 1.0) for v in n])
+    assert np.allclose(_log_factorial(n), exact, rtol=1e-14, atol=1e-12)
+
+
+def test_poisson_draws_of_no_rate_are_zero():
+    assert np.array_equal(_poisson_draws(0.0, 1000), np.zeros(1000))
+    assert np.array_equal(_noise(decay_spec(), np.array([-3.0, 0.0, 1e-300])), np.zeros(3))
+
+
+def test_noise_refuses_a_non_finite_mean():
+    with pytest.raises(ValidationError, match="not all finite"):
+        _noise(decay_spec(), np.array([1.0, np.inf]))
+
+
+def test_box_muller_draws_are_standard_normal():
+    n = 200_000
+    spec = GeneratorSpec(seed=17, kind="thermal_series",
+                         truth={"tau": 1.0, "tau_p": 1.0, "e_p": 0.0},
+                         sampling={"temperatures": [1.0]},
+                         noise={"kind": "gaussian", "sigma_frac": 0.5})
+    z = _noise(spec, np.full(n, -2.0)) + 2.0
+    assert abs(z.mean()) < 4.0 / np.sqrt(n)
+    assert abs(z.std() - 1.0) < 4.0 / np.sqrt(2.0 * n)
+    for cut, tail in ((1.0, 0.31731051), (2.0, 0.04550026), (3.0, 0.00269980)):
+        share = np.mean(np.abs(z) > cut)
+        assert abs(share - tail) < 4.0 * np.sqrt(tail * (1.0 - tail) / n)
+
+
+def test_uniforms_lie_strictly_inside_the_unit_interval():
+    extremes = _unit(np.array([0, 1, 2**64 - 1], dtype=np.uint64))
+    assert np.all((extremes > 0.0) & (extremes < 1.0))
+    keys = _point_keys(5, 50_000)
+    u = np.stack([_uniforms(keys, draw) for draw in range(8)])
+    assert np.all((u > 0.0) & (u < 1.0))
+    n = u.size
+    assert abs(u.mean() - 0.5) < 4.0 * np.sqrt(1.0 / (12.0 * n))
+    # neighbouring points and consecutive draws are uncorrelated
+    for a, b in ((u[:, 1:], u[:, :-1]), (u[1:], u[:-1])):
+        assert abs(np.corrcoef(a.ravel(), b.ravel())[0, 1]) < 4.0 / np.sqrt(a.size)
+
+
+def test_first_draw_differs_between_seeds():
+    firsts = [_uniforms(_point_keys(seed, 1), 0)[0] for seed in range(1001)]
+    assert len(set(firsts)) == len(firsts)
+
+
+@pytest.mark.parametrize("truth", [{"tau": -163.0}, {"tau_p": 0.0}, {"e_p": -1.0}])
+def test_thermal_truth_range_checked(truth):
+    spec = GeneratorSpec(seed=1, kind="thermal_series",
+                         truth={"tau": 163.0, "tau_p": 83.0, "e_p": 28.0, **truth},
+                         sampling={"temperatures": [4.0, 50.0]})
+    with pytest.raises(ValidationError, match="invalid thermal truth"):
+        generate(spec)
+
+
+def test_oversized_grid_refused_before_allocation():
+    spec = decay_spec()
+    spec.sampling = dict(spec.sampling, t_end=1e12, bin_ns=1e-3)
+    with pytest.raises(ValidationError, match="sampling gives a grid"):
+        expected_decay(spec)
