@@ -6,15 +6,7 @@ budgeting and cavity-enhancement estimates.
 
 __version__ = "0.1.0"
 
-from .datatypes import (
-    DecayTrace,
-    EnergyValue,
-    Site,
-    SiteAssignment,
-    Spectrum,
-    energy_to_wavelength,
-    wavelength_to_energy,
-)
+from .datatypes import DecayTrace, Spectrum
 from .decay import (
     DecayFitResult,
     ThermalModel,
@@ -47,8 +39,6 @@ from .spectrum import (
     fit_psb,
     hr_lineshape,
     partition_dw,
-    polarization_fit,
-    power_law_check,
     psb_eval,
     to_phonon_axis,
 )

@@ -21,7 +21,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .datatypes import wavelength_to_energy
+from .constants import EV_NM, N_SIC_DEFAULT
 from .decay import fit_decay, fit_thermal
 from .errors import AggregationError, SicplError, ValidationError
 from .io import (load_sidecar, load_spectrum, load_trace, read_json, read_table,
@@ -168,7 +168,7 @@ def _cmd_zpl(args):
     for label, line in sorted(zpls.lines.items()):
         bound = "<= " if line.fwhm_is_upper_bound else ""
         rows.append((f"{label} center [nm]", line.center, line.center_sigma3))
-        rows.append((f"{label} energy [eV]", wavelength_to_energy(line.center).as_ev()))
+        rows.append((f"{label} energy [eV]", EV_NM / line.center))
         rows.append((f"{label} FWHM [nm]", f"{bound}{line.fwhm:.4g}"))
         rows.append((f"{label} area [counts*nm]", line.area))
     if zpls.doublet_splitting_mev is not None:
@@ -365,7 +365,7 @@ def build_parser():
     p.add_argument("--lvac-um", type=float, required=True, dest="lvac_um")
     p.add_argument("--lsic-um", type=float, required=True, dest="lsic_um")
     p.add_argument("--eta-tot", type=float, required=True, dest="eta_tot")
-    p.add_argument("--n-sic", type=float, default=2.56, dest="n_sic")
+    p.add_argument("--n-sic", type=float, default=N_SIC_DEFAULT, dest="n_sic")
     p.add_argument("--wc-um", type=float, dest="wc_um")
     p.add_argument("--extraction", type=float)
     p.add_argument("--sweep", help="finesse=start:stop:n")

@@ -6,71 +6,24 @@ intensities in (unitless) detector counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import EV_NM
-from .errors import DomainError, ValidationError
-
-
-class Site(Enum):
-    """Inequivalent silicon lattice sites in 4H SiC."""
-
-    K_CUBIC = "k_cubic"
-    H_HEXAGONAL = "h_hexagonal"
-
-
-@dataclass(frozen=True)
-class EnergyValue:
-    """An energy with an explicit unit tag ('eV' or 'meV')."""
-
-    value: float
-    unit: str = "eV"
-
-    def __post_init__(self):
-        if self.unit not in ("eV", "meV"):
-            raise ValidationError(f"unknown energy unit {self.unit!r}")
-        if not np.isfinite(self.value):
-            raise ValidationError("energy must be finite")
-
-    def as_ev(self) -> float:
-        return self.value if self.unit == "eV" else self.value * 1e-3
-
-    def as_mev(self) -> float:
-        return self.value if self.unit == "meV" else self.value * 1e3
-
-
-def wavelength_to_energy(wavelength_nm: float) -> EnergyValue:
-    """Convert a vacuum wavelength in nm to photon energy in eV."""
-    if wavelength_nm <= 0:
-        raise DomainError(f"wavelength must be positive, got {wavelength_nm}")
-    return EnergyValue(EV_NM / wavelength_nm, "eV")
-
-
-def energy_to_wavelength(energy: EnergyValue) -> float:
-    """Inverse of :func:`wavelength_to_energy`; returns nm (vacuum)."""
-    ev = energy.as_ev()
-    if ev <= 0:
-        raise DomainError(f"energy must be positive, got {ev} eV")
-    return EV_NM / ev
+from .errors import ValidationError
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """A wavelength-indexed intensity record with measurement metadata.
+    """A wavelength-indexed intensity record and its temperature in K.
 
-    wavelengths are strictly increasing vacuum values in nm; intensities
-    are finite, non-negative counts.
+    wavelengths are strictly increasing, positive vacuum values in nm;
+    intensities are finite, non-negative counts.
     """
 
     wavelengths: np.ndarray
     intensities: np.ndarray
     temperature: float
-    excitation_power: float | None = None
-    polarization_angle: float | None = None
-    label: str = ""
 
     def __post_init__(self):
         wl = np.asarray(self.wavelengths, dtype=float)
@@ -83,6 +36,8 @@ class Spectrum:
             raise ValidationError("non-finite wavelength")
         if np.any(np.diff(wl) <= 0):
             raise ValidationError("wavelengths must be strictly increasing")
+        if wl[0] <= 0:
+            raise ValidationError(f"wavelengths must be > 0 nm, got {wl[0]}")
         if not np.all(np.isfinite(it)):
             raise ValidationError("non-finite intensity")
         if np.any(it < 0):
@@ -107,8 +62,6 @@ class DecayTrace:
     times: np.ndarray
     counts: np.ndarray
     pulse_time: float
-    band_center: float | None = None
-    band_width: float | None = None
     temperature: float | None = None
 
     def __post_init__(self):
@@ -142,21 +95,3 @@ class DecayTrace:
     @property
     def bin_width(self) -> float:
         return float(self.times[1] - self.times[0])
-
-
-@dataclass(frozen=True)
-class SiteAssignment:
-    """Crystalline-site assignment of a set of ZPLs, stored as data."""
-
-    site: Site
-    zpl_lines: tuple = field(default_factory=tuple)  # (label, wavelength_nm) pairs
-    notes: str = ""
-
-    def __post_init__(self):
-        labels = [lab for lab, _ in self.zpl_lines]
-        if len(set(labels)) != len(labels):
-            raise ValidationError("duplicate ZPL labels")
-        for lab, wl in self.zpl_lines:
-            if not (1200.0 <= wl <= 1400.0):
-                raise ValidationError(f"ZPL {lab!r} at {wl} nm outside 1200-1400 nm")
-        object.__setattr__(self, "zpl_lines", tuple(self.zpl_lines))

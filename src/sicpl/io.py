@@ -8,7 +8,6 @@ rarely consistent.
 from __future__ import annotations
 
 import json
-import os
 from itertools import chain
 
 import numpy as np
@@ -16,6 +15,8 @@ import numpy as np
 from .datatypes import DecayTrace, Spectrum
 from .errors import ParseError, ValidationError
 
+# the keys a sidecar may hold; only pulse_time_ns and temperature_K are
+# read, the others (lab sidecars carry them) are information only
 SIDECAR_KEYS = {
     "temperature_K",
     "power_mW",
@@ -125,9 +126,6 @@ def load_spectrum(path, metadata: dict | None = None) -> Spectrum:
         wavelengths=wl,
         intensities=it,
         temperature=float(meta.get("temperature_K", 4.0)),
-        excitation_power=_opt(meta, "power_mW"),
-        polarization_angle=_opt(meta, "polarization_deg"),
-        label=str(meta.get("label", os.path.basename(str(path)))),
     )
 
 
@@ -144,9 +142,7 @@ def load_trace(path, metadata: dict | None = None) -> DecayTrace:
         times=t,
         counts=c,
         pulse_time=float(meta["pulse_time_ns"]),
-        band_center=_opt(meta, "band_center_nm"),
-        band_width=_opt(meta, "band_width_nm"),
-        temperature=_opt(meta, "temperature_K"),
+        temperature=float(meta["temperature_K"]) if "temperature_K" in meta else None,
     )
 
 
@@ -156,7 +152,3 @@ def save_two_column(path, x, y, header: str = "") -> None:
         map("{:.9g} {:.9g}\n".format, np.asarray(x).tolist(), np.asarray(y).tolist()))
     with open(path, "w") as fh:
         fh.write(text)
-
-
-def _opt(meta, key):
-    return float(meta[key]) if key in meta else None

@@ -1,6 +1,6 @@
-"""Spectral analysis: ZPL identification, doublet thermometry, power and
-polarization checks, Gaussian phonon-sideband series, Huang-Rhys forward
-lineshape, and Debye-Waller partitioning.
+"""Spectral analysis: ZPL identification, doublet thermometry, Gaussian
+phonon-sideband series, Huang-Rhys forward lineshape, and Debye-Waller
+partitioning.
 
 Phonon energies delta are measured in meV below a reference ZPL energy;
 spectra are converted to this axis with the proper Jacobian so that areas
@@ -227,76 +227,6 @@ def doublet_ratio_vs_T(spectra, expected_pair) -> DoubletThermometry:
             f"4 K dominant-line share {share4:.3f} deviates from ~0.70"
         )
     return out
-
-
-# ---------------------------------------------------------------------------
-# Power and polarization checks
-
-
-def power_law_check(points):
-    """Fit I = c * P^k in log-log space; returns (k, sigma3_k).
-
-    points: iterable of (power_mW, intensity), all positive, >= 3 powers.
-    """
-    pts = np.asarray(list(points), dtype=float)
-    if pts.shape[0] < 3:
-        raise ValidationError("need at least 3 powers")
-    P, I = pts[:, 0], pts[:, 1]
-    if np.any(P <= 0):
-        raise DomainError("powers must be positive")
-    if np.any(I <= 0):
-        raise DomainError("intensities must be positive for a log-log fit")
-    x, y = np.log(P), np.log(I)
-
-    def model(p, xx):
-        return p[0] + p[1] * xx
-
-    fit = minimize(FitProblem(model=model, x=x, y=y, p0=np.array([y.mean(), 1.0])))
-    return float(fit.parameters[1]), float(fit.sigma3[1])
-
-
-@dataclass
-class PolarizationFit:
-    i_min: float
-    i_max: float
-    theta0: float | None   # degrees; None when unidentifiable
-    visibility: float
-    sigma3: np.ndarray | None
-    flagged: bool = False
-
-
-def polarization_fit(points) -> PolarizationFit:
-    """Fit I(theta) = a + b cos^2(theta - theta0); visibility b/(2a + b)."""
-    pts = np.asarray(list(points), dtype=float)
-    if pts.shape[0] < 4:
-        raise ValidationError("need at least 4 angles")
-    theta, I = pts[:, 0], pts[:, 1]
-    if np.ptp(theta) < 90.0:
-        raise ValidationError("angles must span at least 90 degrees")
-    if np.ptp(I) <= 1e-12 * max(abs(I).max(), 1.0):
-        mean = float(np.mean(I))
-        return PolarizationFit(i_min=mean, i_max=mean, theta0=None,
-                               visibility=0.0, sigma3=None, flagged=True)
-
-    def model(p, th):
-        return p[0] + p[1] * np.cos(np.radians(th - p[2])) ** 2
-
-    th0 = float(theta[np.argmax(I)])
-    problem = FitProblem(
-        model=model, x=theta, y=I,
-        p0=np.array([float(np.min(I)), float(np.ptp(I)), th0]),
-        lower=np.array([0.0, 0.0, th0 - 180.0]),
-        upper=np.array([np.inf, np.inf, th0 + 180.0]),
-    )
-    fit = minimize(problem)
-    a, b, t0 = fit.parameters
-    return PolarizationFit(
-        i_min=float(a),
-        i_max=float(a + b),
-        theta0=float(t0 % 180.0),
-        visibility=float(b / (2.0 * a + b)),
-        sigma3=fit.sigma3,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -32,17 +32,14 @@ REQUIRED = object()
 # with its default, and the noise kinds it takes
 RECIPES = {
     "decay": ({"components": REQUIRED, "pulse_time": REQUIRED, "background": 0.0,
-               "temperature": 4.0, "band_center": None, "band_width": None},
+               "temperature": 4.0},
               {"t_start": REQUIRED, "t_end": REQUIRED, "bin_ns": REQUIRED},
               ("none", "poisson", "gaussian")),
-    "spectrum": ({"zpl": (), "psb": (), "hr": None, "temperature": 4.0, "label": "synthetic"},
+    "spectrum": ({"zpl": (), "psb": (), "hr": None, "temperature": 4.0},
                  {"wl_start": REQUIRED, "wl_end": REQUIRED, "step_nm": REQUIRED},
                  ("none", "poisson", "gaussian")),
     "thermal_series": ({"tau": REQUIRED, "tau_p": REQUIRED, "e_p": REQUIRED},
                        {"temperatures": REQUIRED}, ("none", "gaussian")),
-    "power_series": ({"c": REQUIRED, "k": REQUIRED}, {"powers": REQUIRED}, ("none", "gaussian")),
-    "polarization_series": ({"a": REQUIRED, "b": REQUIRED, "theta0": 0.0},
-                            {"angles": REQUIRED}, ("none", "gaussian")),
 }
 # the keys of each entry of a spectrum truth's 'psb' list, of its 'hr', and
 # of each noise kind besides 'kind'
@@ -69,28 +66,27 @@ def _pairs(value):
 
 def _zpl_rows(value):
     return isinstance(value, (list, tuple)) and all(
-        isinstance(row, (list, tuple)) and len(row) == 4 and _reals(row[1:]) for row in value)
+        isinstance(row, (list, tuple)) and len(row) == 4 and _reals(row[1:])
+        and row[2] > 0 and row[3] >= 0 for row in value)
 
 
-REAL = (_real, "a real number")
-REALS = (_reals, "a list of reals")
-# the form of every recipe value; 'label' and the noise 'kind' take any
+# the form of every recipe value; the noise 'kind' takes any
 FORMS = {
-    **dict.fromkeys(("pulse_time", "background", "temperature", "band_center", "band_width",
-                     "t_start", "t_end", "wl_start", "wl_end", "tau", "tau_p", "e_p",
-                     "c", "k", "a", "b", "theta0",
-                     "i0", "sigma", "delta0", "e_ref_nm", "zpl_energy_ev", "area_nm"), REAL),
-    **dict.fromkeys(("bin_ns", "step_nm"), (lambda v: _real(v) and v > 0, "a real > 0")),
-    **dict.fromkeys(("temperatures", "powers", "angles"), REALS),
+    **dict.fromkeys(("pulse_time", "background", "temperature", "t_start", "t_end",
+                     "wl_start", "wl_end", "tau", "tau_p", "e_p", "i0", "sigma", "delta0"),
+                    (_real, "a real number")),
+    **dict.fromkeys(("bin_ns", "step_nm", "e_ref_nm", "zpl_energy_ev"),
+                    (lambda v: _real(v) and v > 0, "a real > 0")),
+    "temperatures": (_reals, "a list of reals"),
     "components": (_pairs, "a list of (A, tau) pairs"),
     "modes": (_pairs, "a list of (S, homega) pairs"),
     "doublet": (lambda v: _reals(v, 2), "a (splitting, ratio) pair"),
     "j_max": (lambda v: isinstance(v, numbers.Integral), "an integer"),
-    "zpl": (_zpl_rows, "a list of [label, center, fwhm, area] rows"),
+    "zpl": (_zpl_rows, "a list of [label, center, fwhm > 0, area >= 0] rows"),
     "psb": (lambda v: isinstance(v, (list, tuple)) and all(isinstance(e, dict) for e in v),
             "a list of objects"),
     "hr": (lambda v: isinstance(v, dict), "an object"),
-    "sigma_frac": (lambda v: _real(v) and v >= 0, "a real >= 0"),
+    **dict.fromkeys(("sigma_frac", "area_nm"), (lambda v: _real(v) and v >= 0, "a real >= 0")),
 }
 
 
@@ -296,8 +292,7 @@ def _decay(spec):
     t, y = expected_decay(spec)
     truth = spec.truth
     return DecayTrace(times=t, counts=np.round(_noise(spec, y)),
-                      pulse_time=float(truth["pulse_time"]), band_center=truth["band_center"],
-                      band_width=truth["band_width"], temperature=truth["temperature"])
+                      pulse_time=float(truth["pulse_time"]), temperature=truth["temperature"])
 
 
 def expected_spectrum(spec: GeneratorSpec):
@@ -337,7 +332,7 @@ def expected_spectrum(spec: GeneratorSpec):
 def _spectrum(spec):
     wl, y = expected_spectrum(spec)
     return Spectrum(wavelengths=wl, intensities=_noise(spec, y),
-                    temperature=float(spec.truth["temperature"]), label=spec.truth["label"])
+                    temperature=float(spec.truth["temperature"]))
 
 
 def _thermal_series(spec):
@@ -354,28 +349,11 @@ def _thermal_series(spec):
             for T, v, s in zip(temps, _noise(spec, tau_tot), frac * tau_tot)]
 
 
-def _power_series(spec):
-    """(power_mW, intensity) pairs from I = c * P^k."""
-    powers = np.asarray(spec.sampling["powers"], dtype=float)
-    ideal = spec.truth["c"] * powers ** spec.truth["k"]
-    return list(zip(powers.tolist(), _noise(spec, ideal).tolist()))
-
-
-def _polarization_series(spec):
-    """(angle_deg, intensity) pairs from I = a + b cos^2(theta - theta0)."""
-    angles = np.asarray(spec.sampling["angles"], dtype=float)
-    a, b, t0 = spec.truth["a"], spec.truth["b"], spec.truth["theta0"]
-    ideal = a + b * np.cos(np.radians(angles - t0)) ** 2
-    return list(zip(angles.tolist(), _noise(spec, ideal).tolist()))
-
-
 def generate(spec: GeneratorSpec):
-    """The dataset a recipe describes: a DecayTrace, a Spectrum, or for the
-    series kinds a list of rows."""
+    """The dataset a recipe describes: a DecayTrace, a Spectrum, or for a
+    thermal series a list of rows."""
     return {
         "decay": _decay,
         "spectrum": _spectrum,
         "thermal_series": _thermal_series,
-        "power_series": _power_series,
-        "polarization_series": _polarization_series,
     }[spec.kind](spec)

@@ -8,6 +8,8 @@ import pytest
 
 from sicpl.cli import main
 from sicpl.decay import thermal_lifetime
+from sicpl.io import SIDECAR_KEYS
+from sicpl.synth import RECIPES
 
 
 def run(*argv):
@@ -81,11 +83,6 @@ SIMULATED = {
     "thermal_series": ({"tau": 163.0, "tau_p": 83.0, "e_p": 28.0},
                        {"temperatures": [4.0, 50.0, 100.0, 150.0]},
                        {"kind": "gaussian", "sigma_frac": 0.02}, [4.0, 50.0, 100.0, 150.0], []),
-    "power_series": ({"c": 3.0, "k": 1.5}, {"powers": [0.5, 1.0, 2.0]}, {"kind": "none"},
-                     [0.5, 1.0, 2.0], []),
-    "polarization_series": ({"a": 10.0, "b": 40.0, "theta0": 30.0},
-                            {"angles": [0.0, 30.0, 90.0, 120.0]},
-                            {"kind": "gaussian", "sigma_frac": 0.01}, [0.0, 30.0, 90.0, 120.0], []),
 }
 
 
@@ -106,16 +103,17 @@ def test_simulate_writes_spectrum_and_series(tmp_path, kind):
     if kind == "spectrum":
         assert np.all(y >= 0) and np.all(y == np.round(y))
         assert y.sum() * 0.5 == pytest.approx(5e4, rel=0.02)
-    elif kind == "thermal_series":
+    else:
         tau = thermal_lifetime(rows[:, 0], 163.0, 83.0, 28.0)
         assert np.allclose(rows[:, 2], 0.02 * tau, rtol=1e-8)
         assert np.all(np.abs(y - tau) < 5 * 0.02 * tau)
-    elif kind == "power_series":
-        assert np.allclose(y, 3.0 * rows[:, 0] ** 1.5, rtol=1e-8)
-    else:
-        ideal = 10.0 + 40.0 * np.cos(np.radians(rows[:, 0] - 30.0)) ** 2
-        assert np.all(np.abs(y - ideal) < 5 * 0.01 * ideal)
     assert (tmp_path / "simulate_manifest.json").exists()
+
+
+def test_every_recipe_kind_is_simulated():
+    # the decay_files fixture simulates the decay kind; a kind added to or
+    # removed from synth.RECIPES must be added to or removed from SIMULATED
+    assert {*SIMULATED, "decay"} == set(RECIPES)
 
 
 def test_missing_input_exit_2(tmp_path, capsys):
@@ -327,9 +325,32 @@ MALFORMED = {
         {"kind": "spectrum", "truth": {"psb": [{"i0": 90.0, "delta0": 35.0, "e_ref_nm": 1280.0}]},
          "sampling": {"wl_start": 1255.0, "wl_end": 1300.0, "step_nm": 0.2}},
         "psb entry needs 'sigma'"),
-    "simulate-power-poisson": _recipe_case(
-        {"kind": "power_series", "truth": {"c": 3.0, "k": 1.0}, "sampling": {"powers": [1.0, 2.0]}},
-        "power_series noise must be"),
+    "simulate-thermal-poisson": _recipe_case(
+        {"kind": "thermal_series", "truth": {"tau": 163.0, "tau_p": 83.0, "e_p": 28.0},
+         "sampling": {"temperatures": [4.0, 50.0]}},
+        "thermal_series noise must be one of none, gaussian, got 'poisson'"),
+    "simulate-psb-e-ref-zero": _recipe_case(
+        {"kind": "spectrum", "truth": {"psb": [{"i0": 90.0, "sigma": 6.0, "delta0": 35.0,
+                                                "e_ref_nm": 0}]},
+         "sampling": {"wl_start": 1255.0, "wl_end": 1300.0, "step_nm": 0.2}},
+        "'e_ref_nm' must be a real > 0"),
+    "simulate-zpl-fwhm-zero": _recipe_case(
+        {"kind": "spectrum", "truth": {"zpl": [["a", 1280.0, 0, 10.0]]},
+         "sampling": {"wl_start": 1270.0, "wl_end": 1290.0, "step_nm": 0.5}},
+        "'zpl' must be a list of [label, center, fwhm > 0, area >= 0] rows"),
+    "simulate-zpl-area-negative": _recipe_case(
+        {"kind": "spectrum", "truth": {"zpl": [["a", 1280.0, 2.0, -10.0]]},
+         "sampling": {"wl_start": 1270.0, "wl_end": 1290.0, "step_nm": 0.5}},
+        "'zpl' must be a list of [label, center, fwhm > 0, area >= 0] rows"),
+    "simulate-hr-zpl-energy-zero": _recipe_case(
+        {"kind": "spectrum", "truth": {"hr": {"modes": [[0.3, 20.0]], "zpl_energy_ev": 0.0}},
+         "sampling": {"wl_start": 1255.0, "wl_end": 1300.0, "step_nm": 0.2}},
+        "'zpl_energy_ev' must be a real > 0"),
+    "simulate-hr-area-negative": _recipe_case(
+        {"kind": "spectrum", "truth": {"hr": {"modes": [[0.3, 20.0]], "zpl_energy_ev": 0.9686,
+                                              "area_nm": -500.0}},
+         "sampling": {"wl_start": 1255.0, "wl_end": 1300.0, "step_nm": 0.2}},
+        "'area_nm' must be a real >= 0"),
     "simulate-bin-zero": _recipe_case(
         {"sampling": {"t_start": 0.0, "t_end": 60.0, "bin_ns": 0}}, "'bin_ns' must be a real > 0"),
     "simulate-step-zero": _recipe_case(
@@ -452,6 +473,27 @@ def _spectrum_files(tmp_path):
     lines.write_text(f"# label, center, window\nalpha3, 1280.0, 3.0\n"
                      f"alpha2,{c2:.6f},3.0\nbeta {cb:.6f}, 4.0  # beta line\n")
     return data, lines
+
+
+def test_information_only_sidecar_keys(decay_files):
+    # a sidecar may carry every SIDECAR_KEYS key; only pulse_time_ns and
+    # temperature_K change a report
+    tmp_path, trace = decay_files
+    spectrum, lines = _spectrum_files(tmp_path)
+    read = "pulse_time_ns = 100\ntemperature_K = 4\n"
+    full = read + ("power_mW = 2.5\nband_center_nm = 1280\nband_width_nm = 20\n"
+                   "polarization_deg = 30\nlabel = run7\n")
+    assert {line.split(" = ")[0] for line in full.splitlines()} == SIDECAR_KEYS
+    for command, inputs in (("fit-decay", ["--trace", str(trace)]),
+                            ("zpl", ["--spectrum", str(spectrum), "--zpl-config", str(lines)])):
+        reports = []
+        for name, text in (("read", read), ("full", full)):
+            meta = tmp_path / f"{command}-{name}.meta"
+            meta.write_text(text)
+            out = tmp_path / f"{command}-{name}"
+            assert run(command, *inputs, "--meta", str(meta), "--out", str(out)) == 0
+            reports.append((out / f"{command}_report.txt").read_bytes())
+        assert reports[0] == reports[1]
 
 
 def _sha256(path):

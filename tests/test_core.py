@@ -1,53 +1,13 @@
-"""Data types, unit conversions and file ingestion."""
+"""Data types and file ingestion."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sicpl.constants import EV_NM
-from sicpl.datatypes import (
-    DecayTrace,
-    EnergyValue,
-    Site,
-    SiteAssignment,
-    Spectrum,
-    energy_to_wavelength,
-    wavelength_to_energy,
-)
-from sicpl.errors import DomainError, ParseError, ValidationError
+from sicpl.datatypes import DecayTrace, Spectrum
+from sicpl.errors import ParseError, ValidationError
 from sicpl.io import load_sidecar, load_spectrum, load_trace, save_two_column
-
-
-def test_energy_value_units():
-    e = EnergyValue(0.968, "eV")
-    assert e.as_mev() == pytest.approx(968.0)
-    assert EnergyValue(968.0, "meV").as_ev() == pytest.approx(0.968)
-    with pytest.raises(ValidationError):
-        EnergyValue(1.0, "J")
-    with pytest.raises(ValidationError):
-        EnergyValue(float("nan"))
-
-
-def test_known_conversion():
-    # 1280 nm <-> 0.9686 eV with hc = 1239.84198 eV nm
-    assert wavelength_to_energy(1280.0).as_ev() == pytest.approx(EV_NM / 1280.0)
-    with pytest.raises(DomainError):
-        wavelength_to_energy(0.0)
-    with pytest.raises(DomainError):
-        energy_to_wavelength(EnergyValue(-1.0))
-
-
-@given(st.floats(min_value=900.0, max_value=2000.0))
-def test_wavelength_energy_round_trip(wl):
-    back = energy_to_wavelength(wavelength_to_energy(wl))
-    assert abs(back - wl) / wl < 1e-9
-
-
-@given(st.floats(min_value=1e-3, max_value=10.0))
-def test_energy_unit_round_trip(ev):
-    e = EnergyValue(ev, "eV")
-    assert abs(EnergyValue(e.as_mev(), "meV").as_ev() - ev) / ev < 1e-9
 
 
 def test_spectrum_validation():
@@ -57,6 +17,8 @@ def test_spectrum_validation():
     assert not sp.wavelengths.flags.writeable
     with pytest.raises(ValidationError):
         Spectrum(wavelengths=wl[::-1], intensities=it, temperature=4.0)
+    with pytest.raises(ValidationError, match="> 0 nm"):
+        Spectrum(wavelengths=wl - 1300.0, intensities=it, temperature=4.0)
     with pytest.raises(ValidationError):
         Spectrum(wavelengths=wl, intensities=-it, temperature=4.0)
     with pytest.raises(ValidationError):
@@ -80,17 +42,6 @@ def test_trace_validation():
     tt[10] += 0.4
     with pytest.raises(ValidationError):
         DecayTrace(times=tt, counts=c, pulse_time=50.0)  # non-uniform
-
-
-def test_site_assignment():
-    sa = SiteAssignment(site=Site.K_CUBIC,
-                        zpl_lines=(("alpha2", 1278.8), ("alpha3", 1280.7)))
-    assert sa.site is Site.K_CUBIC
-    with pytest.raises(ValidationError):
-        SiteAssignment(site=Site.H_HEXAGONAL, zpl_lines=(("beta", 1500.0),))
-    with pytest.raises(ValidationError):
-        SiteAssignment(site=Site.K_CUBIC,
-                       zpl_lines=(("a", 1280.0), ("a", 1281.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from sicpl.datatypes import Spectrum
 from sicpl.errors import (
-    DomainError,
     InsufficientDataError,
     LineNotFoundError,
     ModelInconsistencyError,
@@ -27,8 +26,6 @@ from sicpl.spectrum import (
     fit_psb,
     hr_lineshape,
     partition_dw,
-    polarization_fit,
-    power_law_check,
     psb_eval,
     to_phonon_axis,
 )
@@ -253,30 +250,7 @@ def test_partition_requires_reference_line():
 
 
 # ---------------------------------------------------------------------------
-# thermometry, power and polarization checks
-
-
-def test_power_law_linear():
-    pts = generate(GeneratorSpec(
-        seed=1, kind="power_series", truth={"c": 3.0, "k": 1.0},
-        sampling={"powers": [0.1, 0.3, 1.0, 3.0, 10.0]},
-        noise={"kind": "gaussian", "sigma_frac": 0.01}))
-    k, s3 = power_law_check(pts)
-    assert abs(k - 1.0) < max(s3, 0.05)
-    with pytest.raises(DomainError):
-        power_law_check([(1.0, 1.0), (2.0, -1.0), (3.0, 2.0)])
-
-
-def test_polarization_fit_and_flat_flag():
-    pts = generate(GeneratorSpec(
-        seed=1, kind="polarization_series",
-        truth={"a": 10.0, "b": 40.0, "theta0": 30.0},
-        sampling={"angles": list(range(0, 180, 15))}))
-    fit = polarization_fit(pts)
-    assert fit.visibility == pytest.approx(40.0 / 60.0, rel=1e-6)
-    assert fit.theta0 == pytest.approx(30.0, abs=1e-6)
-    flat = polarization_fit([(a, 5.0) for a in range(0, 181, 20)])
-    assert flat.flagged and flat.visibility == 0.0 and flat.theta0 is None
+# thermometry
 
 
 def test_thermometry_needs_cold_points():

@@ -161,15 +161,6 @@ def test_thermal_series_shapes():
 
 def test_generate_dispatch():
     assert generate(decay_spec()).pulse_time == 50.0
-    pw = generate(GeneratorSpec(seed=1, kind="power_series",
-                                truth={"c": 2.0, "k": 1.3},
-                                sampling={"powers": [1.0, 2.0]}))
-    assert pw == [(1.0, 2.0), (2.0, pytest.approx(2.0 * 2.0**1.3))]
-    pz = generate(GeneratorSpec(seed=1, kind="polarization_series",
-                                truth={"a": 1.0, "b": 2.0},
-                                sampling={"angles": [0.0, 90.0]}))
-    assert pz[0][1] == pytest.approx(3.0)
-    assert pz[1][1] == pytest.approx(1.0)
 
 
 @settings(max_examples=20, deadline=None)
@@ -182,8 +173,6 @@ def test_any_seed_gives_valid_trace(seed):
 
 SERIES = {
     "thermal_series": ({"tau": 163.0, "tau_p": 83.0, "e_p": 28.0}, {"temperatures": [4.0, 50.0]}),
-    "power_series": ({"c": 3.0, "k": 1.0}, {"powers": [0.1, 1.0]}),
-    "polarization_series": ({"a": 10.0, "b": 40.0}, {"angles": [0.0, 45.0]}),
 }
 
 
@@ -242,16 +231,6 @@ def test_gaussian_counts_noise_on_spectrum():
     z = (counts - mean) / (0.01 * mean)
     assert abs(z.mean()) < 3.0 / np.sqrt(z.size)
     assert z.std() == pytest.approx(1.0, rel=0.1)
-
-
-def test_gaussian_noise_on_a_negative_mean():
-    # sd is sigma_frac * |mean|, so a negative intensity gets noise too
-    rows = generate(GeneratorSpec(seed=1, kind="power_series", truth={"c": -3.0, "k": 1.0},
-                                  sampling={"powers": [1.0, 2.0, 4.0]},
-                                  noise={"kind": "gaussian", "sigma_frac": 0.01}))
-    for power, value in rows:
-        assert value != -3.0 * power
-        assert abs(value + 3.0 * power) < 5 * 0.01 * 3.0 * power
 
 
 # ---------------------------------------------------------------------------
