@@ -3,9 +3,10 @@ estimation and simulation into reproducible pipelines.
 
 Each command handler computes its report and any extra files; `main`
 writes them, then a manifest (command, every resolved option, config
-hash, hashes of every input file, tool version); `--config <manifest>`
-replays that run identically. Exit codes: 0 success, 1 usage error, otherwise
-the `exit_code` of the error raised: 2 validation error, 3 fit failure.
+hash, hashes of every input file, tool and numpy versions);
+`--config <manifest>` replays that run identically. Exit codes: 0
+success, 1 usage error, otherwise the `exit_code` of the error raised:
+2 validation error, 3 fit failure.
 """
 
 from __future__ import annotations
@@ -35,8 +36,9 @@ EXIT_USAGE = 1
 
 # options naming a file a command reads; the manifest hashes each one given
 INPUT_OPTIONS = ("trace", "meta", "points", "spectrum", "zpl_config", "spec", "inputs")
-# the keys of a manifest; a replay reads the last two only as information
-MANIFEST_KEYS = ("command", "parameters", "inputs", "config_hash", "tool_version")
+# the keys of a manifest; a replay reads the last three only as information
+MANIFEST_KEYS = ("command", "parameters", "inputs", "config_hash", "tool_version",
+                 "numpy_version")
 
 
 class _Refused(Exception):
@@ -63,6 +65,9 @@ def _write_manifest(out_dir, args):
     manifest = {
         "command": args.command,
         "tool_version": __version__,
+        # simulate's draws come from numpy's Generator, whose streams may
+        # change between numpy releases
+        "numpy_version": np.__version__,
         "parameters": params,
         "config_hash": hashlib.sha256(
             json.dumps(params, sort_keys=True).encode()

@@ -122,11 +122,14 @@ def load_spectrum(path, metadata: dict | None = None) -> Spectrum:
     wl, it = data[np.argsort(data[:, 0], kind="stable")].T.copy()
     if np.any(np.diff(wl) == 0):
         raise ValidationError(f"{path}: duplicate wavelength values")
-    return Spectrum(
-        wavelengths=wl,
-        intensities=it,
-        temperature=float(meta.get("temperature_K", 4.0)),
-    )
+    try:
+        return Spectrum(
+            wavelengths=wl,
+            intensities=it,
+            temperature=float(meta.get("temperature_K", 4.0)),
+        )
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def load_trace(path, metadata: dict | None = None) -> DecayTrace:
@@ -138,12 +141,15 @@ def load_trace(path, metadata: dict | None = None) -> DecayTrace:
     if "pulse_time_ns" not in meta:
         raise ValidationError(f"{path}: pulse_time_ns metadata is required for traces")
     t, c = read_table(path, "time_ns counts").T.copy()
-    return DecayTrace(
-        times=t,
-        counts=c,
-        pulse_time=float(meta["pulse_time_ns"]),
-        temperature=float(meta["temperature_K"]) if "temperature_K" in meta else None,
-    )
+    try:
+        return DecayTrace(
+            times=t,
+            counts=c,
+            pulse_time=float(meta["pulse_time_ns"]),
+            temperature=float(meta["temperature_K"]) if "temperature_K" in meta else None,
+        )
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def save_two_column(path, x, y, header: str = "") -> None:

@@ -5,11 +5,11 @@ These are the independent oracles for every round-trip fit test: a fixed
 GeneratorSpec produces byte-identical output, and noiseless output fed to
 the corresponding fitter must return the truth parameters.
 
-Noise is counter based and vectorised: each uniform is a splitmix64 hash
-of (seed, point index, draw number), so no generator state is kept and a
-point's draw does not depend on the size of the sampling. Poisson draws
-are exact: cdf inversion below rate 10, transformed rejection (PTRS)
-above.
+Noise comes from one `numpy.random.default_rng(seed)` stream drawn in
+point order: exact Poisson draws (`Generator.poisson`) or normal draws
+(`Generator.standard_normal`). For a fixed recipe and numpy version the
+output is byte-identical, and a longer sampling reproduces the shared
+prefix.
 """
 
 from __future__ import annotations
@@ -145,119 +145,26 @@ class GeneratorSpec:
         self.noise = _resolve(f"{noise} noise", self.noise, {"kind": noise, **NOISE_KEYS[noise]})
 
 
-# splitmix64 (Steele, Lea & Flood, OOPSLA 2014): the golden-ratio
-# increment and the finaliser's two multipliers
-GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-MIX1, MIX2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
-# Poisson draws invert the cdf below this rate and use PTRS at or above it
-PTRS_MIN_RATE = 10.0
-# log n! for n below the table's size; Stirling's series above
-LOG_FACTORIAL = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, 32.0)))))
-HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def _mix(z):
-    """The splitmix64 finaliser of each element of a uint64 array; numpy
-    wraps array products modulo 2**64."""
-    z = (z ^ (z >> np.uint64(30))) * MIX1
-    z = (z ^ (z >> np.uint64(27))) * MIX2
-    return z ^ (z >> np.uint64(31))
-
-
-def _point_keys(seed, n):
-    """The key of each of n points: a hash of (seed, point index)."""
-    key = _mix(np.full(1, seed, np.uint64) + GOLDEN)
-    return _mix(key + np.arange(n, dtype=np.uint64) * GOLDEN)
-
-
-def _unit(z):
-    """A uniform strictly inside (0, 1) from each uint64 hash: its top 52
-    bits j give (j + 1/2) 2**-52, which a double holds exactly."""
-    return ((z >> np.uint64(12)).astype(float) + 0.5) * 2.0**-52
-
-
-def _uniforms(keys, draw):
-    """Draw number `draw` of the points with these keys, one uniform each."""
-    return _unit(_mix(keys + np.full(1, draw + 1, np.uint64) * GOLDEN))
-
-
-def _log_factorial(n):
-    """log n! of each element of a float array of whole numbers >= 0."""
-    out = np.empty(n.shape)
-    small = n < LOG_FACTORIAL.size
-    out[small] = LOG_FACTORIAL[n[small].astype(int)]
-    m = n[~small]
-    out[~small] = ((m + 0.5) * np.log(m) - m + HALF_LOG_2PI
-                   + (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / (1260.0 * m * m)) / (m * m)) / m)
-    return out
-
-
-def _poisson_inversion(keys, rate):
-    """Poisson draws by inverting the cdf, one uniform per point; rate < 10.
-    A point stops once its cdf passes its uniform or stops growing."""
-    u = _uniforms(keys, 0)
-    k = np.zeros(rate.size)
-    p = np.exp(-rate)
-    cdf = p.copy()
-    pending = np.flatnonzero(u > cdf)
-    n = 0
-    while pending.size:
-        n += 1
-        k[pending] = n
-        p[pending] *= rate[pending] / n
-        grown = cdf[pending] + p[pending]
-        moved = grown > cdf[pending]
-        cdf[pending] = grown
-        pending = pending[moved & (u[pending] > grown)]
-    return k
-
-
-def _poisson_ptrs(keys, rate):
-    """Poisson draws by transformed rejection with squeeze (PTRS, Hoermann
-    1993, Insurance: Math. Econ. 12, 39); rate >= 10. Round r reads draws
-    2r and 2r + 1 of the points still pending."""
-    k = np.empty(rate.size)
-    pending = np.arange(rate.size)
-    draw = 0
-    while pending.size:
-        lam = rate[pending]
-        u = _uniforms(keys[pending], draw) - 0.5
-        v = _uniforms(keys[pending], draw + 1)
-        draw += 2
-        b = 0.931 + 2.53 * np.sqrt(lam)
-        a = -0.059 + 0.02483 * b
-        us = 0.5 - np.abs(u)
-        kk = np.floor((2.0 * a / us + b) * u + lam + 0.43)
-        accept = (us >= 0.07) & (v <= 0.9277 - 3.6224 / (b - 2.0))
-        t = ~accept & (kk >= 0) & ~((us < 0.013) & (v > us))
-        accept[t] = (np.log(v[t] * (1.1239 + 1.1328 / (b[t] - 3.4)) / (a[t] / us[t] ** 2 + b[t]))
-                     <= -lam[t] + kk[t] * np.log(lam[t]) - _log_factorial(kk[t]))
-        k[pending[accept]] = kk[accept]
-        pending = pending[~accept]
-    return k
-
-
 def _noise(spec, mean):
     """`mean` with the recipe's noise: one exact Poisson draw per point, or
     one Gaussian draw with sd sigma_frac * |mean|; no noise returns `mean`.
 
-    Every uniform is a hash of (seed, point index, draw number), so a
-    point's draw depends on nothing else: a longer sampling reproduces the
-    shared prefix. Gaussian draws take draws 0 and 1 through Box-Muller."""
+    The draws come from one `default_rng(seed)` stream, taken in point
+    order, so a point's draw depends only on the seed and the points before
+    it: a longer sampling reproduces the shared prefix."""
     kind = spec.noise["kind"]
     if kind == "none":
         return mean
     if not np.all(np.isfinite(mean)):
         raise ValidationError("the noise-free values are not all finite")
-    keys = _point_keys(spec.seed, mean.size)
+    rng = np.random.default_rng(spec.seed)
     if kind == "poisson":
-        counts = np.zeros(mean.size)
-        low = mean < PTRS_MIN_RATE
-        counts[low] = _poisson_inversion(keys[low], np.maximum(mean[low], 0.0))
-        counts[~low] = _poisson_ptrs(keys[~low], mean[~low])
-        return counts
-    z = np.sqrt(-2.0 * np.log(_uniforms(keys, 0))) * np.cos(2.0 * math.pi * _uniforms(keys, 1))
-    draws = mean + spec.noise["sigma_frac"] * np.abs(mean) * z
+        try:
+            return rng.poisson(np.maximum(mean, 0.0)).astype(float)
+        except ValueError:  # numpy refuses rates above about 9.22e18
+            raise ValidationError(f"a Poisson rate of {mean.max():.3g} is too large "
+                                  "to draw") from None
+    draws = mean + spec.noise["sigma_frac"] * np.abs(mean) * rng.standard_normal(mean.shape)
     # the kinds that take Poisson noise give counts: whole and non-negative
     return np.round(np.clip(draws, 0.0, None)) if "poisson" in RECIPES[spec.kind][2] else draws
 

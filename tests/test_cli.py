@@ -51,6 +51,7 @@ def test_fit_decay_pipeline(decay_files, capsys):
     assert manifest["command"] == "fit-decay"
     assert str(trace) in manifest["inputs"]
     assert len(manifest["config_hash"]) == 64
+    assert manifest["numpy_version"] == np.__version__
 
 
 def test_reports_are_deterministic(decay_files):
@@ -265,6 +266,7 @@ def _recipe_case(change, message):
 
 
 TRACE = "".join(f"{i} {5 + 100 * (i >= 20)}\n" for i in range(60))
+SPECTRUM = "".join(f"{1270 + 0.5 * i} {-3 if i == 7 else 10}\n" for i in range(40))
 CAVITY = ["cavity", "--lambda-nm", "1280", "--finesse", "34000", "--roc-mm", "1.3",
           "--lvac-um", "5", "--lsic-um", "5", "--eta-tot", "0.089"]
 # name: (files to write, argv with file names standing for their paths,
@@ -279,6 +281,12 @@ MALFORMED = {
     "sidecar-non-numeric": ({"t.txt": TRACE, "m.meta": "pulse_time_ns = 20\ntemperature_K = warm\n"},
                             ["fit-decay", "--trace", "t.txt", "--meta", "m.meta", "--out", "out"],
                             "m.meta:2"),
+    "spectrum-negative-count": ({"s.txt": SPECTRUM, "l.txt": "a 1280 3\n"},
+                                ["zpl", "--spectrum", "s.txt", "--zpl-config", "l.txt",
+                                 "--out", "out"], "s.txt: negative intensity"),
+    "trace-shifted-bin": ({"t.txt": TRACE.replace("\n30 ", "\n30.5 ")},
+                          ["fit-decay", "--trace", "t.txt", "--pulse-ns", "20", "--out", "out"],
+                          "t.txt: non-uniform bin width"),
     "window-one-value": ({"t.txt": TRACE}, ["fit-decay", "--trace", "t.txt", "--pulse-ns", "20",
                                             "--window", "5", "--out", "out"], "--window"),
     "window-non-numeric": ({"t.txt": TRACE}, ["fit-decay", "--trace", "t.txt", "--pulse-ns", "20",
@@ -296,6 +304,9 @@ MALFORMED = {
         {"truth": {**DECAY_TRUTH, "components": 5}}, "'components' must"),
     "simulate-components-triple": _recipe_case(
         {"truth": {**DECAY_TRUTH, "components": [[1, 2, 3]]}}, "'components' must"),
+    "simulate-poisson-rate-too-large": _recipe_case(
+        {"truth": {**DECAY_TRUTH, "components": [[1e30, 10.0]]}},
+        "a Poisson rate of 1e+30 is too large"),
     "simulate-sampling-no-end": _recipe_case(
         {"sampling": {"t_start": 0.0, "bin_ns": 1.0}}, "decay sampling needs 't_end'"),
     "simulate-seed-text": _recipe_case({"seed": "x"}, "'seed' must"),

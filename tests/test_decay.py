@@ -201,6 +201,23 @@ def test_fit_thermal_recovery():
     assert m(4.0) == pytest.approx(thermal_lifetime(4.0, m.tau, m.tau_p, m.e_p))
 
 
+# the slow lifetimes a batch of bench traces gave (lifetime-study seed 2,
+# single traces, stratum 2): the 4 K fit went to a spurious double whose
+# tau1 of 8.6e9 ns carries a margin of 1.2e17 ns, so that row has no weight
+# and six of the seven starting E_p values stop at tau ~ 8.5e9 ns
+ZERO_WEIGHT_COLDEST = [
+    (4, 8586330000.0, 3.9333333333333336e+16), (25, 164.356, 0.9333333333333332),
+    (50, 163.719, 0.89), (75, 159.158, 0.9), (100, 153.91, 0.9500000000000001),
+    (125, 141.935, 0.85), (150, 135.247, 0.84), (175, 123.357, 0.8566666666666666),
+]
+
+
+def test_fit_thermal_zero_weight_coldest_point():
+    m = fit_thermal(ZERO_WEIGHT_COLDEST)
+    assert abs(m.e_p - 28.0) <= m.sigma3[2]
+    assert abs(m.tau - 164.2) <= m.sigma3[0]
+
+
 def test_fit_thermal_input_guards():
     with pytest.raises(ValidationError):
         fit_thermal([(4.0, 160.0, 1.0)] * 3)  # too few points
