@@ -8,6 +8,8 @@ rarely consistent.
 from __future__ import annotations
 
 import json
+import warnings
+from io import StringIO
 from itertools import chain
 
 import numpy as np
@@ -38,10 +40,10 @@ def _read_text(path) -> str:
         raise ParseError(f"{path}: not a text file ({exc.reason} at byte {exc.start})") from None
 
 
-def _lines(path):
-    """The lines of a text file with their '#' comments removed; item i is
+def _lines(text):
+    """The lines of a text with their '#' comments removed; item i is
     line i + 1."""
-    return [line.partition("#")[0] for line in _read_text(path).split("\n")]
+    return [line.partition("#")[0] for line in text.split("\n")]
 
 
 def read_table(path, columns: str, labelled: bool = False):
@@ -55,7 +57,23 @@ def read_table(path, columns: str, labelled: bool = False):
     raises ParseError naming the file and, for a bad row, its line.
     """
     names = columns.split()
-    rows = [line.replace(",", " ").split() for line in _lines(path)]
+    text = _read_text(path)
+    if not labelled:
+        # numpy's C reader is the fast path. It warns, not raises, on an
+        # empty table, and it refuses some fields float() reads (1_000);
+        # what it refuses or reads with another column count goes through
+        # the per-line code below, which gives the same values or names
+        # the first bad line.
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                values = np.loadtxt(StringIO(text.replace(",", " ")), ndmin=2)
+        except (ValueError, Warning):
+            pass
+        else:
+            if values.shape[1] == len(names):
+                return values
+    rows = [line.replace(",", " ").split() for line in _lines(text)]
     data = [fields for fields in rows if fields]
     if not data:
         raise ParseError(f"{path}: no data rows")
@@ -65,8 +83,8 @@ def read_table(path, columns: str, labelled: bool = False):
             raise ValueError("ragged table")
         values = np.fromiter(map(float, chain.from_iterable(numeric)), dtype=float)
     except ValueError:
-        # converting all rows at once is the fast path; only when it
-        # fails is each row checked, to name the first bad line
+        # all rows are converted at once; only when that fails is each
+        # row checked, to name the first bad line
         for lineno, fields in enumerate(rows, start=1):
             if fields and len(fields) != len(names):
                 raise ParseError(f"{path}:{lineno}: expected {len(names)} columns "
@@ -96,7 +114,7 @@ def read_json(path) -> dict:
 def load_sidecar(path) -> dict:
     """Read a `key = value` metadata file (documented schema keys only)."""
     meta = {}
-    for lineno, line in enumerate(_lines(path), start=1):
+    for lineno, line in enumerate(_lines(_read_text(path)), start=1):
         if not line.strip():
             continue
         key, sep, val = (s.strip() for s in line.partition("="))

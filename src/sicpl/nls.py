@@ -7,6 +7,12 @@ solution. A parameter whose lower and upper bounds are equal is pinned:
 it never moves and has zero covariance. Per the reporting convention
 used throughout the toolkit, parameter margins are quoted as 3-sigma
 half-widths.
+
+Every fit in the toolkit supplies an analytic Jacobian: the exponential
+decays and tau(T) (`decay`), the ZPL Gaussian, the doublet ratio r(T)
+and the Gaussian sideband series (`spectrum`). The central-difference
+`finite_diff_jacobian` is the test oracle for all of them, and the
+default of a FitProblem built without one.
 """
 
 from __future__ import annotations
@@ -30,7 +36,10 @@ class FitProblem:
     model(p, x) must accept a parameter vector and an abscissa array and
     return predicted values; jacobian, if given, returns the (n, m)
     matrix of d model / d p_j and is checked against finite differences
-    in the test suite. lower[j] == upper[j] pins p[j] at that value.
+    in the test suite. Without one, each iteration takes 2m model
+    evaluations for a central-difference Jacobian; every fit in
+    `decay` and `spectrum` gives one. lower[j] == upper[j] pins p[j] at
+    that value.
     """
 
     model: callable

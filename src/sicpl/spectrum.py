@@ -163,6 +163,12 @@ def _doublet_ratio(r0, t0, temperature):
     return 1.0 + (r0 - 1.0) * np.exp(-np.asarray(temperature) / t0)
 
 
+def _doublet_ratio_jac(p, temperature):
+    r0, t0 = p
+    e = np.exp(-temperature / t0)
+    return np.column_stack([e, (r0 - 1.0) * e * temperature / t0**2])
+
+
 @dataclass
 class DoubletThermometry:
     """Phenomenological ratio model r(T) = 1 + (r0 - 1) exp(-T / T0)."""
@@ -213,6 +219,7 @@ def doublet_ratio_vs_T(spectra, expected_pair) -> DoubletThermometry:
         p0=np.array([r0_init, 30.0]),
         lower=np.array([0.0, 1e-3]),
         upper=np.array([np.inf, 1e4]),
+        jacobian=_doublet_ratio_jac,
     )
     fit = minimize(problem)
     out = DoubletThermometry(
@@ -283,6 +290,37 @@ def _psb_series(delta, i0, sigma, delta0, j_max, doublet):
     w_primary = 1.0 / (1.0 + ratio)
     primary = _psb_base(delta, i0, sigma, delta0, j_max)
     secondary = _psb_base(delta, i0, sigma, delta0 - splitting, j_max)
+    return w_primary * primary + (1.0 - w_primary) * secondary
+
+
+def _psb_base_jac(d, i0, sigma, delta0, j_max):
+    # With x = d - delta0, s_j = sqrt(j) sigma, u_j = x / s_j and the
+    # per-j terms g_j = exp(-u_j^2) / (sqrt(pi) s_j) of _psb_base:
+    #   d/d i0     = sum g_j
+    #   d/d sigma  = i0 sum g_j (2 u_j^2 - 1) / sigma
+    #   d/d delta0 = i0 sum g_j 2 u_j / s_j
+    # u_j^2 and u_j / s_j both carry 1 / s_j^2, so one matrix product
+    # over the (n, j_max) exponentials gives sum g_j and sum g_j / s_j^2.
+    s2 = np.arange(1, j_max + 1) * sigma**2
+    c = 1.0 / np.sqrt(math.pi * s2)
+    x = d - delta0
+    e = np.exp(np.multiply.outer(x * x, -1.0 / s2))
+    g, gs = (e @ np.column_stack([c, c / s2])).T
+    J = np.empty((d.size, 3))
+    J[:, 0] = g
+    J[:, 1] = i0 * (2.0 * x * x * gs - g) / sigma
+    J[:, 2] = i0 * 2.0 * x * gs
+    return J
+
+
+def _psb_series_jac(delta, i0, sigma, delta0, j_max, doublet):
+    """d _psb_series / d (i0, sigma, delta0) of a doublet series, as an
+    (n, 3) matrix; the pair is weighted as in _psb_series."""
+    d = np.asarray(delta, dtype=float)
+    splitting, ratio = doublet
+    w_primary = 1.0 / (1.0 + ratio)
+    primary = _psb_base_jac(d, i0, sigma, delta0, j_max)
+    secondary = _psb_base_jac(d, i0, sigma, delta0 - splitting, j_max)
     return w_primary * primary + (1.0 - w_primary) * secondary
 
 
@@ -358,6 +396,10 @@ def fit_psb(spectrum: Spectrum, zpls: ZplSet) -> PsbFit:
     def model(p, dd):
         return _psb_series(dd, max(p[0], 0.0), p[1], p[2], PSB_J_MAX, (splitting, ratio))
 
+    def jacobian(p, dd):
+        return _psb_series_jac(dd, max(p[0], 0.0), p[1], p[2], PSB_J_MAX,
+                               (splitting, ratio))
+
     d0_init = float(d_fit[np.argmax(y_fit)])
     peak = float(np.max(y_fit))
     p0 = np.array([max(peak * 3.0, 1e-9), 5.0, max(d0_init, 1.0)])
@@ -365,6 +407,7 @@ def fit_psb(spectrum: Spectrum, zpls: ZplSet) -> PsbFit:
         model=model, x=d_fit, y=y_fit, p0=p0,
         lower=np.array([0.0, 1e-3, 0.0]),
         upper=np.array([np.inf, alpha_only_max, alpha_only_max]),
+        jacobian=jacobian,
     )
     fit = minimize(problem)
     psb = PsbModel(i0=float(fit.parameters[0]), sigma=float(fit.parameters[1]),

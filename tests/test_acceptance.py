@@ -217,7 +217,15 @@ def test_7_psb_dw_partitioning():
 def test_8_engine_properties():
     from sicpl.decay import _exp_model
     from sicpl.nls import FitProblem, minimize
-    from sicpl.spectrum import _gaussian, _gaussian_jac
+    from sicpl.spectrum import (
+        PSB_J_MAX,
+        _doublet_ratio,
+        _doublet_ratio_jac,
+        _gaussian,
+        _gaussian_jac,
+        _psb_series,
+        _psb_series_jac,
+    )
     from sicpl.decay import KB_MEV_PER_K
 
     rng = np.random.default_rng(8)
@@ -263,6 +271,17 @@ def test_8_engine_properties():
     check(thermal_model, thermal_jac,
           lambda r: np.array([r.uniform(20, 400), r.uniform(5, 200),
                               r.uniform(2, 80)]), temps)
+
+    # the fit-psb model: the doublet sideband series over the bench's range
+    doublet = (1.47, 30.0 / 70.0)
+    check(lambda p, d: _psb_series(d, *p, PSB_J_MAX, doublet),
+          lambda p, d: _psb_series_jac(d, *p, PSB_J_MAX, doublet),
+          lambda r: np.array([r.uniform(1.0, 3e3), r.uniform(2.0, 12.0),
+                              r.uniform(10.0, 60.0)]),
+          np.linspace(0.1, 70.0, 1500))
+    check(lambda p, T: _doublet_ratio(p[0], p[1], T), _doublet_ratio_jac,
+          lambda r: np.array([r.uniform(0.5, 5.0), r.uniform(5.0, 100.0)]),
+          np.linspace(4.0, 100.0, 7))
     ok = worst <= 1e-5
 
     # weight rescaling must not move the optimum

@@ -1,5 +1,8 @@
 """Data types and file ingestion."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +10,7 @@ from hypothesis import strategies as st
 
 from sicpl.datatypes import DecayTrace, Spectrum
 from sicpl.errors import ParseError, ValidationError
-from sicpl.io import load_sidecar, load_spectrum, load_trace, save_two_column
+from sicpl.io import load_sidecar, load_spectrum, load_trace, read_table, save_two_column
 
 
 def test_spectrum_validation():
@@ -90,6 +93,112 @@ def test_corrupted_line_always_raises_parse_error(tmp_path_factory, row, junk):
     p.write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError):
         load_spectrum(p)
+
+
+def _reference_table(path, text, columns):
+    # line by line, as documented: universal newlines, '#' comments,
+    # fields split on commas or whitespace, float() per field
+    names = columns.split()
+    rows = []
+    for lineno, line in enumerate(re.split(r"\r\n|\r|\n", text), start=1):
+        fields = line.partition("#")[0].replace(",", " ").split()
+        if not fields:
+            continue
+        if len(fields) != len(names):
+            raise ParseError(f"{path}:{lineno}: expected {len(names)} columns "
+                             f"({columns}), got {len(fields)}")
+        try:
+            rows.append([float(v) for v in fields])
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: non-numeric value in "
+                             f"{' '.join(fields)!r}") from None
+    if not rows:
+        raise ParseError(f"{path}: no data rows")
+    return np.array(rows)
+
+
+def _check_table(path, text, columns="x_nm counts"):
+    """read_table gives the reference's values bit for bit, or its error,
+    whether warnings are errors or ignored."""
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    try:
+        want, error = _reference_table(path, text, columns), None
+    except ParseError as exc:
+        want, error = None, str(exc)
+    for action in ("error", "ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            if error is not None:
+                with pytest.raises(ParseError) as err:
+                    read_table(path, columns)
+                assert str(err.value) == error
+                continue
+            got = read_table(path, columns)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("text", [
+    "1 2\r\n3 4\r\n",
+    "1 2\r3 4\r",
+    "1 2\r3 4 5\n",
+    "# only a comment\n",
+    "",
+    "\n \n,\n",
+    "1 2\n3\n",
+    "1 2 3\n",
+    "1_000 2\n",
+    "0x1p3 2\n",
+    "1e400 -1e400\n1e-400 2\n",
+    "nan -inf\nInfinity -nan\n",
+    "1\u00a02\n",
+    "1 2\u20283 4\n",
+    "1 2\u2028\n",
+    "\"1\" 2\n",
+    "'1' '2'\n",
+    "1,2,\n,3,,4\n",
+    "1 2 # 3 4\n#\n5\t6",
+    "\ufeff1 2\n",
+    "1 2\x0c\n3\x0b4\n",
+    "\u0661 2\n",
+    "1d5 2\n",
+])
+@pytest.mark.parametrize("columns", ["counts", "x_nm counts"])
+def test_read_table_edge_cases(tmp_path, text, columns):
+    _check_table(tmp_path / "t.txt", text, columns)
+
+
+_NUMBER = st.one_of(st.floats(allow_nan=False, width=64).map(repr),
+                    st.integers(-10**20, 10**20).map(str),
+                    st.sampled_from(["nan", "-inf", "1e400", "-0", ".5", "5."]))
+_ODD = st.sampled_from(["1_000", "0x1p3", "abc", "1.2.3", "--", "1e", "\u00a0", '"5"'])
+
+
+@st.composite
+def _tables(draw):
+    columns = draw(st.sampled_from(["counts", "x_nm counts", "T_K tau_ns sigma_ns"]))
+    k = len(columns.split())
+    lines = []
+    for _ in range(draw(st.integers(1, 8))):
+        # mostly well-formed rows, so that numpy's reader takes many tables
+        n = draw(st.sampled_from([k] * 12 + [0, k - 1, k + 1]))
+        tokens = [draw(_ODD if draw(st.integers(0, 29)) == 0 else _NUMBER)
+                  for _ in range(n)]
+        seps = [draw(st.sampled_from([" ", "\t", ",", ", ", " \t", ",,"])) for _ in tokens]
+        lead = draw(st.sampled_from(["", " ", "\t", ","]))
+        comment = draw(st.sampled_from(["", "", " # note, 1 2", "#"]))
+        end = draw(st.sampled_from(["\n", "\r\n"]))
+        lines.append(lead + "".join(sep + tok for sep, tok in zip(["", *seps[1:]], tokens))
+                     + comment + end)
+    return "".join(lines), columns
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables())
+def test_read_table_matches_line_by_line_reference(tmp_path_factory, table):
+    text, columns = table
+    _check_table(tmp_path_factory.mktemp("tab") / "t.txt", text, columns)
 
 
 def test_load_trace_requires_pulse_metadata(tmp_path):

@@ -14,6 +14,7 @@ from sicpl.errors import (
     ModelInconsistencyError,
     ValidationError,
 )
+from sicpl.nls import finite_diff_jacobian
 from sicpl.spectrum import (
     EV_NM_MEV,
     HRModel,
@@ -27,6 +28,8 @@ from sicpl.spectrum import (
     hr_lineshape,
     partition_dw,
     psb_eval,
+    _psb_series,
+    _psb_series_jac,
     to_phonon_axis,
 )
 from sicpl.synth import GeneratorSpec, generate
@@ -109,6 +112,22 @@ def test_psb_area_invariant(sigma, delta0, j_max, ratio):
     d = np.linspace(delta0 - 12.0 * sigma * math.sqrt(j_max), span, 6000)
     area = np.trapezoid(psb_eval(model, d), d)
     assert area == pytest.approx(model.area, rel=1e-6)
+
+
+def test_psb_jacobian_at_zero_i0():
+    # fit-psb evaluates the series at max(i0, 0), so a central difference
+    # at the bound i0 = 0 sees only its upper half and returns half the
+    # slope; the analytic i0 column is the unit-i0 series there too
+    doublet = (1.47, 30.0 / 70.0)
+    d = np.linspace(0.1, 70.0, 1500)
+    unit = _psb_series(d, 1.0, 6.0, 35.0, 10, doublet)
+    J = _psb_series_jac(d, 0.0, 6.0, 35.0, 10, doublet)
+    np.testing.assert_allclose(J[:, 0], unit, rtol=1e-12, atol=0.0)
+    assert not J[:, 1:].any()
+    fd = finite_diff_jacobian(
+        lambda p, x: _psb_series(x, max(p[0], 0.0), p[1], p[2], 10, doublet),
+        np.array([0.0, 6.0, 35.0]), d)
+    np.testing.assert_allclose(fd[:, 0], 0.5 * unit, rtol=1e-6)
 
 
 def test_psb_validation():
