@@ -146,16 +146,13 @@ def _initial_tau(t, y):
     return max((t[-1] - t[0]) / 3.0, 1e-3)
 
 
-def _fit_exponentials(t, y, w, p0, background=0.0, fixed_slow_tau=None):
+def _fit_exponentials(t, y, w, p0, background=0.0):
     """Two-pass fit: observed-count weights first, then weights from the
-    fitted expectation (removes the low-count bias of observed weighting).
-    fixed_slow_tau pins p[1], the first component's tau."""
+    fitted expectation (removes the low-count bias of observed weighting)."""
     n_components = len(p0) // 2
     model, jac = _exp_model(n_components)
     lower = np.array(EXP_LOWER * n_components)
     upper = np.full(2 * n_components, np.inf)
-    if fixed_slow_tau is not None:
-        lower[1] = upper[1] = fixed_slow_tau
     fit = minimize(FitProblem(model=model, x=t, y=y, weights=w, p0=np.asarray(p0, float),
                               lower=lower, upper=upper, jacobian=jac))
     w2 = 1.0 / np.maximum(model(fit.parameters, t) + background, 1.0)
@@ -164,21 +161,14 @@ def _fit_exponentials(t, y, w, p0, background=0.0, fixed_slow_tau=None):
                                jacobian=jac))
 
 
-def fit_decay(trace: DecayTrace, kind: str = "auto", fit_window=None,
-              fixed_slow_tau: float | None = None) -> DecayFitResult:
+def fit_decay(trace: DecayTrace, kind: str = "auto", fit_window=None) -> DecayFitResult:
     """Fit exponential decay(s) to a background-subtracted trace.
 
     kind is 'single', 'double' or 'auto'; 'auto' keeps the double model
     only when it beats the single model by more than 10 AIC units.
-    fixed_slow_tau pins the slow component of a double fit (used when the
-    slow channel is known from another band) with zero margin; the fit
-    is otherwise the free double fit, two-pass weighting included.
-    Default is fully free.
     """
     if kind not in ("single", "double", "auto"):
         raise ValidationError(f"unknown fit kind {kind!r}")
-    if fixed_slow_tau is not None and not (np.isfinite(fixed_slow_tau) and fixed_slow_tau > 0):
-        raise ValidationError(f"fixed_slow_tau must be finite and > 0, got {fixed_slow_tau}")
     bg = estimate_background(trace)
     if fit_window is None:
         fit_window = _default_window(trace, bg)
@@ -229,11 +219,10 @@ def fit_decay(trace: DecayTrace, kind: str = "auto", fit_window=None,
     # double-fit initialization brackets the single-fit tau at 1/3 and 3x
     tau_s = single.parameters[1]
     amp = single.parameters[0] / 2.0
-    slow_tau = 3.0 * tau_s if fixed_slow_tau is None else fixed_slow_tau
     fallback = None
     try:
-        double = _fit_exponentials(t, y, w, [amp, slow_tau, amp, tau_s / 3.0],
-                                   bg.mean, fixed_slow_tau)
+        double = _fit_exponentials(t, y, w, [amp, 3.0 * tau_s, amp, tau_s / 3.0],
+                                   bg.mean)
     except DegenerateFitError:
         fallback = "double fit degenerate; collapsed to single"
     else:
@@ -252,11 +241,36 @@ def fit_decay(trace: DecayTrace, kind: str = "auto", fit_window=None,
     return as_result(single, "single")
 
 
+def _arrhenius_start(T, tau_tot, sigma):
+    """(tau, tau_p, E_p) read off the Arrhenius line of the excess rate.
+
+    tau is the coldest row with sigma < tau/2 (the coldest row if none
+    is). Over the rows where that holds and k = 1/tau_tot - 1/tau > 0,
+    ln k = -ln tau_p - E_p/(kB T) is fitted as a weighted line; with fewer
+    than two such temperatures the start is (tau, tau, 20 meV).
+    """
+    ok = sigma < tau_tot / 2
+    if ok.any():
+        T, tau_tot, sigma = T[ok], tau_tot[ok], sigma[ok]
+    tau0 = float(tau_tot[np.argmin(T)])
+    k = 1.0 / tau_tot - 1.0 / tau0 if ok.any() else np.zeros(T.size)
+    use = k > 0
+    if np.unique(T[use]).size < 2:
+        return tau0, tau0, 20.0
+    # weights 1/sd(ln k), with sd(ln k) = sigma / (tau_tot^2 k)
+    e_p0, ln_rate = np.polyfit(-1.0 / (KB_MEV_PER_K * T[use]), np.log(k[use]), 1,
+                               w=tau_tot[use] ** 2 * k[use] / sigma[use])
+    tau_p0 = np.exp(np.clip(-ln_rate, np.log(1e-3), np.log(1e6)))
+    return tau0, float(tau_p0), float(np.clip(e_p0, 1e-3, 1e3))
+
+
 def fit_thermal(points) -> ThermalModel:
     """Weighted fit of the thermally activated decay model.
 
     points: iterable of (T_K, tau_tot_ns, sigma_ns). Needs >= 4 points on
-    >= 3 distinct temperatures.
+    >= 3 distinct temperatures. One fit, started from the Arrhenius line
+    of the excess rate 1/tau_tot - 1/tau (see _arrhenius_start); a
+    DegenerateFitError from it propagates.
     """
     pts = np.asarray(list(points), dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
@@ -285,35 +299,19 @@ def fit_thermal(points) -> ThermalModel:
         J[:, 2] = boltz / (tau_p * rate**2 * KB_MEV_PER_K * TT)
         return J
 
-    tau0 = float(tau_tot[np.argmin(T)])
-    best = None
-    for e_p0 in (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0):
-        i_hot = int(np.argmax(T))
-        boltz = np.exp(-e_p0 / (KB_MEV_PER_K * T[i_hot]))
-        extra = 1.0 / tau_tot[i_hot] - 1.0 / tau0
-        tau_p0 = boltz / extra if extra > 0 else tau0
-        tau_p0 = min(max(tau_p0, 1e-3), 1e6)
-        problem = FitProblem(
-            model=model, x=T, y=tau_tot, weights=w,
-            p0=np.array([tau0, tau_p0, e_p0]),
-            lower=np.array([1e-6, 1e-6, 1e-6]),
-            upper=np.full(3, np.inf), jacobian=jac,
-        )
-        try:
-            fit = minimize(problem)
-        except DegenerateFitError:
-            continue
-        if best is None or fit.cost < best.cost:
-            best = fit
-    if best is None:
-        raise DegenerateFitError("thermal model unidentifiable on these points")
+    fit = minimize(FitProblem(
+        model=model, x=T, y=tau_tot, weights=w,
+        p0=np.array(_arrhenius_start(T, tau_tot, sigma)),
+        lower=np.array([1e-6, 1e-6, 1e-6]),
+        upper=np.full(3, np.inf), jacobian=jac,
+    ))
     return ThermalModel(
-        tau=float(best.parameters[0]),
-        tau_p=float(best.parameters[1]),
-        e_p=float(best.parameters[2]),
-        sigma3=best.sigma3,
-        reduced_chi2=best.reduced_chi2,
-        fit=best,
+        tau=float(fit.parameters[0]),
+        tau_p=float(fit.parameters[1]),
+        e_p=float(fit.parameters[2]),
+        sigma3=fit.sigma3,
+        reduced_chi2=fit.reduced_chi2,
+        fit=fit,
     )
 
 

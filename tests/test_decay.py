@@ -91,15 +91,6 @@ def test_forced_double_on_single_data_collapses():
         assert len(res.components) == 2
 
 
-def test_fixed_slow_tau():
-    tr = make_trace([(2e4, 158.5), (2e4, 43.3)], pulse=1000.0,
-                    t_end=3000.0, seed=5)
-    res = fit_decay(tr, kind="double", fixed_slow_tau=158.5)
-    assert res.components[0][1] == 158.5
-    assert res.sigma3[1] == 0.0  # pinned parameter carries no uncertainty
-    assert abs(res.components[1][1] - 43.3) <= max(res.sigma3[3], 1.0)
-
-
 FALLBACK_WARNINGS = {
     "accepted": [],
     "collapsed": ["double fit collapsed to single (tau1 ~= tau2)"],
@@ -130,14 +121,6 @@ def test_double_fit_fallback(monkeypatch, kind, double_fit):
     res = fit_decay(tr, kind=kind)
     assert res.model_kind == ("double" if double_fit == "accepted" else "single")
     assert res.warnings == (FALLBACK_WARNINGS[double_fit] if kind == "double" else [])
-
-
-@pytest.mark.parametrize("tau", [-5.0, 0.0, np.inf, np.nan])
-def test_fixed_slow_tau_validation(tau):
-    tr = make_trace([(2e4, 158.5), (2e4, 43.3)], pulse=1000.0,
-                    t_end=3000.0, seed=5)
-    with pytest.raises(ValidationError, match="fixed_slow_tau"):
-        fit_decay(tr, kind="double", fixed_slow_tau=tau)
 
 
 def test_fit_window_validation():
@@ -203,8 +186,8 @@ def test_fit_thermal_recovery():
 
 # the slow lifetimes a batch of bench traces gave (lifetime-study seed 2,
 # single traces, stratum 2): the 4 K fit went to a spurious double whose
-# tau1 of 8.6e9 ns carries a margin of 1.2e17 ns, so that row has no weight
-# and six of the seven starting E_p values stop at tau ~ 8.5e9 ns
+# tau1 of 8.6e9 ns carries a margin of 1.2e17 ns, so the coldest row has no
+# weight and the start must take tau from the next coldest row instead
 ZERO_WEIGHT_COLDEST = [
     (4, 8586330000.0, 3.9333333333333336e+16), (25, 164.356, 0.9333333333333332),
     (50, 163.719, 0.89), (75, 159.158, 0.9), (100, 153.91, 0.9500000000000001),
@@ -218,6 +201,35 @@ def test_fit_thermal_zero_weight_coldest_point():
     assert abs(m.tau - 164.2) <= m.sigma3[0]
 
 
+THERMAL_TEMPS = np.array([4.0, 25.0, 50.0, 75.0, 100.0, 125.0, 150.0, 175.0])
+
+
+def test_arrhenius_start_noiseless():
+    tau_tot = thermal_lifetime(THERMAL_TEMPS, 163.0, 83.0, 28.0)
+    start = decay._arrhenius_start(THERMAL_TEMPS, tau_tot, 0.02 * tau_tot)
+    assert start == pytest.approx((163.0, 83.0, 28.0), rel=1e-9)
+    # no row has sigma < tau/2: the coldest row and 20 meV
+    start = decay._arrhenius_start(THERMAL_TEMPS, tau_tot, tau_tot)
+    assert start == (tau_tot[0], tau_tot[0], 20.0)
+
+
+def test_arrhenius_start_skips_zero_weight_coldest_point():
+    T, tau_tot, sigma = np.array(ZERO_WEIGHT_COLDEST, dtype=float).T
+    assert decay._arrhenius_start(T, tau_tot, sigma)[0] == 164.356
+
+
+def test_fit_thermal_minimizes_once(monkeypatch):
+    real, calls = decay.minimize, []
+
+    def counting_minimize(problem):
+        calls.append(problem)
+        return real(problem)
+
+    monkeypatch.setattr(decay, "minimize", counting_minimize)
+    fit_thermal(ZERO_WEIGHT_COLDEST)
+    assert len(calls) == 1
+
+
 def test_fit_thermal_input_guards():
     with pytest.raises(ValidationError):
         fit_thermal([(4.0, 160.0, 1.0)] * 3)  # too few points
@@ -227,6 +239,10 @@ def test_fit_thermal_input_guards():
     with pytest.raises(ValidationError):
         fit_thermal([(4.0, 160.0, 0.0), (25.0, 159.0, 1.0),
                      (50.0, 150.0, 1.0), (75.0, 140.0, 1.0)])
+    with pytest.raises(DegenerateFitError):
+        # no excess rate anywhere: tau_p and E_p are not identified
+        fit_thermal([(4.0, 160.0, 1.0), (25.0, 160.0, 1.0),
+                     (50.0, 160.0, 1.0), (75.0, 160.0, 1.0)])
 
 
 # ---------------------------------------------------------------------------
