@@ -80,7 +80,8 @@ def _write_manifest(out_dir, args):
         fh.write("\n")
 
 
-def _report_lines(title, rows, notes=()):
+def _report_lines(title, rows, notes=(), fit=None):
+    """Report text: title, rows and notes, with a note if `fit` hit the iteration cap."""
     lines = [title, "=" * len(title)]
     width = max((len(r[0]) for r in rows), default=0)
     for name, value, *margin in rows:
@@ -90,6 +91,8 @@ def _report_lines(title, rows, notes=()):
             lines.append(f"{name:<{width}}  {value:.6g}")
         else:
             lines.append(f"{name:<{width}}  {value}")
+    if fit is not None and not fit.converged:
+        notes = [*notes, f"fit did not converge in {fit.n_iterations} iterations"]
     for note in notes:
         lines.append(f"note: {note}")
     return "\n".join(lines) + "\n"
@@ -153,7 +156,7 @@ def _cmd_fit_decay(args):
         for amp, tau in res.components:
             model[after] += amp * np.exp(-(t[after] - trace.pulse_time) / tau)
         files["fit-decay_model.txt"] = (t, model, "time_ns model_counts")
-    return "fit-decay_report.txt", _report_lines("Decay fit", rows, res.warnings), files
+    return "fit-decay_report.txt", _report_lines("Decay fit", rows, res.warnings, res.fit), files
 
 
 def _cmd_fit_thermal(args):
@@ -163,7 +166,7 @@ def _cmd_fit_thermal(args):
         ("tau_p [ns]", model.tau_p, model.sigma3[1]),
         ("E_p [meV]", model.e_p, model.sigma3[2]),
         ("reduced chi2", model.reduced_chi2),
-    ])
+    ], fit=model.fit)
     return "fit-thermal_report.txt", text, {}
 
 

@@ -197,10 +197,6 @@ def fit_decay(trace: DecayTrace, kind: str = "auto", fit_window=None) -> DecayFi
         sig = []
         for k in order:
             sig.extend([s3[2 * k], s3[2 * k + 1]])
-        warns = list(warnings)
-        n = len(pairs)
-        if np.any(fit.at_bound(np.array(EXP_LOWER * n), np.full(2 * n, np.inf))):
-            warns.append("boundary-solution: parameter pinned at bound")
         return DecayFitResult(
             background=bg.mean,
             background_error=bg.std_error,
@@ -209,7 +205,7 @@ def fit_decay(trace: DecayTrace, kind: str = "auto", fit_window=None) -> DecayFi
             model_kind=kind_name,
             reduced_chi2=fit.reduced_chi2,
             converged=fit.converged,
-            warnings=warns,
+            warnings=list(warnings),
             fit=fit,
         )
 

@@ -1,12 +1,12 @@
 """Weighted nonlinear least-squares minimizer (Levenberg-Marquardt).
 
 Minimizes sum_i w_i * (y_i - f(p, x_i))^2 with multiplicative damping
-(lambda x10 on rejection, /10 on acceptance), box bounds by projected
-steps, and parameter covariance reduced_chi2 * (J^T W J)^-1 at the
-solution. A parameter whose lower and upper bounds are equal is pinned:
-it never moves and has zero covariance. Per the reporting convention
-used throughout the toolkit, parameter margins are quoted as 3-sigma
-half-widths.
+(lambda x10 on rejection, /10 on acceptance) and parameter covariance
+reduced_chi2 * (J^T W J)^-1 at the solution. Box bounds work through an
+active set (Bertsekas 1982): a parameter on a bound whose gradient points
+out of the box is held for that step. Equal bounds are the always-held
+case, and such a parameter has zero covariance. Per the reporting
+convention used throughout the toolkit, margins are 3-sigma half-widths.
 
 Every fit in the toolkit supplies an analytic Jacobian: the exponential
 decays and tau(T) (`decay`), the ZPL Gaussian, the doublet ratio r(T)
@@ -38,8 +38,8 @@ class FitProblem:
     matrix of d model / d p_j and is checked against finite differences
     in the test suite. Without one, each iteration takes 2m model
     evaluations for a central-difference Jacobian; every fit in
-    `decay` and `spectrum` gives one. lower[j] == upper[j] pins p[j] at
-    that value.
+    `decay` and `spectrum` gives one. lower[j] == upper[j] holds p[j]
+    at that value on every step of `minimize`'s active set.
     """
 
     model: callable
@@ -91,11 +91,6 @@ class FitResult:
         """3-sigma half-widths per parameter."""
         return 3.0 * self.sigma
 
-    def at_bound(self, lower, upper, rtol=1e-8) -> np.ndarray:
-        p = self.parameters
-        scale = np.maximum(np.abs(p), 1.0)
-        return (np.abs(p - lower) <= rtol * scale) | (np.abs(p - upper) <= rtol * scale)
-
 
 def finite_diff_jacobian(model, p, xs, h=FD_STEP) -> np.ndarray:
     """Central-difference Jacobian of model(p, xs) w.r.t. p.
@@ -123,7 +118,7 @@ def finite_diff_jacobian(model, p, xs, h=FD_STEP) -> np.ndarray:
 
 def _cost(problem, p):
     f = np.asarray(problem.model(p, problem.x), dtype=float)
-    if np.any(~np.isfinite(f)):
+    if not np.isfinite(f).all():
         raise EvaluationError("model returned non-finite values")
     r = problem.y - f
     return float(np.sum(problem.weights * r * r)), r
@@ -132,7 +127,7 @@ def _cost(problem, p):
 def _jacobian(problem, p):
     if problem.jacobian is not None:
         J = np.asarray(problem.jacobian(p, problem.x), dtype=float)
-        if np.any(~np.isfinite(J)):
+        if not np.isfinite(J).all():
             raise EvaluationError("analytic Jacobian returned non-finite values")
         return J
     return finite_diff_jacobian(problem.model, p, problem.x)
@@ -140,7 +135,7 @@ def _jacobian(problem, p):
 
 def _covariance(problem, p, cost):
     """reduced_chi2 * (J^T W J)^-1 over the free parameters, symmetrized;
-    pinned parameters get zero rows and columns. Raises on rank deficiency."""
+    equal-bound parameters get zero rows and columns. Raises on rank deficiency."""
     J = _jacobian(problem, p)
     free = np.flatnonzero(problem.lower != problem.upper)
     A = (J.T @ (problem.weights[:, None] * J))[np.ix_(free, free)]
@@ -175,21 +170,21 @@ def minimize(problem: FitProblem) -> FitResult:
     change < COST_TOL; converged is False when MAX_ITER is hit first.
     """
     p = problem.p0.copy()
-    pinned = problem.lower == problem.upper
     cost, r = _cost(problem, p)
     lam = 1e-3
     converged = False
     n_iter = 0
     for n_iter in range(1, MAX_ITER + 1):
         J = _jacobian(problem, p)
-        if pinned.any():  # a zero column gives a pinned parameter a zero step
-            J = np.where(pinned, 0.0, J)
         W = problem.weights
-        A = J.T @ (W[:, None] * J)
         g = J.T @ (W * r)
-        diag = np.diag(A).copy()
-        floor = 1e-14 * max(diag.max(), 1e-300)
-        diag = np.maximum(diag, floor)
+        # active set: a zero column and gradient give a held parameter a zero step
+        held = ((p <= problem.lower) & (g <= 0)) | ((p >= problem.upper) & (g >= 0))
+        if held.any():
+            J, g = np.where(held, 0.0, J), np.where(held, 0.0, g)
+        A = J.T @ (W[:, None] * J)
+        diag = A.diagonal()
+        diag = np.maximum(diag, 1e-14 * max(diag.max(), 1e-300))
         accepted = False
         while lam < 1e14:
             try:

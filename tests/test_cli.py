@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from sicpl import nls
 from sicpl.cli import main
 from sicpl.decay import thermal_lifetime
 from sicpl.io import SIDECAR_KEYS
@@ -216,6 +217,24 @@ def test_fit_thermal_cli(tmp_path):
     assert run("fit-thermal", "--points", str(pts), "--out", str(out)) == 0
     report = (out / "fit-thermal_report.txt").read_text()
     assert "E_p [meV]" in report
+
+
+def test_unconverged_fits_say_so(decay_files, monkeypatch):
+    tmp_path, trace = decay_files
+    # only the hottest row shows an excess rate, so the cost keeps falling
+    # as E_p grows and the fit ends at the iteration cap
+    pts = tmp_path / "pts.txt"
+    pts.write_text("4 160 1\n25 160 1\n50 160 1\n175 120 1\n")
+    assert run("fit-thermal", "--points", str(pts), "--out", str(tmp_path / "th")) == 0
+    note = f"note: fit did not converge in {nls.MAX_ITER} iterations\n"
+    assert (tmp_path / "th" / "fit-thermal_report.txt").read_text().endswith(note)
+    decay = ["fit-decay", "--trace", str(trace), "--pulse-ns", "100"]
+    assert run(*decay, "--out", str(tmp_path / "a")) == 0
+    assert "note:" not in (tmp_path / "a" / "fit-decay_report.txt").read_text()
+    monkeypatch.setattr(nls, "MAX_ITER", 2)
+    assert run(*decay, "--out", str(tmp_path / "b")) == 0
+    report = (tmp_path / "b" / "fit-decay_report.txt").read_text()
+    assert report.endswith("note: fit did not converge in 2 iterations\n")
 
 
 def test_zpl_and_psb_cli(tmp_path):

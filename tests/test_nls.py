@@ -136,6 +136,19 @@ def test_equal_bounds_pin_a_parameter():
     assert pinned.reduced_chi2 == pytest.approx(ref.reduced_chi2, rel=1e-9)
 
 
+def test_parameter_on_a_bound_is_released():
+    # a start on either bound with the gradient pointing into the box must
+    # not hold the parameter there: the fit reaches the unconstrained optimum
+    x = np.linspace(0.0, 10.0, 20)
+    y = 3.0 + 0.5 * x
+    inf = np.full(2, np.inf)
+    for p0, lower, upper in ((np.zeros(2), np.zeros(2), inf),
+                             (np.array([10.0, 2.0]), -inf, np.array([10.0, 2.0]))):
+        fit = minimize(FitProblem(model=linear, x=x, y=y, p0=p0, lower=lower, upper=upper))
+        assert fit.converged
+        assert np.allclose(fit.parameters, [3.0, 0.5], atol=1e-10)
+
+
 def test_non_finite_model_rejected():
     x = np.linspace(0.0, 5.0, 10)
 

@@ -1,12 +1,14 @@
 """ZPL fitting, sideband series, lineshape and DW partitioning."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sicpl import spectrum
 from sicpl.datatypes import Spectrum
 from sicpl.errors import (
     InsufficientDataError,
@@ -14,7 +16,7 @@ from sicpl.errors import (
     ModelInconsistencyError,
     ValidationError,
 )
-from sicpl.nls import finite_diff_jacobian
+from sicpl.nls import finite_diff_jacobian, minimize
 from sicpl.spectrum import (
     EV_NM_MEV,
     HRModel,
@@ -74,6 +76,41 @@ def test_resolution_limited_fwhm_is_upper_bound():
     line = zpls["alpha3"]
     assert line.fwhm_is_upper_bound
     assert line.fwhm == pytest.approx(0.4)  # two pixels
+
+
+def test_zpl_fits_with_background_on_its_bound(monkeypatch):
+    # Poisson spectra at 0.3x-10x of the benchmark's lines and sidebands:
+    # where the local background B ends on its bound 0, the fit must reach
+    # the cost of the same problem with B held at 0 by equal bounds, and
+    # no fit may crawl along the bound
+    fits = []
+
+    def recording_minimize(problem):
+        fits.append((problem, minimize(problem)))
+        return fits[-1][1]
+
+    monkeypatch.setattr(spectrum, "minimize", recording_minimize)
+    lines = [("alpha3", 1280.0, 3.0), ("alpha2", C2, 3.0), ("beta", CB, 4.0)]
+    for seed, scale in enumerate(np.geomspace(0.3, 10.0, 60)):
+        truth = {"zpl": [("alpha3", 1280.0, 0.3, 700.0 * scale),
+                         ("alpha2", C2, 0.3, 300.0 * scale),
+                         ("beta", CB, 0.3, 400.0 * scale)],
+                 "psb": [{"i0": 90.0 * scale, "sigma": 6.0, "delta0": 35.0, "j_max": 10,
+                          "e_ref_nm": 1280.0, "doublet": [1.47, 300.0 / 700.0]},
+                         {"i0": 230.0 * scale, "sigma": 6.0, "delta0": 50.0, "j_max": 3,
+                          "e_ref_nm": CB}]}
+        find_zpls(generate(GeneratorSpec(
+            seed=seed, kind="spectrum", truth=truth, noise={"kind": "poisson"},
+            sampling={"wl_start": 1270.0, "wl_end": 1340.0, "step_nm": 0.05})), lines)
+    assert len(fits) == 180
+    assert all(fit.converged and fit.n_iterations <= 20 for _, fit in fits)
+    on_bound = [(problem, fit) for problem, fit in fits if fit.parameters[0] == 0.0]
+    assert len(on_bound) >= 20
+    for problem, fit in on_bound:
+        lower, upper, p0 = problem.lower.copy(), problem.upper.copy(), problem.p0.copy()
+        lower[0] = upper[0] = p0[0] = 0.0
+        held = minimize(replace(problem, lower=lower, upper=upper, p0=p0))
+        assert fit.cost == pytest.approx(held.cost, rel=1e-10)
 
 
 def test_line_not_found():
