@@ -8,7 +8,7 @@ pooling of lifetimes across spectral bands.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .errors import (
     NoDataError,
     ValidationError,
 )
-from .nls import FitProblem, FitResult, minimize
+from .nls import FitProblem, FitResult, minimize, reuse_last
 
 # Thermally-assisted channels roughly 4x apart in the data; anything
 # within this relative difference is treated as the same channel.
@@ -29,8 +29,13 @@ CHANNEL_MATCH_RTOL = 0.30
 # "Decisive" evidence threshold for preferring the double exponential.
 AIC_THRESHOLD = 10.0
 
-# lower bounds of each (A, tau) pair of the exponential fits; no upper bounds
-EXP_LOWER = (0.0, 1e-6)
+# Bounds of the exponential fits, in (A1, tau1[, A2, r]) with tau2 = r * tau1.
+# r <= R_MAX keeps tau1 the slow component and ends the walk of two
+# lifetimes into each other: a double fit with r held at R_MAX has
+# collapsed to one lifetime.
+R_MAX = 0.98
+EXP_LOWER = (0.0, 1e-6, 0.0, 1e-12)
+EXP_UPPER = (np.inf, np.inf, np.inf, R_MAX)
 
 
 @dataclass
@@ -116,20 +121,33 @@ def _default_window(trace, bg):
 
 
 def _exp_model(n_components):
+    """(model, jacobian) of sum_k A_k exp(-t / tau_k) in p = (A1, tau1) or,
+    for two components, p = (A1, tau1, A2, r) with tau2 = r * tau1.
+
+    Both share the exponentials of the last evaluation (nls.reuse_last).
+    """
+    @reuse_last
+    def exps(p, t):
+        e1 = np.exp(-t / p[1])
+        return (e1,) if n_components == 1 else (e1, np.exp(-t / (p[3] * p[1])))
+
     def model(p, t):
-        out = np.zeros_like(t)
-        for k in range(n_components):
-            A, tau = p[2 * k], p[2 * k + 1]
-            out = out + A * np.exp(-t / tau)
-        return out
+        e = exps(p, t)
+        return p[0] * e[0] if n_components == 1 else p[0] * e[0] + p[2] * e[1]
 
     def jac(p, t):
+        A1, tau1 = p[0], p[1]
+        e = exps(p, t)
         J = np.empty((t.size, 2 * n_components))
-        for k in range(n_components):
-            A, tau = p[2 * k], p[2 * k + 1]
-            e = np.exp(-t / tau)
-            J[:, 2 * k] = e
-            J[:, 2 * k + 1] = A * e * t / tau**2
+        J[:, 0] = e[0]
+        J[:, 1] = A1 * e[0] * t / tau1**2
+        if n_components == 2:
+            A2, r, e2 = p[2], p[3], e[1]
+            # d/d tau1 and d/dr of A2 exp(-t / (r tau1)) share A2 e2 t / tau2
+            g2 = A2 * e2 * t / (r * tau1)
+            J[:, 1] += g2 / tau1
+            J[:, 2] = e2
+            J[:, 3] = g2 / r
         return J
 
     return model, jac
@@ -149,10 +167,9 @@ def _initial_tau(t, y):
 def _fit_exponentials(t, y, w, p0, background=0.0):
     """Two-pass fit: observed-count weights first, then weights from the
     fitted expectation (removes the low-count bias of observed weighting)."""
-    n_components = len(p0) // 2
-    model, jac = _exp_model(n_components)
-    lower = np.array(EXP_LOWER * n_components)
-    upper = np.full(2 * n_components, np.inf)
+    m = len(p0)
+    model, jac = _exp_model(m // 2)
+    lower, upper = np.array(EXP_LOWER[:m]), np.array(EXP_UPPER[:m])
     fit = minimize(FitProblem(model=model, x=t, y=y, weights=w, p0=np.asarray(p0, float),
                               lower=lower, upper=upper, jacobian=jac))
     w2 = 1.0 / np.maximum(model(fit.parameters, t) + background, 1.0)
@@ -161,11 +178,30 @@ def _fit_exponentials(t, y, w, p0, background=0.0):
                                jacobian=jac))
 
 
+def _as_lifetimes(fit: FitResult) -> FitResult:
+    """A double fit in (A1, tau1, A2, r) mapped to (A1, tau1, A2, tau2 = r tau1).
+
+    The covariance becomes T C T^T, with T the Jacobian of (A1, tau1, A2,
+    r tau1): the Gauss-Newton covariance of the same fit made in tau2.
+    """
+    A1, tau1, A2, r = fit.parameters
+    T = np.eye(4)
+    T[3] = [0.0, r, 0.0, tau1]
+    return replace(fit, parameters=np.array([A1, tau1, A2, r * tau1]),
+                   covariance=T @ fit.covariance @ T.T)
+
+
 def fit_decay(trace: DecayTrace, kind: str = "auto", fit_window=None) -> DecayFitResult:
     """Fit exponential decay(s) to a background-subtracted trace.
 
     kind is 'single', 'double' or 'auto'; 'auto' keeps the double model
     only when it beats the single model by more than 10 AIC units.
+
+    The double model is fitted as (A1, tau1, A2, r) with tau2 = r tau1 and
+    r <= R_MAX, so tau1 is the slow component. A double fit that ends with
+    r held at R_MAX has collapsed to one lifetime; it, and a degenerate
+    double fit, fall back to the single fit. Results report (A1, tau1, A2,
+    tau2) with the covariance mapped to match.
     """
     if kind not in ("single", "double", "auto"):
         raise ValidationError(f"unknown fit kind {kind!r}")
@@ -189,19 +225,12 @@ def fit_decay(trace: DecayTrace, kind: str = "auto", fit_window=None) -> DecayFi
     single = _fit_exponentials(t, y, w, [a0, tau0], bg.mean)
 
     def as_result(fit, kind_name, warnings=()):
-        pairs = [(fit.parameters[2 * k], fit.parameters[2 * k + 1])
-                 for k in range(len(fit.parameters) // 2)]
-        s3 = list(fit.sigma3)
-        order = sorted(range(len(pairs)), key=lambda k: -pairs[k][1])
-        comps = [pairs[k] for k in order]
-        sig = []
-        for k in order:
-            sig.extend([s3[2 * k], s3[2 * k + 1]])
+        p = fit.parameters
         return DecayFitResult(
             background=bg.mean,
             background_error=bg.std_error,
-            components=comps,
-            sigma3=sig,
+            components=[(p[k], p[k + 1]) for k in range(0, p.size, 2)],
+            sigma3=list(fit.sigma3),
             model_kind=kind_name,
             reduced_chi2=fit.reduced_chi2,
             converged=fit.converged,
@@ -212,18 +241,17 @@ def fit_decay(trace: DecayTrace, kind: str = "auto", fit_window=None) -> DecayFi
     if kind == "single":
         return as_result(single, "single")
 
-    # double-fit initialization brackets the single-fit tau at 1/3 and 3x
+    # the double starts around the single-fit tau: tau1 = 3 tau_s, tau2 = tau1 / 9
     tau_s = single.parameters[1]
     amp = single.parameters[0] / 2.0
     fallback = None
     try:
-        double = _fit_exponentials(t, y, w, [amp, 3.0 * tau_s, amp, tau_s / 3.0],
+        double = _fit_exponentials(t, y, w, [amp, 3.0 * tau_s, amp, 1.0 / 9.0],
                                    bg.mean)
     except DegenerateFitError:
         fallback = "double fit degenerate; collapsed to single"
     else:
-        taus = sorted([double.parameters[1], double.parameters[3]])
-        if abs(taus[1] - taus[0]) < 0.02 * taus[1]:
+        if double.parameters[3] >= R_MAX:
             fallback = "double fit collapsed to single (tau1 ~= tau2)"
     # only a forced double fit reports falling back to the single fit
     if fallback is not None:
@@ -233,7 +261,7 @@ def fit_decay(trace: DecayTrace, kind: str = "auto", fit_window=None) -> DecayFi
     aic_single = single.cost + 2 * 2
     aic_double = double.cost + 2 * len(double.parameters)
     if kind == "double" or aic_single - aic_double > AIC_THRESHOLD:
-        return as_result(double, "double")
+        return as_result(_as_lifetimes(double), "double")
     return as_result(single, "single")
 
 

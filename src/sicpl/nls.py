@@ -38,8 +38,11 @@ class FitProblem:
     matrix of d model / d p_j and is checked against finite differences
     in the test suite. Without one, each iteration takes 2m model
     evaluations for a central-difference Jacobian; every fit in
-    `decay` and `spectrum` gives one. lower[j] == upper[j] holds p[j]
-    at that value on every step of `minimize`'s active set.
+    `decay` and `spectrum` gives one. `minimize` asks for the Jacobian
+    at the point of its last model evaluation, so a Jacobian may reuse
+    the exponentials its model computed there (see `reuse_last`).
+    lower[j] == upper[j] holds p[j] at that value on every step of
+    `minimize`'s active set.
     """
 
     model: callable
@@ -116,12 +119,33 @@ def finite_diff_jacobian(model, p, xs, h=FD_STEP) -> np.ndarray:
     return J
 
 
+def reuse_last(f):
+    """f(p, x), returning the previous call's result when p and x are the
+    same as in that call (p by value, x by identity).
+
+    A model family wraps the exponentials its model and Jacobian share,
+    so the Jacobian at the point of the last model evaluation reuses them
+    and a Jacobian at any other point recomputes them. Each fit builds
+    its own family, so no state outlives the fit.
+    """
+    last_key, last_x, last = None, None, None
+
+    def shared(p, x):
+        nonlocal last_key, last_x, last
+        key = np.asarray(p, dtype=float).tobytes()
+        if x is not last_x or key != last_key:
+            last_key, last_x, last = key, x, f(p, x)
+        return last
+
+    return shared
+
+
 def _cost(problem, p):
     f = np.asarray(problem.model(p, problem.x), dtype=float)
     if not np.isfinite(f).all():
         raise EvaluationError("model returned non-finite values")
     r = problem.y - f
-    return float(np.sum(problem.weights * r * r)), r
+    return float((problem.weights * r * r).sum()), r
 
 
 def _jacobian(problem, p):
@@ -187,12 +211,14 @@ def minimize(problem: FitProblem) -> FitResult:
         diag = np.maximum(diag, 1e-14 * max(diag.max(), 1e-300))
         accepted = False
         while lam < 1e14:
+            damped = A.copy()
+            damped.flat[::p.size + 1] += lam * diag
             try:
-                delta = np.linalg.solve(A + lam * np.diag(diag), g)
+                delta = np.linalg.solve(damped, g)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            p_new = np.clip(p + delta, problem.lower, problem.upper)
+            p_new = np.minimum(np.maximum(p + delta, problem.lower), problem.upper)
             try:
                 cost_new, r_new = _cost(problem, p_new)
             except EvaluationError:

@@ -24,7 +24,7 @@ from .errors import (
     ModelInconsistencyError,
     ValidationError,
 )
-from .nls import FitProblem, minimize
+from .nls import FitProblem, minimize, reuse_last
 
 EV_NM_MEV = EV_NM * 1000.0  # hc in meV*nm
 
@@ -75,21 +75,28 @@ class ZplSet:
         return sum(self.lines[lab].area for lab in labels if lab in self.lines)
 
 
-def _gaussian(p, x):
-    B, A, c, s = p
-    return B + A * np.exp(-((x - c) ** 2) / (2.0 * s**2))
+def _gaussian_model():
+    """(model, jacobian) of B + A exp(-(x - c)^2 / (2 s^2)) in p = (B, A, c, s);
+    both share the exponentials of the last evaluation (nls.reuse_last)."""
+    @reuse_last
+    def exps(p, x):
+        return np.exp(-((x - p[2]) ** 2) / (2.0 * p[3] ** 2))
 
+    def model(p, x):
+        return p[0] + p[1] * exps(p, x)
 
-def _gaussian_jac(p, x):
-    B, A, c, s = p
-    u = (x - c) / s
-    e = np.exp(-0.5 * u**2)
-    J = np.empty((x.size, 4))
-    J[:, 0] = 1.0
-    J[:, 1] = e
-    J[:, 2] = A * e * u / s
-    J[:, 3] = A * e * u**2 / s
-    return J
+    def jac(p, x):
+        B, A, c, s = p
+        u = (x - c) / s
+        e = exps(p, x)
+        J = np.empty((x.size, 4))
+        J[:, 0] = 1.0
+        J[:, 1] = e
+        J[:, 2] = A * e * u / s
+        J[:, 3] = A * e * u**2 / s
+        return J
+
+    return model, jac
 
 
 def fit_gaussian_line(wl, it):
@@ -101,11 +108,12 @@ def fit_gaussian_line(wl, it):
         raise LineNotFoundError("maximum at window edge; no interior peak")
     span = wl[-1] - wl[0]
     p0 = np.array([float(np.min(it)), float(np.ptp(it)), float(wl[i_max]), span / 8.0])
+    model, jac = _gaussian_model()
     problem = FitProblem(
-        model=_gaussian, x=wl, y=it, p0=p0,
+        model=model, x=wl, y=it, p0=p0,
         lower=np.array([0.0, 0.0, wl[0], 1e-6 * span]),
         upper=np.array([np.inf, np.inf, wl[-1], span]),
-        jacobian=_gaussian_jac,
+        jacobian=jac,
     )
     return minimize(problem)
 
@@ -274,38 +282,35 @@ class PsbModel:
         return self.i0 * self.j_max
 
 
-def _psb_base(delta, i0, sigma, delta0, j_max):
-    d = np.asarray(delta, dtype=float)
-    out = np.zeros_like(d)
-    for j in range(1, j_max + 1):
-        sj = math.sqrt(j) * sigma
-        out += np.exp(-(((d - delta0) / sj) ** 2)) / (math.sqrt(j * math.pi) * sigma)
-    return i0 * out
+def _psb_exps(d, sigma, centre, j_max):
+    """exp(-((d - centre) / s_j)^2) with s_j = sqrt(j) sigma, j = 1..j_max,
+    as one (j_max, n) array."""
+    s = np.sqrt(np.arange(1.0, j_max + 1))[:, None] * sigma
+    u = (d - centre) / s
+    np.square(u, out=u)  # in place: one (j_max, n) array, not four
+    np.negative(u, out=u)
+    return np.exp(u, out=u)
 
 
-def _psb_series(delta, i0, sigma, delta0, j_max, doublet):
-    if doublet is None:
-        return _psb_base(delta, i0, sigma, delta0, j_max)
-    splitting, ratio = doublet
-    w_primary = 1.0 / (1.0 + ratio)
-    primary = _psb_base(delta, i0, sigma, delta0, j_max)
-    secondary = _psb_base(delta, i0, sigma, delta0 - splitting, j_max)
-    return w_primary * primary + (1.0 - w_primary) * secondary
+def _psb_base(e, i0, sigma):
+    """i0 sum_j exp(-u_j^2) / (sqrt(pi) s_j), from the _psb_exps terms e;
+    the rows are summed in j order, as a per-j loop adds them."""
+    norm = np.sqrt(np.arange(1.0, len(e) + 1) * math.pi)[:, None] * sigma
+    return i0 * (e / norm).sum(axis=0)
 
 
-def _psb_base_jac(d, i0, sigma, delta0, j_max):
-    # With x = d - delta0, s_j = sqrt(j) sigma, u_j = x / s_j and the
+def _psb_base_jac(e, d, i0, sigma, centre):
+    # With x = d - centre, s_j = sqrt(j) sigma, u_j = x / s_j and the
     # per-j terms g_j = exp(-u_j^2) / (sqrt(pi) s_j) of _psb_base:
     #   d/d i0     = sum g_j
     #   d/d sigma  = i0 sum g_j (2 u_j^2 - 1) / sigma
     #   d/d delta0 = i0 sum g_j 2 u_j / s_j
     # u_j^2 and u_j / s_j both carry 1 / s_j^2, so one matrix product
-    # over the (n, j_max) exponentials gives sum g_j and sum g_j / s_j^2.
-    s2 = np.arange(1, j_max + 1) * sigma**2
+    # over the (j_max, n) exponentials gives sum g_j and sum g_j / s_j^2.
+    s2 = np.arange(1.0, len(e) + 1) * sigma**2
     c = 1.0 / np.sqrt(math.pi * s2)
-    x = d - delta0
-    e = np.exp(np.multiply.outer(x * x, -1.0 / s2))
-    g, gs = (e @ np.column_stack([c, c / s2])).T
+    x = d - centre
+    g, gs = np.stack([c, c / s2]) @ e
     J = np.empty((d.size, 3))
     J[:, 0] = g
     J[:, 1] = i0 * (2.0 * x * x * gs - g) / sigma
@@ -313,22 +318,43 @@ def _psb_base_jac(d, i0, sigma, delta0, j_max):
     return J
 
 
-def _psb_series_jac(delta, i0, sigma, delta0, j_max, doublet):
-    """d _psb_series / d (i0, sigma, delta0) of a doublet series, as an
-    (n, 3) matrix; the pair is weighted as in _psb_series."""
-    d = np.asarray(delta, dtype=float)
-    splitting, ratio = doublet
-    w_primary = 1.0 / (1.0 + ratio)
-    primary = _psb_base_jac(d, i0, sigma, delta0, j_max)
-    secondary = _psb_base_jac(d, i0, sigma, delta0 - splitting, j_max)
-    return w_primary * primary + (1.0 - w_primary) * secondary
+def _psb_model(j_max, doublet):
+    """(model, jacobian) of the sideband series in p = (i0, sigma, delta0).
+
+    With doublet = (splitting, ratio) each Gaussian is the weighted pair
+    of PsbModel, the secondary `splitting` meV below the primary. i0
+    enters as max(i0, 0). Both share the per-line (j_max, n) exponentials
+    of the last evaluation (nls.reuse_last).
+    """
+    if doublet is None:
+        lines = ((0.0, 1.0),)
+    else:
+        splitting, ratio = doublet
+        w_primary = 1.0 / (1.0 + ratio)
+        lines = ((0.0, w_primary), (splitting, 1.0 - w_primary))
+
+    @reuse_last
+    def exps(p, d):
+        return [_psb_exps(d, p[1], p[2] - offset, j_max) for offset, _ in lines]
+
+    def model(p, d):
+        i0 = max(p[0], 0.0)
+        return sum(w * _psb_base(e, i0, p[1]) for (_, w), e in zip(lines, exps(p, d)))
+
+    def jac(p, d):
+        i0 = max(p[0], 0.0)
+        return sum(w * _psb_base_jac(e, d, i0, p[1], p[2] - offset)
+                   for (offset, w), e in zip(lines, exps(p, d)))
+
+    return model, jac
 
 
 def psb_eval(model: PsbModel, delta):
     """Evaluate the sideband series on a phonon-energy grid (meV); the fit
-    evaluates the same `_psb_series` without building a PsbModel."""
-    return _psb_series(delta, model.i0, model.sigma, model.delta0, model.j_max,
-                       model.doublet)
+    evaluates the same `_psb_model` without building a PsbModel."""
+    series, _ = _psb_model(model.j_max, model.doublet)
+    return series(np.array([model.i0, model.sigma, model.delta0]),
+                  np.asarray(delta, dtype=float))
 
 
 def to_phonon_axis(spectrum: Spectrum, e_ref_mev: float):
@@ -393,13 +419,7 @@ def fit_psb(spectrum: Spectrum, zpls: ZplSet) -> PsbFit:
     else:
         ratio = 30.0 / 70.0
 
-    def model(p, dd):
-        return _psb_series(dd, max(p[0], 0.0), p[1], p[2], PSB_J_MAX, (splitting, ratio))
-
-    def jacobian(p, dd):
-        return _psb_series_jac(dd, max(p[0], 0.0), p[1], p[2], PSB_J_MAX,
-                               (splitting, ratio))
-
+    model, jacobian = _psb_model(PSB_J_MAX, (splitting, ratio))
     d0_init = float(d_fit[np.argmax(y_fit)])
     peak = float(np.max(y_fit))
     p0 = np.array([max(peak * 3.0, 1e-9), 5.0, max(d0_init, 1.0)])

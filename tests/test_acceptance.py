@@ -215,16 +215,14 @@ def test_7_psb_dw_partitioning():
 
 
 def test_8_engine_properties():
-    from sicpl.decay import _exp_model
+    from sicpl.decay import R_MAX, _exp_model
     from sicpl.nls import FitProblem, minimize
     from sicpl.spectrum import (
         PSB_J_MAX,
         _doublet_ratio,
         _doublet_ratio_jac,
-        _gaussian,
-        _gaussian_jac,
-        _psb_series,
-        _psb_series_jac,
+        _gaussian_model,
+        _psb_model,
     )
     from sicpl.decay import KB_MEV_PER_K
 
@@ -245,11 +243,17 @@ def test_8_engine_properties():
     t = np.linspace(0.5, 800.0, 60)
     m1, j1 = _exp_model(1)
     check(m1, j1, lambda r: np.array([r.uniform(1e2, 1e5), r.uniform(20, 400)]), t)
+    # the double in (A1, tau1, A2, r), tau2 = r tau1: r over its whole
+    # range up to R_MAX, where a collapsed fit ends, and A2 = 0 there
     m2, j2 = _exp_model(2)
     check(m2, j2, lambda r: np.array([r.uniform(1e2, 1e5), r.uniform(100, 400),
-                                      r.uniform(1e2, 1e5), r.uniform(5, 80)]), t)
+                                      r.uniform(1e2, 1e5), r.uniform(0.02, R_MAX)]), t)
+    edge = np.random.default_rng(80)  # keeps rng's draws for the checks below
+    check(m2, j2, lambda _: np.array([edge.uniform(1e2, 1e5), edge.uniform(100, 400),
+                                      edge.choice([0.0, edge.uniform(1e2, 1e5)]),
+                                      R_MAX - edge.uniform(0.0, 1e-3)]), t)
     wl = np.linspace(1270.0, 1290.0, 60)
-    check(_gaussian, _gaussian_jac,
+    check(*_gaussian_model(),
           lambda r: np.array([r.uniform(0, 10), r.uniform(10, 1e4),
                               r.uniform(1275, 1285), r.uniform(0.1, 2.0)]),
           wl, h=1e-7)
@@ -274,8 +278,7 @@ def test_8_engine_properties():
 
     # the fit-psb model: the doublet sideband series over the bench's range
     doublet = (1.47, 30.0 / 70.0)
-    check(lambda p, d: _psb_series(d, *p, PSB_J_MAX, doublet),
-          lambda p, d: _psb_series_jac(d, *p, PSB_J_MAX, doublet),
+    check(*_psb_model(PSB_J_MAX, doublet),
           lambda r: np.array([r.uniform(1.0, 3e3), r.uniform(2.0, 12.0),
                               r.uniform(10.0, 60.0)]),
           np.linspace(0.1, 70.0, 1500))

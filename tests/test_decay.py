@@ -112,7 +112,7 @@ def test_double_fit_fallback(monkeypatch, kind, double_fit):
             raise DegenerateFitError("singular normal matrix")
         fit = real(t, y, w, p0, *args)
         p = fit.parameters.copy()
-        p[3] = p[1]
+        p[3] = decay.R_MAX
         return dataclasses.replace(fit, parameters=p)
 
     monkeypatch.setattr(decay, "_fit_exponentials", fit_exponentials)
@@ -121,6 +121,36 @@ def test_double_fit_fallback(monkeypatch, kind, double_fit):
     res = fit_decay(tr, kind=kind)
     assert res.model_kind == ("double" if double_fit == "accepted" else "single")
     assert res.warnings == (FALLBACK_WARNINGS[double_fit] if kind == "double" else [])
+
+
+def test_double_fit_of_single_traces_stops_at_ratio_bound(monkeypatch):
+    """On one-lifetime traces the double fit ends with r held at R_MAX
+    instead of walking its two lifetimes into each other: over 40 seeded
+    traces at the bench's counts and lifetimes its Jacobians (one per
+    iteration, one for the covariance) stay under 1500. The fit in
+    (A1, tau1, A2, tau2) without the ratio bound took 2188."""
+    jacobians = []
+    real = decay.minimize
+
+    def counting(problem):
+        if problem.p0.size == 4:
+            jac = problem.jacobian
+
+            def counted(p, x):
+                jacobians.append(1)
+                return jac(p, x)
+
+            problem = dataclasses.replace(problem, jacobian=counted)
+        return real(problem)
+
+    monkeypatch.setattr(decay, "minimize", counting)
+    temps = (4, 25, 50, 75, 100, 125, 150, 175)
+    kinds = []
+    for i, peak in enumerate(np.geomspace(3e2, 2e4, 40)):
+        tau = thermal_lifetime(temps[i % 8], 164.2, 83.0, 28.0)
+        kinds.append(fit_decay(make_trace([(float(peak), tau)], seed=i)).model_kind)
+    assert kinds.count("single") >= 38
+    assert len(jacobians) < 1500
 
 
 def test_fit_window_validation():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from sicpl import nls
 from sicpl.errors import DegenerateFitError, DomainError, EvaluationError, ValidationError
-from sicpl.nls import FitProblem, finite_diff_jacobian, minimize
+from sicpl.nls import FitProblem, finite_diff_jacobian, minimize, reuse_last
 
 
 def linear(p, x):
@@ -240,3 +240,20 @@ def test_max_iter_reported(monkeypatch):
     fit = minimize(FitProblem(model=model, x=x, y=y,
                               p0=np.array([0.5, 0.9, 0.1])))
     assert fit.n_iterations <= 2
+
+
+def test_reuse_last_keys_on_the_point_and_the_abscissa():
+    calls = []
+
+    def scaled(p, x):
+        calls.append(1)
+        return p[0] * x
+
+    shared = reuse_last(scaled)
+    x = np.arange(3.0)
+    p = np.array([2.0, 1.0])
+    first = shared(p, x)
+    assert shared(p.copy(), x) is first and len(calls) == 1
+    p[0] = 3.0  # the caller changes its vector in place
+    assert np.array_equal(shared(p, x), 3.0 * x) and len(calls) == 2
+    assert np.array_equal(shared(p, x.copy()), 3.0 * x) and len(calls) == 3

@@ -30,8 +30,9 @@ from sicpl.spectrum import (
     hr_lineshape,
     partition_dw,
     psb_eval,
-    _psb_series,
-    _psb_series_jac,
+    _psb_base,
+    _psb_exps,
+    _psb_model,
     to_phonon_axis,
 )
 from sicpl.synth import GeneratorSpec, generate
@@ -151,19 +152,33 @@ def test_psb_area_invariant(sigma, delta0, j_max, ratio):
     assert area == pytest.approx(model.area, rel=1e-6)
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.floats(min_value=0.5, max_value=12.0),
+       st.floats(min_value=1.0, max_value=60.0),
+       st.integers(min_value=1, max_value=10),
+       st.integers(min_value=1, max_value=3000))
+def test_psb_base_matches_per_j_loop(sigma, delta0, j_max, n):
+    # the (j_max, n) broadcast against the per-j sum it replaced
+    d = np.linspace(-10.0, 200.0, n)
+    ref = np.zeros_like(d)
+    for j in range(1, j_max + 1):
+        sj = math.sqrt(j) * sigma
+        ref += np.exp(-(((d - delta0) / sj) ** 2)) / (math.sqrt(j * math.pi) * sigma)
+    out = _psb_base(_psb_exps(d, sigma, delta0, j_max), 7.0, sigma)
+    np.testing.assert_allclose(out, 7.0 * ref, rtol=1e-14, atol=0.0)
+
+
 def test_psb_jacobian_at_zero_i0():
     # fit-psb evaluates the series at max(i0, 0), so a central difference
     # at the bound i0 = 0 sees only its upper half and returns half the
     # slope; the analytic i0 column is the unit-i0 series there too
-    doublet = (1.47, 30.0 / 70.0)
+    model, jac = _psb_model(10, (1.47, 30.0 / 70.0))
     d = np.linspace(0.1, 70.0, 1500)
-    unit = _psb_series(d, 1.0, 6.0, 35.0, 10, doublet)
-    J = _psb_series_jac(d, 0.0, 6.0, 35.0, 10, doublet)
+    unit = model(np.array([1.0, 6.0, 35.0]), d)
+    J = jac(np.array([0.0, 6.0, 35.0]), d)
     np.testing.assert_allclose(J[:, 0], unit, rtol=1e-12, atol=0.0)
     assert not J[:, 1:].any()
-    fd = finite_diff_jacobian(
-        lambda p, x: _psb_series(x, max(p[0], 0.0), p[1], p[2], 10, doublet),
-        np.array([0.0, 6.0, 35.0]), d)
+    fd = finite_diff_jacobian(model, np.array([0.0, 6.0, 35.0]), d)
     np.testing.assert_allclose(fd[:, 0], 0.5 * unit, rtol=1e-6)
 
 
