@@ -2,11 +2,17 @@
 
 Minimizes sum_i w_i * (y_i - f(p, x_i))^2 with multiplicative damping
 (lambda x10 on rejection, /10 on acceptance) and parameter covariance
-reduced_chi2 * (J^T W J)^-1 at the solution. Box bounds work through an
-active set (Bertsekas 1982): a parameter on a bound whose gradient points
-out of the box is held for that step. Equal bounds are the always-held
-case, and such a parameter has zero covariance. Per the reporting
-convention used throughout the toolkit, margins are 3-sigma half-widths.
+reduced_chi2 * (J^T W J)^-1 at the solution. A fit converges when the
+actual and the predicted relative cost reductions of an accepted step
+are both below COST_TOL (Moré 1978); there is no test on the step size.
+Box bounds work through an active set (Bertsekas 1982): a parameter on a
+bound whose gradient points out of the box is held for that step. Equal
+bounds are the always-held case, and such a parameter has zero
+covariance. A step that crosses a bound with a parameter the active set
+does not hold is projected: that parameter stops at the bound, and the
+free parameters are solved again with its move included. Per the
+reporting convention used throughout the toolkit, margins are 3-sigma
+half-widths.
 
 Every fit in the toolkit supplies an analytic Jacobian: the exponential
 decays and tau(T) (`decay`), the ZPL Gaussian, the doublet ratio r(T)
@@ -24,8 +30,7 @@ import numpy as np
 from .errors import DegenerateFitError, DomainError, EvaluationError, ValidationError
 
 MAX_ITER = 200      # iterations before a fit ends unconverged
-STEP_TOL = 1e-8     # converged: relative step below STEP_TOL ...
-COST_TOL = 1e-10    # ... and relative cost change below COST_TOL
+COST_TOL = 1e-10    # converged: actual and predicted relative cost reduction below it
 FD_STEP = 1e-6      # relative step of the finite-difference Jacobian
 
 
@@ -190,8 +195,13 @@ def _covariance(problem, p, cost):
 def minimize(problem: FitProblem) -> FitResult:
     """Run Levenberg-Marquardt on a FitProblem.
 
-    Convergence requires relative step < STEP_TOL AND relative cost
-    change < COST_TOL; converged is False when MAX_ITER is hit first.
+    A fit converges when an accepted step s lowers the cost by less than
+    COST_TOL relative and its predicted reduction (2 s.g - s.A.s) / cost,
+    with g and A the active-set gradient J^T W r and normal matrix
+    J^T W J, is below COST_TOL too; converged is False when MAX_ITER is
+    hit first. A parameter that a step takes past a bound stops there,
+    and the damped system is solved again for the free parameters with
+    that move included.
     """
     p = problem.p0.copy()
     cost, r = _cost(problem, p)
@@ -214,23 +224,34 @@ def minimize(problem: FitProblem) -> FitResult:
             damped = A.copy()
             damped.flat[::p.size + 1] += lam * diag
             try:
-                delta = np.linalg.solve(damped, g)
+                trial = p + np.linalg.solve(damped, g)
+                p_new = np.minimum(np.maximum(trial, problem.lower), problem.upper)
+                crossed = p_new != trial
+                if crossed.any():
+                    # hold what crossed at its bound; the free parameters absorb that move
+                    free = ~crossed & ~held
+                    s_c = p_new[crossed] - p[crossed]
+                    s_f = np.linalg.solve(damped[np.ix_(free, free)],
+                                          g[free] - A[np.ix_(free, crossed)] @ s_c)
+                    p_new[free] = np.minimum(np.maximum(p[free] + s_f, problem.lower[free]),
+                                             problem.upper[free])
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            p_new = np.minimum(np.maximum(p + delta, problem.lower), problem.upper)
             try:
                 cost_new, r_new = _cost(problem, p_new)
             except EvaluationError:
                 lam *= 10.0
                 continue
             if cost_new <= cost:
-                step_rel = np.max(np.abs(p_new - p) / np.maximum(np.abs(p), 1.0))
-                cost_rel = (cost - cost_new) / max(cost, 1e-300)
+                s = p_new - p
+                scale = max(cost, 1e-300)
+                actual = (cost - cost_new) / scale
+                predicted = (2.0 * (s @ g) - s @ A @ s) / scale
                 p, cost, r = p_new, cost_new, r_new
                 lam = max(lam / 10.0, 1e-12)
                 accepted = True
-                if (step_rel < STEP_TOL and cost_rel < COST_TOL) or cost == 0.0:
+                if (actual < COST_TOL and predicted < COST_TOL) or cost == 0.0:
                     converged = True
                 break
             lam *= 10.0

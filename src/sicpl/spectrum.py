@@ -100,14 +100,24 @@ def _gaussian_model():
 
 
 def fit_gaussian_line(wl, it):
-    """Constant + Gaussian fit of one emission line; raises if no peak."""
+    """Constant + Gaussian fit of one emission line; raises if no peak.
+
+    The start is read off the data: B from the median of the window's
+    outer eighths, A as the peak above it, and sigma from the width of
+    the samples above half maximum.
+    """
     if np.ptp(it) <= 0:
         raise LineNotFoundError("no local maximum: window is flat")
     i_max = int(np.argmax(it))
     if i_max in (0, it.size - 1):
         raise LineNotFoundError("maximum at window edge; no interior peak")
     span = wl[-1] - wl[0]
-    p0 = np.array([float(np.min(it)), float(np.ptp(it)), float(wl[i_max]), span / 8.0])
+    k = max(it.size // 8, 1)
+    b0 = max(float(np.median(np.concatenate((it[:k], it[-k:])))), 0.0)
+    a0 = float(it[i_max]) - b0
+    fwhm0 = np.count_nonzero(it > b0 + a0 / 2.0) * float(np.median(np.diff(wl)))
+    s0 = min(max(fwhm0 / (2.0 * math.sqrt(2.0 * math.log(2.0))), 1e-6 * span), span)
+    p0 = np.array([b0, a0, float(wl[i_max]), s0])
     model, jac = _gaussian_model()
     problem = FitProblem(
         model=model, x=wl, y=it, p0=p0,

@@ -123,12 +123,8 @@ def test_double_fit_fallback(monkeypatch, kind, double_fit):
     assert res.warnings == (FALLBACK_WARNINGS[double_fit] if kind == "double" else [])
 
 
-def test_double_fit_of_single_traces_stops_at_ratio_bound(monkeypatch):
-    """On one-lifetime traces the double fit ends with r held at R_MAX
-    instead of walking its two lifetimes into each other: over 40 seeded
-    traces at the bench's counts and lifetimes its Jacobians (one per
-    iteration, one for the covariance) stay under 1500. The fit in
-    (A1, tau1, A2, tau2) without the ratio bound took 2188."""
+def _count_double_jacobians(monkeypatch):
+    """A list that gains one entry per Jacobian evaluation of a double fit."""
     jacobians = []
     real = decay.minimize
 
@@ -144,13 +140,34 @@ def test_double_fit_of_single_traces_stops_at_ratio_bound(monkeypatch):
         return real(problem)
 
     monkeypatch.setattr(decay, "minimize", counting)
+    return jacobians
+
+
+def test_double_fit_of_single_traces_stops_at_ratio_bound(monkeypatch):
+    """On one-lifetime traces the double fit ends with r held at R_MAX
+    instead of walking its two lifetimes into each other: over 40 seeded
+    traces at the bench's counts and lifetimes its Jacobians (one per
+    iteration, one for the covariance) stay under 900. The fit in
+    (A1, tau1, A2, tau2) without the ratio bound took 2188, and with it
+    but without projected steps at the bounds 1062."""
+    jacobians = _count_double_jacobians(monkeypatch)
     temps = (4, 25, 50, 75, 100, 125, 150, 175)
     kinds = []
     for i, peak in enumerate(np.geomspace(3e2, 2e4, 40)):
         tau = thermal_lifetime(temps[i % 8], 164.2, 83.0, 28.0)
         kinds.append(fit_decay(make_trace([(float(peak), tau)], seed=i)).model_kind)
     assert kinds.count("single") >= 38
-    assert len(jacobians) < 1500
+    assert len(jacobians) < 900
+
+
+def test_double_fit_takes_a_projected_step_once_r_is_held(monkeypatch):
+    """Once r is held at R_MAX, the step that takes A2 past 0 holds A2
+    there and moves A1 to take its counts, instead of walking A2 down in
+    short clipped steps (35 Jacobians)."""
+    jacobians = _count_double_jacobians(monkeypatch)
+    res = fit_decay(make_trace([(300.0, 164.2)], seed=0))
+    assert res.model_kind == "single"
+    assert len(jacobians) <= 15
 
 
 def test_fit_window_validation():

@@ -228,6 +228,32 @@ def test_analytic_jacobian_used_and_consistent():
     assert np.allclose(fit.parameters, p, rtol=1e-8)
 
 
+def test_misspecified_fit_stops_when_the_cost_stops_falling():
+    # a single exponential fitted to two: the fit converges only linearly,
+    # and stops once actual and predicted relative reductions fall below
+    # COST_TOL rather than polishing the parameters further (13 iterations
+    # under a relative-step test of 1e-8)
+    t = np.arange(2.0, 1500.0)
+    y = 500.0 * np.exp(-t / 160.0) + 500.0 * np.exp(-t / 43.0)
+
+    def model(p, tt):
+        return p[0] * np.exp(-tt / p[1])
+
+    def jac(p, tt):
+        e = np.exp(-tt / p[1])
+        return np.column_stack([e, p[0] * e * tt / p[1] ** 2])
+
+    def fit(p0):
+        return minimize(FitProblem(model=model, x=t, y=y, weights=1.0 / y, p0=p0,
+                                   lower=np.array([0.0, 1e-6]), jacobian=jac))
+
+    first = fit(np.array([1000.0, 150.0]))
+    assert first.converged and first.n_iterations <= 10
+    again = fit(first.parameters)
+    assert (first.cost - again.cost) / first.cost < nls.COST_TOL
+    assert np.all(np.abs(again.parameters - first.parameters) < 1e-3 * first.sigma)
+
+
 def test_max_iter_reported(monkeypatch):
     monkeypatch.setattr(nls, "MAX_ITER", 2)
     x = np.linspace(0.0, 10.0, 30)
