@@ -116,17 +116,9 @@ def _json_object(path, key, value):
     return value
 
 
-def _load_meta(args):
-    meta = load_sidecar(args.meta) if args.meta else {}
-    for key, attr in (("pulse_time_ns", "pulse_ns"), ("temperature_K", "temperature")):
-        if getattr(args, attr, None) is not None:
-            meta[key] = getattr(args, attr)
-    return meta
-
-
 def _find_zpls(args):
     """The spectrum and the ZPLs found on it from the --zpl-config rows."""
-    spectrum = load_spectrum(args.spectrum, _load_meta(args))
+    spectrum = load_spectrum(args.spectrum)
     labels, values = read_table(args.zpl_config, "label center_nm window_nm",
                                 labelled=True)
     return spectrum, find_zpls(spectrum, list(zip(labels, *values.T.tolist())))
@@ -138,7 +130,10 @@ def _find_zpls(args):
 
 
 def _cmd_fit_decay(args):
-    trace = load_trace(args.trace, _load_meta(args))
+    meta = load_sidecar(args.meta) if args.meta else {}
+    if args.pulse_ns is not None:
+        meta["pulse_time_ns"] = args.pulse_ns
+    trace = load_trace(args.trace, meta)
     window = (_numbers("--window", args.window, ",", (float, float), "t0,t1")
               if args.window else None)
     res = fit_decay(trace, kind=args.kind, fit_window=window)
@@ -147,7 +142,7 @@ def _cmd_fit_decay(args):
     for i, (amp, tau) in enumerate(res.components, start=1):
         rows.append((f"A{i} [counts]", amp, res.sigma3[2 * (i - 1)]))
         rows.append((f"tau{i} [ns]", tau, res.sigma3[2 * (i - 1) + 1]))
-    rows.append(("reduced chi2", res.reduced_chi2))
+    rows.append(("reduced chi2", res.fit.reduced_chi2))
     files = {}
     if args.plot:
         t = trace.times
@@ -165,7 +160,7 @@ def _cmd_fit_thermal(args):
         ("tau [ns]", model.tau, model.sigma3[0]),
         ("tau_p [ns]", model.tau_p, model.sigma3[1]),
         ("E_p [meV]", model.e_p, model.sigma3[2]),
-        ("reduced chi2", model.reduced_chi2),
+        ("reduced chi2", model.fit.reduced_chi2),
     ], fit=model.fit)
     return "fit-thermal_report.txt", text, {}
 
@@ -346,16 +341,12 @@ def build_parser():
     p = add("zpl", help="locate and fit zero-phonon lines")
     p.add_argument("--spectrum", required=True)
     p.add_argument("--zpl-config", required=True, dest="zpl_config")
-    p.add_argument("--temperature", type=float)
-    p.add_argument("--meta")
 
     p = add("fit-psb", help="fit the Gaussian sideband series and partition DW")
     p.add_argument("--spectrum", required=True)
     p.add_argument("--zpl-config", required=True, dest="zpl_config")
     p.add_argument("--partition-mev", type=float, required=True, dest="partition_mev")
     p.add_argument("--area-correction", type=float, default=1.0, dest="area_correction")
-    p.add_argument("--temperature", type=float)
-    p.add_argument("--meta")
     p.add_argument("--plot", action="store_true")
 
     p = add("budget", help="radiative-efficiency budget")

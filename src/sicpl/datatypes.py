@@ -55,8 +55,9 @@ class DecayTrace:
     """Time-binned photon counts around an excitation pulse.
 
     times are strictly increasing with uniform bin width (1e-6 relative
-    tolerance); counts are non-negative integers. At least 10 bins must
-    precede pulse_time to serve as the background window.
+    tolerance); counts are non-negative integers. pulse_time is finite,
+    and at least 10 bins must precede it to serve as the background
+    window. temperature is None or finite and > 0 K.
     """
 
     times: np.ndarray
@@ -85,6 +86,10 @@ class DecayTrace:
             raise ValidationError("negative counts")
         if np.any(np.abs(c - np.round(c)) > 1e-9 * np.maximum(c, 1)):
             raise ValidationError("counts must be integer-valued")
+        if not np.isfinite(self.pulse_time):
+            raise ValidationError(f"pulse_time must be finite, got {self.pulse_time}")
+        if self.temperature is not None and not (0 < self.temperature < np.inf):
+            raise ValidationError(f"temperature must be > 0 K, got {self.temperature}")
         if np.count_nonzero(t < self.pulse_time) < 10:
             raise ValidationError("need at least 10 bins before pulse_time")
         t.setflags(write=False)

@@ -14,12 +14,7 @@ import numpy as np
 
 from .constants import KB_MEV_PER_K
 from .datatypes import DecayTrace
-from .errors import (
-    DegenerateFitError,
-    InsufficientBaselineError,
-    NoDataError,
-    ValidationError,
-)
+from .errors import DegenerateFitError, NoDataError, ValidationError
 from .nls import FitProblem, FitResult, minimize, reuse_last
 
 # Thermally-assisted channels roughly 4x apart in the data; anything
@@ -43,7 +38,6 @@ class BackgroundEstimate:
     mean: float
     std_error: float
     bin_std: float
-    n_bins: int
 
 
 @dataclass
@@ -59,14 +53,8 @@ class DecayFitResult:
     components: list
     sigma3: list
     model_kind: str  # "single" | "double"
-    reduced_chi2: float
-    converged: bool
+    fit: FitResult
     warnings: list = field(default_factory=list)
-    fit: FitResult | None = None
-
-    @property
-    def lifetimes(self):
-        return [tau for _, tau in self.components]
 
 
 @dataclass
@@ -77,8 +65,7 @@ class ThermalModel:
     tau_p: float     # ns, thermally-assisted lifetime
     e_p: float       # meV, activation energy
     sigma3: np.ndarray
-    reduced_chi2: float
-    fit: FitResult | None = None
+    fit: FitResult
 
     def __call__(self, temperature):
         return thermal_lifetime(temperature, self.tau, self.tau_p, self.e_p)
@@ -95,16 +82,11 @@ def thermal_lifetime(temperature, tau, tau_p, e_p_mev):
 def estimate_background(trace: DecayTrace) -> BackgroundEstimate:
     """Mean and standard error of the pre-pulse bins."""
     pre = trace.counts[trace.times < trace.pulse_time]
-    if pre.size < 10:
-        raise InsufficientBaselineError(
-            f"need >= 10 pre-pulse bins, got {pre.size}"
-        )
     std = float(np.std(pre, ddof=1))
     return BackgroundEstimate(
         mean=float(np.mean(pre)),
         std_error=std / np.sqrt(pre.size),
         bin_std=std,
-        n_bins=int(pre.size),
     )
 
 
@@ -232,10 +214,8 @@ def fit_decay(trace: DecayTrace, kind: str = "auto", fit_window=None) -> DecayFi
             components=[(p[k], p[k + 1]) for k in range(0, p.size, 2)],
             sigma3=list(fit.sigma3),
             model_kind=kind_name,
-            reduced_chi2=fit.reduced_chi2,
-            converged=fit.converged,
-            warnings=list(warnings),
             fit=fit,
+            warnings=list(warnings),
         )
 
     if kind == "single":
@@ -334,7 +314,6 @@ def fit_thermal(points) -> ThermalModel:
         tau_p=float(fit.parameters[1]),
         e_p=float(fit.parameters[2]),
         sigma3=fit.sigma3,
-        reduced_chi2=fit.reduced_chi2,
         fit=fit,
     )
 

@@ -32,10 +32,6 @@ class DegenerateFitError(SicplError):
     exit_code = 3
 
 
-class InsufficientBaselineError(SicplError):
-    """Too few pre-pulse bins to estimate the background."""
-
-
 class InsufficientDataError(SicplError):
     """Not enough usable points for the requested analysis."""
     exit_code = 3

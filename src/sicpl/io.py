@@ -17,8 +17,10 @@ import numpy as np
 from .datatypes import DecayTrace, Spectrum
 from .errors import ParseError, ValidationError
 
-# the keys a sidecar may hold; only pulse_time_ns and temperature_K are
-# read, the others (lab sidecars carry them) are information only
+# the keys a sidecar may hold. Only fit-decay reads a sidecar:
+# pulse_time_ns sets the pulse and temperature_K is stored on the trace,
+# which no report reads yet; the others (lab sidecars carry them) are
+# information only
 SIDECAR_KEYS = {
     "temperature_K",
     "power_mW",

@@ -54,8 +54,6 @@ class ZplLine:
     fwhm: float              # nm
     fwhm_is_upper_bound: bool
     area: float              # counts * nm
-    amplitude: float
-    background: float
 
     @property
     def energy_mev(self) -> float:
@@ -147,7 +145,7 @@ def find_zpls(spectrum: Spectrum, expected) -> ZplSet:
         if np.count_nonzero(sel) < 6:
             raise ValidationError(f"window for {label!r} has fewer than 6 samples")
         fit = fit_gaussian_line(wl_all[sel], spectrum.intensities[sel])
-        B, A, c, s = fit.parameters
+        _, A, c, s = fit.parameters
         fwhm = 2.0 * math.sqrt(2.0 * math.log(2.0)) * s
         limited = fwhm < 2.0 * pixel
         zpls[label] = ZplLine(
@@ -157,8 +155,6 @@ def find_zpls(spectrum: Spectrum, expected) -> ZplSet:
             fwhm=float(2.0 * pixel) if limited else float(fwhm),
             fwhm_is_upper_bound=limited,
             area=float(A * s * math.sqrt(2.0 * math.pi)),
-            amplitude=float(A),
-            background=float(B),
         )
     splitting = None
     if "alpha2" in zpls and "alpha3" in zpls:
@@ -194,7 +190,6 @@ class DoubletThermometry:
     r0: float
     t0: float
     sigma3: np.ndarray
-    points: list  # (T, ratio) actually used
     warnings: list = field(default_factory=list)
 
     def ratio(self, temperature):
@@ -244,7 +239,6 @@ def doublet_ratio_vs_T(spectra, expected_pair) -> DoubletThermometry:
         r0=float(fit.parameters[0]),
         t0=float(fit.parameters[1]),
         sigma3=fit.sigma3,
-        points=points,
     )
     share4 = out.dominant_share(4.0)
     if abs(share4 - 0.70) > 0.05:
@@ -385,8 +379,6 @@ class PsbFit:
     alpha_model: np.ndarray    # fitted alpha sideband on that grid
     beta_residual: np.ndarray  # residual density assigned to beta
     sigma3: np.ndarray
-    reduced_chi2: float
-    e_ref_mev: float
 
 
 def _zpl_mask(delta, zpls, e_ref_mev):
@@ -443,7 +435,7 @@ def fit_psb(spectrum: Spectrum, zpls: ZplSet) -> PsbFit:
     psb = PsbModel(i0=float(fit.parameters[0]), sigma=float(fit.parameters[1]),
                    delta0=float(fit.parameters[2]), doublet=(splitting, ratio))
 
-    alpha_curve = psb_eval(psb, delta)
+    alpha_curve = model(fit.parameters, delta)
     residual = density - alpha_curve
     # alpha ZPL neighborhoods stay with alpha
     keep = (delta > 0) & (delta <= PSB_MAX_MEV) & ~zmask
@@ -459,8 +451,7 @@ def fit_psb(spectrum: Spectrum, zpls: ZplSet) -> PsbFit:
                 f"negative residual beyond 3x noise over {frac_neg:.1%} of bins"
             )
     return PsbFit(model=psb, delta=delta, alpha_model=alpha_curve,
-                  beta_residual=beta_residual, sigma3=fit.sigma3,
-                  reduced_chi2=fit.reduced_chi2, e_ref_mev=e_ref)
+                  beta_residual=beta_residual, sigma3=fit.sigma3)
 
 
 # ---------------------------------------------------------------------------

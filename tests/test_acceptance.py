@@ -191,9 +191,9 @@ def test_7_psb_dw_partitioning():
         a2 = float(rng.uniform(0.1, a3))
         ab = float(rng.uniform(0.1, 20.0))
         lines = {
-            "alpha3": ZplLine("alpha3", 1280.0, 0.0, 0.3, False, a3, 1.0, 0.0),
-            "alpha2": ZplLine("alpha2", C_ALPHA2, 0.0, 0.3, False, a2, 1.0, 0.0),
-            "beta": ZplLine("beta", C_BETA, 0.0, 0.3, False, ab, 1.0, 0.0),
+            "alpha3": ZplLine("alpha3", 1280.0, 0.0, 0.3, False, a3),
+            "alpha2": ZplLine("alpha2", C_ALPHA2, 0.0, 0.3, False, a2),
+            "beta": ZplLine("beta", C_BETA, 0.0, 0.3, False, ab),
         }
         zset = ZplSet(lines=lines)
         p = partition_dw(Spectrum(wavelengths=wl, intensities=dens,
@@ -338,8 +338,8 @@ def test_8_engine_properties():
                          sampling={"wl_start": 1256.0, "wl_end": 1400.0,
                                    "step_nm": 0.2})
     lines = {
-        "alpha3": ZplLine("alpha3", 1280.0, 0.0, 0.3, False, 700.0, 1.0, 0.0),
-        "alpha2": ZplLine("alpha2", C_ALPHA2, 0.0, 0.3, False, 280.0, 1.0, 0.0),
+        "alpha3": ZplLine("alpha3", 1280.0, 0.0, 0.3, False, 700.0),
+        "alpha2": ZplLine("alpha2", C_ALPHA2, 0.0, 0.3, False, 280.0),
     }
     f = fit_psb(generate(spec), ZplSet(lines=lines, doublet_splitting_mev=1.47))
     closures += [abs(f.model.i0 - 90.0) / 90.0, abs(f.model.sigma - 6.0) / 6.0]

@@ -300,6 +300,14 @@ MALFORMED = {
     "sidecar-non-numeric": ({"t.txt": TRACE, "m.meta": "pulse_time_ns = 20\ntemperature_K = warm\n"},
                             ["fit-decay", "--trace", "t.txt", "--meta", "m.meta", "--out", "out"],
                             "m.meta:2"),
+    "sidecar-negative-temperature": (
+        {"t.txt": TRACE, "m.meta": "pulse_time_ns = 20\ntemperature_K = -5\n"},
+        ["fit-decay", "--trace", "t.txt", "--meta", "m.meta", "--out", "out"],
+        "t.txt: temperature must be > 0 K, got -5.0"),
+    "pulse-inf": ({"t.txt": TRACE}, ["fit-decay", "--trace", "t.txt", "--pulse-ns", "inf",
+                                     "--out", "out"], "t.txt: pulse_time must be finite"),
+    "pulse-nan": ({"t.txt": TRACE}, ["fit-decay", "--trace", "t.txt", "--pulse-ns", "nan",
+                                     "--out", "out"], "t.txt: pulse_time must be finite"),
     "spectrum-negative-count": ({"s.txt": SPECTRUM, "l.txt": "a 1280 3\n"},
                                 ["zpl", "--spectrum", "s.txt", "--zpl-config", "l.txt",
                                  "--out", "out"], "s.txt: negative intensity"),
@@ -448,9 +456,9 @@ def test_parser_keeps_no_state_between_runs(decay_files):
 
 EXIT_CODES = {
     "ValidationError": 2, "ParseError": 2, "DomainError": 2, "EvaluationError": 3,
-    "DegenerateFitError": 3, "InsufficientBaselineError": 2, "InsufficientDataError": 3,
-    "LineNotFoundError": 3, "ModelInconsistencyError": 3, "ConfigurationError": 2,
-    "AggregationError": 2, "NoDataError": 3,
+    "DegenerateFitError": 3, "InsufficientDataError": 3, "LineNotFoundError": 3,
+    "ModelInconsistencyError": 3, "ConfigurationError": 2, "AggregationError": 2,
+    "NoDataError": 3,
 }
 
 
@@ -506,24 +514,23 @@ def _spectrum_files(tmp_path):
 
 
 def test_information_only_sidecar_keys(decay_files):
-    # a sidecar may carry every SIDECAR_KEYS key; only pulse_time_ns and
-    # temperature_K change a report
+    # a sidecar may carry every SIDECAR_KEYS key; fit-decay reads
+    # pulse_time_ns and stores temperature_K on the trace, and the other
+    # keys change no report
     tmp_path, trace = decay_files
-    spectrum, lines = _spectrum_files(tmp_path)
     read = "pulse_time_ns = 100\ntemperature_K = 4\n"
     full = read + ("power_mW = 2.5\nband_center_nm = 1280\nband_width_nm = 20\n"
                    "polarization_deg = 30\nlabel = run7\n")
     assert {line.split(" = ")[0] for line in full.splitlines()} == SIDECAR_KEYS
-    for command, inputs in (("fit-decay", ["--trace", str(trace)]),
-                            ("zpl", ["--spectrum", str(spectrum), "--zpl-config", str(lines)])):
-        reports = []
-        for name, text in (("read", read), ("full", full)):
-            meta = tmp_path / f"{command}-{name}.meta"
-            meta.write_text(text)
-            out = tmp_path / f"{command}-{name}"
-            assert run(command, *inputs, "--meta", str(meta), "--out", str(out)) == 0
-            reports.append((out / f"{command}_report.txt").read_bytes())
-        assert reports[0] == reports[1]
+    reports = []
+    for name, text in (("read", read), ("full", full)):
+        meta = tmp_path / f"{name}.meta"
+        meta.write_text(text)
+        out = tmp_path / name
+        assert run("fit-decay", "--trace", str(trace), "--meta", str(meta),
+                   "--out", str(out)) == 0
+        reports.append((out / "fit-decay_report.txt").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def _sha256(path):
@@ -538,14 +545,11 @@ def test_manifest_records_resolved_options_and_inputs(decay_files, tmp_path):
     meta = tmp_path / "trace.meta"
     meta.write_text("pulse_time_ns = 100\ntemperature_K = 4\n")
     spectrum, lines = _spectrum_files(tmp_path)
-    smeta = tmp_path / "spec.meta"
-    smeta.write_text("power_mW = 2\n")
     runs = [
         (["fit-decay", "--trace", str(trace), "--meta", str(meta), "--pulse-ns", "100",
           "--window", "110,1500", "--out", str(tmp_path / "fit-decay")], [trace, meta]),
         (["fit-psb", "--spectrum", str(spectrum), "--zpl-config", str(lines),
-          "--partition-mev", "60", "--meta", str(smeta), "--temperature", "5",
-          "--out", str(tmp_path / "fit-psb")], [spectrum, lines, smeta]),
+          "--partition-mev", "60", "--out", str(tmp_path / "fit-psb")], [spectrum, lines]),
     ]
     for argv, inputs in runs:
         assert run(*argv) == 0
@@ -637,3 +641,64 @@ def test_manifest_replays_its_run(replay_files, argv):
                 (out / name).unlink()
         assert run("--config", str(manifest)) == 0
         assert _outputs(out) == first
+
+
+def _optional_flags():
+    """(command, flag, takes a value) of every optional flag of every
+    command but --out, the output directory."""
+    import argparse
+
+    from sicpl.cli import build_parser
+
+    sub, = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [(command, action.option_strings[-1], action.nargs != 0)
+            for command, parser in sub.choices.items() for action in parser._actions
+            if action.option_strings and not action.required
+            and action.dest not in ("help", "out")]
+
+
+# (command, flag): the tokens that replace the flag in the command's REPLAY
+# run, or are added to it where the run leaves the flag out; each must
+# change one of the run's outputs
+ALTERNATES = {
+    ("fit-decay", "--kind"): ["--kind", "double"],  # a fallback note on the single trace
+    ("fit-decay", "--window"): ["--window", "120,1000"],
+    ("fit-decay", "--pulse-ns"): ["--pulse-ns", "101"],
+    ("fit-decay", "--meta"): ["--meta", "{meta_99}"],
+    ("fit-decay", "--plot"): [],
+    ("fit-psb", "--area-correction"): ["--area-correction", "1.2"],
+    ("fit-psb", "--plot"): [],
+    ("budget", "--site"): ["--site", "k"],
+    ("budget", "--tau-nr-ref"): ["--tau-nr-ref", "300"],  # tau_NR is 212 ns
+    ("cavity", "--n-sic"): ["--n-sic", "2.4"],
+    ("cavity", "--wc-um"): ["--wc-um", "3"],
+    ("cavity", "--extraction"): ["--extraction", "0.3"],
+    ("cavity", "--sweep"): ["--sweep", "finesse=100:1000:3"],
+}
+
+
+OPTIONAL_FLAGS = _optional_flags()
+
+
+@pytest.mark.parametrize("command, flag, takes_value", OPTIONAL_FLAGS,
+                         ids=[f"{c}{f}" for c, f, _ in OPTIONAL_FLAGS])
+def test_every_option_changes_an_output(replay_files, command, flag, takes_value):
+    # an option no output depends on is one to delete
+    from pathlib import Path
+
+    meta_99 = Path(replay_files["meta"]).with_name("pulse99.meta")
+    meta_99.write_text("pulse_time_ns = 99\ntemperature_K = 4\n")
+    files = {**replay_files, "meta_99": str(meta_99)}
+    argv = [a.format(**files) for a in REPLAY[command]]
+    changed = list(argv)
+    if flag in changed:
+        i = changed.index(flag)
+        del changed[i:i + 1 + takes_value]
+    changed += [a.format(**files) for a in ALTERNATES[command, flag]]
+    outputs = []
+    for name, args in (("a", argv), ("b", changed)):
+        out = Path(replay_files["out"]) / name
+        assert run(*args, "--out", str(out)) == 0
+        outputs.append({k: v for k, v in _outputs(out).items()
+                        if k != f"{command}_manifest.json"})
+    assert outputs[0] != outputs[1]

@@ -17,12 +17,7 @@ from sicpl.decay import (
     pool_lifetimes,
     thermal_lifetime,
 )
-from sicpl.errors import (
-    DegenerateFitError,
-    InsufficientBaselineError,
-    NoDataError,
-    ValidationError,
-)
+from sicpl.errors import DegenerateFitError, NoDataError, ValidationError
 from sicpl.synth import GeneratorSpec, generate
 
 
@@ -41,7 +36,6 @@ def make_trace(components, background=20.0, pulse=100.0, t_end=1800.0,
 def test_background_estimate():
     tr = make_trace([(1e4, 150.0)], background=40.0, seed=2)
     bg = estimate_background(tr)
-    assert bg.n_bins == 100
     assert abs(bg.mean - 40.0) < 5.0 * bg.std_error + 2.0
     assert bg.std_error == pytest.approx(bg.bin_std / 10.0)
 
@@ -60,7 +54,7 @@ def test_single_fit_recovers_truth():
     res = fit_decay(tr, kind="single")
     A, tau = res.components[0]
     assert abs(tau - 164.2) <= res.sigma3[1]
-    assert res.converged
+    assert res.fit.converged
     assert res.model_kind == "single"
 
 
@@ -74,7 +68,7 @@ def test_auto_selects_double_on_double_data():
                     t_end=3000.0, seed=7)
     res = fit_decay(tr, kind="auto")
     assert res.model_kind == "double"
-    taus = res.lifetimes
+    taus = [tau for _, tau in res.components]
     assert taus[0] > taus[1]  # reported slow-first
     assert abs(taus[0] - 158.5) <= res.sigma3[1]
     assert abs(taus[1] - 43.3) <= res.sigma3[3]

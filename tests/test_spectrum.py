@@ -217,6 +217,21 @@ def test_fit_psb_flags_oversubtraction():
         fit_psb(sp, zpls)
 
 
+def test_fit_psb_alpha_model_is_the_fitted_series():
+    truth = {"zpl": [("alpha3", 1280.0, 0.3, 700.0), ("alpha2", C2, 0.3, 300.0),
+                     ("beta", CB, 0.3, 400.0)],
+             "psb": [{"i0": 90.0, "sigma": 6.0, "delta0": 35.0, "j_max": 10,
+                      "e_ref_nm": 1280.0, "doublet": [1.47, 300.0 / 700.0]},
+                     {"i0": 230.0, "sigma": 6.0, "delta0": 50.0, "j_max": 3,
+                      "e_ref_nm": CB}]}
+    sp = generate(GeneratorSpec(seed=0, kind="spectrum", truth=truth, noise={"kind": "poisson"},
+                                sampling={"wl_start": 1255.0, "wl_end": 1470.0,
+                                          "step_nm": 0.2}))
+    zpls = find_zpls(sp, [("alpha3", 1280.0, 3.0), ("alpha2", C2, 3.0), ("beta", CB, 4.0)])
+    fit = fit_psb(sp, zpls)
+    assert np.array_equal(fit.alpha_model, psb_eval(fit.model, fit.delta))
+
+
 # ---------------------------------------------------------------------------
 # Huang-Rhys lineshape
 
@@ -284,9 +299,9 @@ def test_hr_validation():
 
 
 def _zset(a3, a2, ab):
-    lines = {"alpha3": ZplLine("alpha3", 1280.0, 0.0, 0.3, False, a3, 1.0, 0.0),
-             "alpha2": ZplLine("alpha2", C2, 0.0, 0.3, False, a2, 1.0, 0.0),
-             "beta": ZplLine("beta", CB, 0.0, 0.3, False, ab, 1.0, 0.0)}
+    lines = {"alpha3": ZplLine("alpha3", 1280.0, 0.0, 0.3, False, a3),
+             "alpha2": ZplLine("alpha2", C2, 0.0, 0.3, False, a2),
+             "beta": ZplLine("beta", CB, 0.0, 0.3, False, ab)}
     return ZplSet(lines=lines)
 
 
