@@ -13,12 +13,41 @@ import numpy as np
 from .errors import ValidationError
 
 
+def _record(x, y, x_name, y_name):
+    """x and y as read-only float arrays, checked against the rules every
+    record states: 1-D and of equal length with at least 2 points, x
+    finite and strictly increasing, y finite and non-negative."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 1 or y.shape != x.shape:
+        raise ValidationError(f"{x_name} and {y_name} arrays must be 1-D and equal length")
+    if x.size < 2:
+        raise ValidationError("need at least 2 points")
+    if not np.all(np.isfinite(x)):
+        raise ValidationError(f"non-finite {x_name}")
+    if np.any(np.diff(x) <= 0):
+        raise ValidationError(f"{x_name}s must be strictly increasing")
+    if not np.all(np.isfinite(y)):
+        raise ValidationError(f"non-finite {y_name}")
+    if np.any(y < 0):
+        raise ValidationError(f"negative {y_name}")
+    x.setflags(write=False)
+    y.setflags(write=False)
+    return x, y
+
+
+def _check_temperature(temperature):
+    if not (0 < temperature < np.inf):
+        raise ValidationError(f"temperature must be > 0 K, got {temperature}")
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """A wavelength-indexed intensity record and its temperature in K.
 
     wavelengths are strictly increasing, positive vacuum values in nm;
-    intensities are finite, non-negative counts.
+    intensities are finite, non-negative counts; the temperature is
+    finite and > 0 K.
     """
 
     wavelengths: np.ndarray
@@ -26,26 +55,10 @@ class Spectrum:
     temperature: float
 
     def __post_init__(self):
-        wl = np.asarray(self.wavelengths, dtype=float)
-        it = np.asarray(self.intensities, dtype=float)
-        if wl.ndim != 1 or it.shape != wl.shape:
-            raise ValidationError("wavelengths and intensities must be 1-D and equal length")
-        if wl.size < 2:
-            raise ValidationError("spectrum needs at least 2 points")
-        if not np.all(np.isfinite(wl)):
-            raise ValidationError("non-finite wavelength")
-        if np.any(np.diff(wl) <= 0):
-            raise ValidationError("wavelengths must be strictly increasing")
+        wl, it = _record(self.wavelengths, self.intensities, "wavelength", "intensity")
         if wl[0] <= 0:
             raise ValidationError(f"wavelengths must be > 0 nm, got {wl[0]}")
-        if not np.all(np.isfinite(it)):
-            raise ValidationError("non-finite intensity")
-        if np.any(it < 0):
-            raise ValidationError("negative intensity")
-        if not (self.temperature > 0):
-            raise ValidationError(f"temperature must be > 0 K, got {self.temperature}")
-        wl.setflags(write=False)
-        it.setflags(write=False)
+        _check_temperature(self.temperature)
         object.__setattr__(self, "wavelengths", wl)
         object.__setattr__(self, "intensities", it)
 
@@ -66,34 +79,18 @@ class DecayTrace:
     temperature: float | None = None
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        c = np.asarray(self.counts, dtype=float)
-        if t.ndim != 1 or c.shape != t.shape:
-            raise ValidationError("times and counts must be 1-D and equal length")
-        if t.size < 2:
-            raise ValidationError("trace needs at least 2 bins")
-        if not np.all(np.isfinite(t)):
-            raise ValidationError("non-finite time")
+        t, c = _record(self.times, self.counts, "time", "counts")
         dt = np.diff(t)
-        if np.any(dt <= 0):
-            raise ValidationError("times must be strictly increasing")
-        width = dt[0]
-        if np.any(np.abs(dt - width) > 1e-6 * width):
+        if np.any(np.abs(dt - dt[0]) > 1e-6 * dt[0]):
             raise ValidationError("non-uniform bin width")
-        if not np.all(np.isfinite(c)):
-            raise ValidationError("non-finite counts")
-        if np.any(c < 0):
-            raise ValidationError("negative counts")
         if np.any(np.abs(c - np.round(c)) > 1e-9 * np.maximum(c, 1)):
             raise ValidationError("counts must be integer-valued")
         if not np.isfinite(self.pulse_time):
             raise ValidationError(f"pulse_time must be finite, got {self.pulse_time}")
-        if self.temperature is not None and not (0 < self.temperature < np.inf):
-            raise ValidationError(f"temperature must be > 0 K, got {self.temperature}")
+        if self.temperature is not None:
+            _check_temperature(self.temperature)
         if np.count_nonzero(t < self.pulse_time) < 10:
             raise ValidationError("need at least 10 bins before pulse_time")
-        t.setflags(write=False)
-        c.setflags(write=False)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "counts", c)
 

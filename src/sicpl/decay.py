@@ -79,6 +79,21 @@ def thermal_lifetime(temperature, tau, tau_p, e_p_mev):
     return float(out) if np.isscalar(temperature) else out
 
 
+def _thermal_model(p, T):
+    return thermal_lifetime(T, p[0], p[1], p[2])
+
+
+def _thermal_jac(p, T):
+    tau, tau_p, e_p = p
+    boltz = np.exp(-e_p / (KB_MEV_PER_K * T))
+    rate = 1.0 / tau + boltz / tau_p
+    J = np.empty((T.size, 3))
+    J[:, 0] = 1.0 / (rate * tau) ** 2
+    J[:, 1] = boltz / (rate * tau_p) ** 2
+    J[:, 2] = boltz / (tau_p * rate**2 * KB_MEV_PER_K * T)
+    return J
+
+
 def estimate_background(trace: DecayTrace) -> BackgroundEstimate:
     """Mean and standard error of the pre-pulse bins."""
     pre = trace.counts[trace.times < trace.pulse_time]
@@ -288,26 +303,11 @@ def fit_thermal(points) -> ThermalModel:
         raise ValidationError("sigma must be positive")
     if np.unique(T).size < 3:
         raise DegenerateFitError("need >= 3 distinct temperatures")
-    w = 1.0 / sigma**2
-
-    def model(p, TT):
-        return thermal_lifetime(TT, p[0], p[1], p[2])
-
-    def jac(p, TT):
-        tau, tau_p, e_p = p
-        boltz = np.exp(-e_p / (KB_MEV_PER_K * TT))
-        rate = 1.0 / tau + boltz / tau_p
-        J = np.empty((TT.size, 3))
-        J[:, 0] = 1.0 / (rate * tau) ** 2
-        J[:, 1] = boltz / (rate * tau_p) ** 2
-        J[:, 2] = boltz / (tau_p * rate**2 * KB_MEV_PER_K * TT)
-        return J
-
     fit = minimize(FitProblem(
-        model=model, x=T, y=tau_tot, weights=w,
+        model=_thermal_model, x=T, y=tau_tot, weights=1.0 / sigma**2,
         p0=np.array(_arrhenius_start(T, tau_tot, sigma)),
         lower=np.array([1e-6, 1e-6, 1e-6]),
-        upper=np.full(3, np.inf), jacobian=jac,
+        upper=np.full(3, np.inf), jacobian=_thermal_jac,
     ))
     return ThermalModel(
         tau=float(fit.parameters[0]),

@@ -14,16 +14,16 @@ free parameters are solved again with its move included. Per the
 reporting convention used throughout the toolkit, margins are 3-sigma
 half-widths.
 
-Every fit in the toolkit supplies an analytic Jacobian: the exponential
-decays and tau(T) (`decay`), the ZPL Gaussian, the doublet ratio r(T)
-and the Gaussian sideband series (`spectrum`). The central-difference
-`finite_diff_jacobian` is the test oracle for all of them, and the
-default of a FitProblem built without one.
+Every fit supplies an analytic Jacobian, and a FitProblem is not built
+without one: the exponential decays and tau(T) (`decay`), the ZPL
+Gaussian, the doublet ratio r(T) and the Gaussian sideband series
+(`spectrum`). The central-difference `finite_diff_jacobian` is the test
+oracle for all of them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,13 +39,11 @@ class FitProblem:
     """A weighted curve-fitting problem.
 
     model(p, x) must accept a parameter vector and an abscissa array and
-    return predicted values; jacobian, if given, returns the (n, m)
-    matrix of d model / d p_j and is checked against finite differences
-    in the test suite. Without one, each iteration takes 2m model
-    evaluations for a central-difference Jacobian; every fit in
-    `decay` and `spectrum` gives one. `minimize` asks for the Jacobian
-    at the point of its last model evaluation, so a Jacobian may reuse
-    the exponentials its model computed there (see `reuse_last`).
+    return predicted values; jacobian(p, x) returns the (n, m) matrix of
+    d model / d p_j, and the test suite checks it against
+    `finite_diff_jacobian`. `minimize` asks for the Jacobian at the
+    point of its last model evaluation, so a Jacobian may reuse the
+    exponentials its model computed there (see `reuse_last`).
     lower[j] == upper[j] holds p[j] at that value on every step of
     `minimize`'s active set.
     """
@@ -53,11 +51,11 @@ class FitProblem:
     model: callable
     x: np.ndarray
     y: np.ndarray
+    p0: np.ndarray
+    jacobian: callable
     weights: np.ndarray | None = None
-    p0: np.ndarray = field(default_factory=lambda: np.array([]))
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
-    jacobian: callable | None = None
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
@@ -104,7 +102,8 @@ def finite_diff_jacobian(model, p, xs, h=FD_STEP) -> np.ndarray:
     """Central-difference Jacobian of model(p, xs) w.r.t. p.
 
     h is a relative step, required in (0, 1e-2]. Serves as the oracle
-    for any analytic derivatives supplied to the engine.
+    for the analytic Jacobians supplied to the engine; `minimize` never
+    calls it.
     """
     if not (0 < h <= 1e-2):
         raise DomainError(f"finite-difference step h must be in (0, 1e-2], got {h}")
@@ -154,12 +153,10 @@ def _cost(problem, p):
 
 
 def _jacobian(problem, p):
-    if problem.jacobian is not None:
-        J = np.asarray(problem.jacobian(p, problem.x), dtype=float)
-        if not np.isfinite(J).all():
-            raise EvaluationError("analytic Jacobian returned non-finite values")
-        return J
-    return finite_diff_jacobian(problem.model, p, problem.x)
+    J = np.asarray(problem.jacobian(p, problem.x), dtype=float)
+    if not np.isfinite(J).all():
+        raise EvaluationError("analytic Jacobian returned non-finite values")
+    return J
 
 
 def _covariance(problem, p, cost):

@@ -215,7 +215,7 @@ def test_7_psb_dw_partitioning():
 
 
 def test_8_engine_properties():
-    from sicpl.decay import R_MAX, _exp_model
+    from sicpl.decay import R_MAX, _exp_model, _thermal_jac, _thermal_model
     from sicpl.nls import FitProblem, minimize
     from sicpl.spectrum import (
         PSB_J_MAX,
@@ -224,7 +224,6 @@ def test_8_engine_properties():
         _gaussian_model,
         _psb_model,
     )
-    from sicpl.decay import KB_MEV_PER_K
 
     rng = np.random.default_rng(8)
     worst = 0.0
@@ -258,21 +257,8 @@ def test_8_engine_properties():
                               r.uniform(1275, 1285), r.uniform(0.1, 2.0)]),
           wl, h=1e-7)
 
-    def thermal_model(p, T):
-        return 1.0 / (1.0 / p[0] + np.exp(-p[2] / (KB_MEV_PER_K * T)) / p[1])
-
-    def thermal_jac(p, T):
-        tau, tau_p, e_p = p
-        boltz = np.exp(-e_p / (KB_MEV_PER_K * T))
-        rate = 1.0 / tau + boltz / tau_p
-        J = np.empty((T.size, 3))
-        J[:, 0] = 1.0 / (rate * tau) ** 2
-        J[:, 1] = boltz / (rate * tau_p) ** 2
-        J[:, 2] = boltz / (tau_p * rate**2 * KB_MEV_PER_K * T)
-        return J
-
     temps = np.linspace(4.0, 200.0, 40)
-    check(thermal_model, thermal_jac,
+    check(_thermal_model, _thermal_jac,
           lambda r: np.array([r.uniform(20, 400), r.uniform(5, 200),
                               r.uniform(2, 80)]), temps)
 

@@ -32,6 +32,24 @@ def test_spectrum_validation():
         Spectrum(wavelengths=wl, intensities=bad, temperature=4.0)
 
 
+def test_spectrum_temperature_follows_the_trace_rule(tmp_path):
+    # one temperature rule, 0 < T < inf, with one message for both records
+    wl = np.linspace(1250.0, 1350.0, 50)
+    it = np.ones(50)
+    t = np.arange(0.0, 20.0)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValidationError) as trace_err:
+            DecayTrace(times=t, counts=np.ones(20), pulse_time=15.0, temperature=bad)
+        with pytest.raises(ValidationError) as spectrum_err:
+            Spectrum(wavelengths=wl, intensities=it, temperature=bad)
+        assert str(spectrum_err.value) == str(trace_err.value)
+        assert str(spectrum_err.value) == f"temperature must be > 0 K, got {bad}"
+    p = tmp_path / "s.txt"
+    p.write_text("1300 5\n1301 6\n")
+    with pytest.raises(ValidationError, match="s.txt: temperature"):
+        load_spectrum(p, {"temperature_K": np.inf})
+
+
 def test_trace_validation():
     t = np.arange(0.0, 200.0, 1.0)
     c = np.full(t.shape, 7.0)

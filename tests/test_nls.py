@@ -15,10 +15,30 @@ def linear(p, x):
     return p[0] + p[1] * x
 
 
+def linear_jac(p, x):
+    return np.column_stack([np.ones_like(x), x])
+
+
+def exp_decay(p, t):
+    return p[0] * np.exp(-t / p[1])
+
+
+def exp_decay_jac(p, t):
+    e = np.exp(-t / p[1])
+    return np.column_stack([e, p[0] * e * t / p[1] ** 2])
+
+
+def oracle(model):
+    """The finite-difference oracle as the Jacobian of a model the test
+    gives no derivative for."""
+    return lambda p, x: finite_diff_jacobian(model, p, x)
+
+
 def test_linear_exact():
     x = np.linspace(0.0, 10.0, 20)
     y = 3.0 + 0.5 * x
-    fit = minimize(FitProblem(model=linear, x=x, y=y, p0=np.array([0.0, 0.0])))
+    fit = minimize(FitProblem(model=linear, x=x, y=y, p0=np.array([0.0, 0.0]),
+                              jacobian=linear_jac))
     assert fit.converged
     assert np.allclose(fit.parameters, [3.0, 0.5], atol=1e-10)
     assert fit.cost < 1e-18
@@ -30,7 +50,7 @@ def test_weighted_linear_matches_normal_equations():
     y = 1.0 + 2.0 * x + rng.normal(0.0, 0.3, x.size)
     w = rng.uniform(0.5, 2.0, x.size)
     fit = minimize(FitProblem(model=linear, x=x, y=y, weights=w,
-                              p0=np.array([0.0, 0.0])))
+                              p0=np.array([0.0, 0.0]), jacobian=linear_jac))
     X = np.column_stack([np.ones_like(x), x])
     ref = np.linalg.solve(X.T @ (w[:, None] * X), X.T @ (w * y))
     assert np.allclose(fit.parameters, ref, rtol=1e-8)
@@ -40,12 +60,8 @@ def test_exponential_recovery_with_bounds():
     rng = np.random.default_rng(5)
     x = np.linspace(0.0, 500.0, 200)
     truth = np.array([800.0, 120.0])
-
-    def model(p, t):
-        return p[0] * np.exp(-t / p[1])
-
-    y = model(truth, x) + rng.normal(0.0, 2.0, x.size)
-    fit = minimize(FitProblem(model=model, x=x, y=y,
+    y = exp_decay(truth, x) + rng.normal(0.0, 2.0, x.size)
+    fit = minimize(FitProblem(model=exp_decay, x=x, y=y, jacobian=exp_decay_jac,
                               p0=np.array([100.0, 40.0]),
                               lower=np.array([0.0, 1.0]),
                               upper=np.array([1e6, 1e4])))
@@ -62,8 +78,11 @@ def test_degenerate_parameters_named():
     def model(p, xx):
         return p[0] * xx + p[1] * xx
 
+    def jac(p, xx):
+        return np.column_stack([xx, xx])
+
     with pytest.raises(DegenerateFitError) as err:
-        minimize(FitProblem(model=model, x=x, y=y, p0=np.array([1.0, 1.0])))
+        minimize(FitProblem(model=model, x=x, y=y, p0=np.array([1.0, 1.0]), jacobian=jac))
     msg = str(err.value)
     assert "p[0]" in msg and "p[1]" in msg
 
@@ -71,8 +90,12 @@ def test_degenerate_parameters_named():
     def shifted(p, xx):
         return p[0] + model(p[1:], xx)
 
+    def shifted_jac(p, xx):
+        return np.column_stack([np.ones_like(xx), jac(p[1:], xx)])
+
     with pytest.raises(DegenerateFitError) as err:
         minimize(FitProblem(model=shifted, x=x, y=1.0 + y, p0=np.array([1.0, 1.0, 1.0]),
+                            jacobian=shifted_jac,
                             lower=np.array([1.0, -np.inf, -np.inf]),
                             upper=np.array([1.0, np.inf, np.inf])))
     msg = str(err.value)
@@ -83,12 +106,9 @@ def test_scale_disparity_is_not_degenerate():
     # a well-posed model must not be flagged just because parameter
     # magnitudes differ by many orders
     x = np.linspace(0.0, 1000.0, 300)
-
-    def model(p, t):
-        return p[0] * np.exp(-t / p[1])
-
-    y = model(np.array([1e8, 150.0]), x)
-    fit = minimize(FitProblem(model=model, x=x, y=y, p0=np.array([5e7, 80.0]),
+    y = exp_decay(np.array([1e8, 150.0]), x)
+    fit = minimize(FitProblem(model=exp_decay, x=x, y=y, p0=np.array([5e7, 80.0]),
+                              jacobian=exp_decay_jac,
                               lower=np.array([0.0, 1e-6])))
     assert abs(fit.parameters[0] - 1e8) / 1e8 < 1e-6
 
@@ -96,17 +116,18 @@ def test_scale_disparity_is_not_degenerate():
 def test_validation():
     x = np.arange(3.0)
     with pytest.raises(ValidationError):
-        FitProblem(model=linear, x=x, y=x, p0=np.array([]))
+        FitProblem(model=linear, x=x, y=x, p0=np.array([]), jacobian=linear_jac)
     with pytest.raises(ValidationError):
-        FitProblem(model=linear, x=x[:1], y=x[:1], p0=np.array([1.0, 1.0]))
+        FitProblem(model=linear, x=x[:1], y=x[:1], p0=np.array([1.0, 1.0]), jacobian=linear_jac)
     with pytest.raises(ValidationError):
         FitProblem(model=linear, x=x, y=x, weights=np.array([1.0, -1.0, 1.0]),
-                   p0=np.array([1.0, 1.0]))
+                   p0=np.array([1.0, 1.0]), jacobian=linear_jac)
     with pytest.raises(ValidationError):
         FitProblem(model=linear, x=x, y=x, p0=np.array([5.0, 0.0]),
-                   upper=np.array([1.0, 1.0]))
+                   upper=np.array([1.0, 1.0]), jacobian=linear_jac)
     with pytest.raises(ValidationError):  # nothing left to fit
-        FitProblem(model=linear, x=x, y=x, p0=np.ones(2), lower=np.ones(2), upper=np.ones(2))
+        FitProblem(model=linear, x=x, y=x, p0=np.ones(2), lower=np.ones(2), upper=np.ones(2),
+                   jacobian=linear_jac)
 
 
 def test_equal_bounds_pin_a_parameter():
@@ -119,15 +140,21 @@ def test_equal_bounds_pin_a_parameter():
     def model(p, tt):
         return p[0] * np.exp(-tt / p[1]) + p[2] + p[3] * tt
 
+    def jac(p, tt):
+        return np.column_stack([exp_decay_jac(p, tt), np.ones_like(tt), tt])
+
     def reduced(q, tt):
         return model(np.array([q[0], q[1], 20.0, q[2]]), tt)
+
+    def reduced_jac(q, tt):
+        return jac(np.array([q[0], q[1], 20.0, q[2]]), tt)[:, [0, 1, 3]]
 
     inf = np.inf
     pinned = minimize(FitProblem(model=model, x=t, y=y, p0=np.array([500.0, 30.0, 20.0, 0.0]),
                                  lower=np.array([0.0, 1e-3, 20.0, -inf]),
-                                 upper=np.array([inf, inf, 20.0, inf])))
+                                 upper=np.array([inf, inf, 20.0, inf]), jacobian=jac))
     ref = minimize(FitProblem(model=reduced, x=t, y=y, p0=np.array([500.0, 30.0, 0.0]),
-                              lower=np.array([0.0, 1e-3, -inf])))
+                              lower=np.array([0.0, 1e-3, -inf]), jacobian=reduced_jac))
     assert pinned.parameters[2] == 20.0
     assert not pinned.covariance[2].any() and not pinned.covariance[:, 2].any()
     free = [0, 1, 3]
@@ -144,7 +171,8 @@ def test_parameter_on_a_bound_is_released():
     inf = np.full(2, np.inf)
     for p0, lower, upper in ((np.zeros(2), np.zeros(2), inf),
                              (np.array([10.0, 2.0]), -inf, np.array([10.0, 2.0]))):
-        fit = minimize(FitProblem(model=linear, x=x, y=y, p0=p0, lower=lower, upper=upper))
+        fit = minimize(FitProblem(model=linear, x=x, y=y, p0=p0, lower=lower, upper=upper,
+                                  jacobian=linear_jac))
         assert fit.converged
         assert np.allclose(fit.parameters, [3.0, 0.5], atol=1e-10)
 
@@ -156,7 +184,51 @@ def test_non_finite_model_rejected():
         return np.full(xx.shape, np.nan)
 
     with pytest.raises(EvaluationError):
-        minimize(FitProblem(model=model, x=x, y=x, p0=np.array([1.0])))
+        minimize(FitProblem(model=model, x=x, y=x, p0=np.array([1.0]), jacobian=oracle(model)))
+
+
+def test_jacobian_is_required_and_finite_differences_never_run(monkeypatch):
+    x = np.linspace(0.0, 10.0, 20)
+    with pytest.raises(TypeError, match="jacobian"):
+        FitProblem(model=linear, x=x, y=x, p0=np.ones(2))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("minimize called finite_diff_jacobian")
+
+    monkeypatch.setattr(nls, "finite_diff_jacobian", refuse)
+    fit = minimize(FitProblem(model=linear, x=x, y=3.0 + 0.5 * x, p0=np.zeros(2),
+                              jacobian=linear_jac))
+    assert np.allclose(fit.parameters, [3.0, 0.5], atol=1e-10)
+
+
+def test_non_finite_trial_point_raises_the_damping():
+    # steps from (5, 60) overshoot to tau <= 0, where the model is NaN:
+    # each such trial is rejected like an uphill one and the fit converges
+    x = np.linspace(0.0, 50.0, 40)
+    y = exp_decay(np.array([100.0, 12.0]), x)
+    nan_trials = []
+
+    def model(p, t):
+        if p[1] <= 0:
+            nan_trials.append(p.copy())
+            return np.full(t.shape, np.nan)
+        return exp_decay(p, t)
+
+    fit = minimize(FitProblem(model=model, x=x, y=y, p0=np.array([5.0, 60.0]),
+                              jacobian=exp_decay_jac))
+    assert fit.converged
+    assert np.allclose(fit.parameters, [100.0, 12.0], rtol=1e-8)
+    assert nan_trials
+
+
+def test_non_finite_jacobian_rejected():
+    x = np.linspace(0.0, 5.0, 10)
+
+    def jac(p, xx):
+        return np.full((xx.size, 2), np.nan)
+
+    with pytest.raises(EvaluationError, match="Jacobian"):
+        minimize(FitProblem(model=linear, x=x, y=x, p0=np.ones(2), jacobian=jac))
 
 
 # ---------------------------------------------------------------------------
@@ -196,15 +268,11 @@ def test_weight_rescale_invariance(scale, tau0):
     x = np.linspace(0.0, 50.0, 40)
     rng = np.random.default_rng(11)
     y = 100.0 * np.exp(-x / 12.0) + rng.normal(0.0, 1.0, x.size)
-
-    def model(p, t):
-        return p[0] * np.exp(-t / p[1])
-
     w = 1.0 / np.maximum(np.abs(y), 1.0)
-    base = minimize(FitProblem(model=model, x=x, y=y, weights=w,
-                               p0=np.array([50.0, tau0])))
-    scaled = minimize(FitProblem(model=model, x=x, y=y, weights=scale * w,
-                                 p0=np.array([50.0, tau0])))
+    base = minimize(FitProblem(model=exp_decay, x=x, y=y, weights=w,
+                               p0=np.array([50.0, tau0]), jacobian=exp_decay_jac))
+    scaled = minimize(FitProblem(model=exp_decay, x=x, y=y, weights=scale * w,
+                                 p0=np.array([50.0, tau0]), jacobian=exp_decay_jac))
     assert np.allclose(base.parameters, scaled.parameters, rtol=1e-8)
     # reduced chi2 scales linearly with the weights
     assert scaled.reduced_chi2 == pytest.approx(scale * base.reduced_chi2, rel=1e-6)
@@ -264,7 +332,7 @@ def test_max_iter_reported(monkeypatch):
         return p[0] * np.sin(p[1] * xx + p[2])
 
     fit = minimize(FitProblem(model=model, x=x, y=y,
-                              p0=np.array([0.5, 0.9, 0.1])))
+                              p0=np.array([0.5, 0.9, 0.1]), jacobian=oracle(model)))
     assert fit.n_iterations <= 2
 
 
