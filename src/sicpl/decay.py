@@ -15,7 +15,7 @@ import numpy as np
 from .constants import KB_MEV_PER_K
 from .datatypes import DecayTrace
 from .errors import DegenerateFitError, NoDataError, ValidationError
-from .nls import FitProblem, FitResult, minimize, reuse_last
+from .nls import FitProblem, FitResult, minimize
 
 # Thermally-assisted channels roughly 4x apart in the data; anything
 # within this relative difference is treated as the same channel.
@@ -71,27 +71,28 @@ class ThermalModel:
         return thermal_lifetime(temperature, self.tau, self.tau_p, self.e_p)
 
 
+def _thermal_rate(T, tau, tau_p, e_p_mev):
+    """(Boltzmann factor exp(-E_p / kB T), total rate 1/tau_tot)."""
+    boltz = np.exp(-e_p_mev / (KB_MEV_PER_K * T))
+    return boltz, 1.0 / tau + boltz / tau_p
+
+
 def thermal_lifetime(temperature, tau, tau_p, e_p_mev):
     """Total lifetime of the thermally activated decay model (ns)."""
-    T = np.asarray(temperature, dtype=float)
-    rate = 1.0 / tau + np.exp(-e_p_mev / (KB_MEV_PER_K * T)) / tau_p
+    _, rate = _thermal_rate(np.asarray(temperature, dtype=float), tau, tau_p, e_p_mev)
     out = 1.0 / rate
     return float(out) if np.isscalar(temperature) else out
 
 
 def _thermal_model(p, T):
-    return thermal_lifetime(T, p[0], p[1], p[2])
-
-
-def _thermal_jac(p, T):
+    """(values, Jacobian) of thermal_lifetime in p = (tau, tau_p, E_p)."""
     tau, tau_p, e_p = p
-    boltz = np.exp(-e_p / (KB_MEV_PER_K * T))
-    rate = 1.0 / tau + boltz / tau_p
+    boltz, rate = _thermal_rate(T, tau, tau_p, e_p)
     J = np.empty((T.size, 3))
     J[:, 0] = 1.0 / (rate * tau) ** 2
     J[:, 1] = boltz / (rate * tau_p) ** 2
     J[:, 2] = boltz / (tau_p * rate**2 * KB_MEV_PER_K * T)
-    return J
+    return 1.0 / rate, J
 
 
 def estimate_background(trace: DecayTrace) -> BackgroundEstimate:
@@ -117,37 +118,24 @@ def _default_window(trace, bg):
     return (t_start, t_end)
 
 
-def _exp_model(n_components):
-    """(model, jacobian) of sum_k A_k exp(-t / tau_k) in p = (A1, tau1) or,
-    for two components, p = (A1, tau1, A2, r) with tau2 = r * tau1.
-
-    Both share the exponentials of the last evaluation (nls.reuse_last).
-    """
-    @reuse_last
-    def exps(p, t):
-        e1 = np.exp(-t / p[1])
-        return (e1,) if n_components == 1 else (e1, np.exp(-t / (p[3] * p[1])))
-
-    def model(p, t):
-        e = exps(p, t)
-        return p[0] * e[0] if n_components == 1 else p[0] * e[0] + p[2] * e[1]
-
-    def jac(p, t):
-        A1, tau1 = p[0], p[1]
-        e = exps(p, t)
-        J = np.empty((t.size, 2 * n_components))
-        J[:, 0] = e[0]
-        J[:, 1] = A1 * e[0] * t / tau1**2
-        if n_components == 2:
-            A2, r, e2 = p[2], p[3], e[1]
-            # d/d tau1 and d/dr of A2 exp(-t / (r tau1)) share A2 e2 t / tau2
-            g2 = A2 * e2 * t / (r * tau1)
-            J[:, 1] += g2 / tau1
-            J[:, 2] = e2
-            J[:, 3] = g2 / r
-        return J
-
-    return model, jac
+def _exp_model(p, t):
+    """(values, Jacobian) of sum_k A_k exp(-t / tau_k) in p = (A1, tau1) or,
+    for two components, p = (A1, tau1, A2, r) with tau2 = r * tau1."""
+    A1, tau1 = p[0], p[1]
+    e1 = np.exp(-t / tau1)
+    J = np.empty((t.size, p.size))
+    J[:, 0] = e1
+    J[:, 1] = A1 * e1 * t / tau1**2
+    if p.size == 2:
+        return A1 * e1, J
+    A2, r = p[2], p[3]
+    e2 = np.exp(-t / (r * tau1))
+    # d/d tau1 and d/dr of A2 exp(-t / (r tau1)) share A2 e2 t / tau2
+    g2 = A2 * e2 * t / (r * tau1)
+    J[:, 1] += g2 / tau1
+    J[:, 2] = e2
+    J[:, 3] = g2 / r
+    return A1 * e1 + A2 * e2, J
 
 
 def _initial_tau(t, y):
@@ -165,14 +153,12 @@ def _fit_exponentials(t, y, w, p0, background=0.0):
     """Two-pass fit: observed-count weights first, then weights from the
     fitted expectation (removes the low-count bias of observed weighting)."""
     m = len(p0)
-    model, jac = _exp_model(m // 2)
     lower, upper = np.array(EXP_LOWER[:m]), np.array(EXP_UPPER[:m])
-    fit = minimize(FitProblem(model=model, x=t, y=y, weights=w, p0=np.asarray(p0, float),
-                              lower=lower, upper=upper, jacobian=jac))
-    w2 = 1.0 / np.maximum(model(fit.parameters, t) + background, 1.0)
-    return minimize(FitProblem(model=model, x=t, y=y, weights=w2,
-                               p0=fit.parameters, lower=lower, upper=upper,
-                               jacobian=jac))
+    fit = minimize(FitProblem(model=_exp_model, x=t, y=y, weights=w, p0=np.asarray(p0, float),
+                              lower=lower, upper=upper))
+    w2 = 1.0 / np.maximum(_exp_model(fit.parameters, t)[0] + background, 1.0)
+    return minimize(FitProblem(model=_exp_model, x=t, y=y, weights=w2,
+                               p0=fit.parameters, lower=lower, upper=upper))
 
 
 def _as_lifetimes(fit: FitResult) -> FitResult:
@@ -307,7 +293,7 @@ def fit_thermal(points) -> ThermalModel:
         model=_thermal_model, x=T, y=tau_tot, weights=1.0 / sigma**2,
         p0=np.array(_arrhenius_start(T, tau_tot, sigma)),
         lower=np.array([1e-6, 1e-6, 1e-6]),
-        upper=np.full(3, np.inf), jacobian=_thermal_jac,
+        upper=np.full(3, np.inf),
     ))
     return ThermalModel(
         tau=float(fit.parameters[0]),
@@ -336,8 +322,8 @@ def pool_lifetimes(entries) -> list[PooledLifetime]:
     if not entries:
         raise NoDataError("no lifetimes to pool")
     for tau, sigma in entries:
-        if sigma <= 0:
-            raise ValidationError("sigma must be positive")
+        if not (0 < tau < np.inf and 0 < sigma < np.inf):
+            raise ValidationError(f"tau and sigma must be finite and > 0, got ({tau}, {sigma})")
     channels = []
     for tau, sigma in sorted(entries):
         placed = False

@@ -14,11 +14,13 @@ free parameters are solved again with its move included. Per the
 reporting convention used throughout the toolkit, margins are 3-sigma
 half-widths.
 
-Every fit supplies an analytic Jacobian, and a FitProblem is not built
-without one: the exponential decays and tau(T) (`decay`), the ZPL
-Gaussian, the doublet ratio r(T) and the Gaussian sideband series
-(`spectrum`). The central-difference `finite_diff_jacobian` is the test
-oracle for all of them.
+Every fit's model returns its values and its analytic Jacobian
+together, from one computation: the exponential decays and tau(T)
+(`decay`), the ZPL Gaussian, the doublet ratio r(T) and the Gaussian
+sideband series (`spectrum`). `minimize` evaluates the model once per
+point it tries and keeps the Jacobian of the point it accepted for the
+next step and for the covariance. The central-difference
+`finite_diff_jacobian` of the values is the test oracle for all of them.
 """
 
 from __future__ import annotations
@@ -38,21 +40,18 @@ FD_STEP = 1e-6      # relative step of the finite-difference Jacobian
 class FitProblem:
     """A weighted curve-fitting problem.
 
-    model(p, x) must accept a parameter vector and an abscissa array and
-    return predicted values; jacobian(p, x) returns the (n, m) matrix of
-    d model / d p_j, and the test suite checks it against
-    `finite_diff_jacobian`. `minimize` asks for the Jacobian at the
-    point of its last model evaluation, so a Jacobian may reuse the
-    exponentials its model computed there (see `reuse_last`).
-    lower[j] == upper[j] holds p[j] at that value on every step of
-    `minimize`'s active set.
+    model(p, x) takes a parameter vector and an abscissa array and returns
+    (values, jacobian): the (n,) predicted values and the (n, m) matrix of
+    d values / d p_j at the same point, so both may share one computation.
+    The test suite checks each Jacobian against `finite_diff_jacobian` of
+    the values. lower[j] == upper[j] holds p[j] at that value on every
+    step of `minimize`'s active set.
     """
 
     model: callable
     x: np.ndarray
     y: np.ndarray
     p0: np.ndarray
-    jacobian: callable
     weights: np.ndarray | None = None
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
@@ -99,10 +98,11 @@ class FitResult:
 
 
 def finite_diff_jacobian(model, p, xs, h=FD_STEP) -> np.ndarray:
-    """Central-difference Jacobian of model(p, xs) w.r.t. p.
+    """Central-difference Jacobian of model(p, xs), which returns values
+    only, w.r.t. p.
 
     h is a relative step, required in (0, 1e-2]. Serves as the oracle
-    for the analytic Jacobians supplied to the engine; `minimize` never
+    for the analytic Jacobians the fit models return; `minimize` never
     calls it.
     """
     if not (0 < h <= 1e-2):
@@ -123,46 +123,32 @@ def finite_diff_jacobian(model, p, xs, h=FD_STEP) -> np.ndarray:
     return J
 
 
-def reuse_last(f):
-    """f(p, x), returning the previous call's result when p and x are the
-    same as in that call (p by value, x by identity).
+def _evaluate(problem, p):
+    """(cost, residuals, Jacobian) at p, from one model call.
 
-    A model family wraps the exponentials its model and Jacobian share,
-    so the Jacobian at the point of the last model evaluation reuses them
-    and a Jacobian at any other point recomputes them. Each fit builds
-    its own family, so no state outlives the fit.
+    Raises ValidationError if the model does not return (n,) values and an
+    (n, m) Jacobian, and EvaluationError if either is not finite.
     """
-    last_key, last_x, last = None, None, None
-
-    def shared(p, x):
-        nonlocal last_key, last_x, last
-        key = np.asarray(p, dtype=float).tobytes()
-        if x is not last_x or key != last_key:
-            last_key, last_x, last = key, x, f(p, x)
-        return last
-
-    return shared
-
-
-def _cost(problem, p):
-    f = np.asarray(problem.model(p, problem.x), dtype=float)
+    out = problem.model(p, problem.x)
+    n, m = problem.y.size, p.size
+    if not (isinstance(out, tuple) and len(out) == 2):
+        raise ValidationError("model must return (values, jacobian)")
+    f, J = np.asarray(out[0], dtype=float), np.asarray(out[1], dtype=float)
+    if f.shape != (n,) or J.shape != (n, m):
+        raise ValidationError(f"model must return values of shape ({n},) and a jacobian "
+                              f"of shape ({n}, {m}), got {f.shape} and {J.shape}")
     if not np.isfinite(f).all():
         raise EvaluationError("model returned non-finite values")
-    r = problem.y - f
-    return float((problem.weights * r * r).sum()), r
-
-
-def _jacobian(problem, p):
-    J = np.asarray(problem.jacobian(p, problem.x), dtype=float)
     if not np.isfinite(J).all():
-        raise EvaluationError("analytic Jacobian returned non-finite values")
-    return J
+        raise EvaluationError("model returned a non-finite Jacobian")
+    r = problem.y - f
+    return float((problem.weights * r * r).sum()), r, J
 
 
-def _covariance(problem, p, cost):
-    """reduced_chi2 * (J^T W J)^-1 over the free parameters, symmetrized;
-    equal-bound parameters get zero rows and columns. Raises on rank deficiency."""
-    J = _jacobian(problem, p)
+def _covariance(problem, p, cost, J):
+    """reduced_chi2 * (J^T W J)^-1 over the free parameters, from the
+    Jacobian J at p, symmetrized; equal-bound parameters get zero rows and
+    columns. Raises on rank deficiency."""
     free = np.flatnonzero(problem.lower != problem.upper)
     A = (J.T @ (problem.weights[:, None] * J))[np.ix_(free, free)]
     d = np.sqrt(np.diag(A))
@@ -198,16 +184,17 @@ def minimize(problem: FitProblem) -> FitResult:
     J^T W J, is below COST_TOL too; converged is False when MAX_ITER is
     hit first. A parameter that a step takes past a bound stops there,
     and the damped system is solved again for the free parameters with
-    that move included.
+    that move included. The model is evaluated once per point tried; a
+    trial point where it is not finite is rejected like an uphill one,
+    while at the start point that raises EvaluationError.
     """
     p = problem.p0.copy()
-    cost, r = _cost(problem, p)
+    cost, r, jac_p = _evaluate(problem, p)
     lam = 1e-3
     converged = False
     n_iter = 0
     for n_iter in range(1, MAX_ITER + 1):
-        J = _jacobian(problem, p)
-        W = problem.weights
+        W, J = problem.weights, jac_p
         g = J.T @ (W * r)
         # active set: a zero column and gradient give a held parameter a zero step
         held = ((p <= problem.lower) & (g <= 0)) | ((p >= problem.upper) & (g >= 0))
@@ -236,7 +223,7 @@ def minimize(problem: FitProblem) -> FitResult:
                 lam *= 10.0
                 continue
             try:
-                cost_new, r_new = _cost(problem, p_new)
+                cost_new, r_new, jac_new = _evaluate(problem, p_new)
             except EvaluationError:
                 lam *= 10.0
                 continue
@@ -245,7 +232,7 @@ def minimize(problem: FitProblem) -> FitResult:
                 scale = max(cost, 1e-300)
                 actual = (cost - cost_new) / scale
                 predicted = (2.0 * (s @ g) - s @ A @ s) / scale
-                p, cost, r = p_new, cost_new, r_new
+                p, cost, r, jac_p = p_new, cost_new, r_new, jac_new
                 lam = max(lam / 10.0, 1e-12)
                 accepted = True
                 if (actual < COST_TOL and predicted < COST_TOL) or cost == 0.0:
@@ -255,7 +242,7 @@ def minimize(problem: FitProblem) -> FitResult:
         if not accepted or converged:
             converged = converged or not accepted  # stalled damping: local minimum
             break
-    cov, red_chi2 = _covariance(problem, p, cost)
+    cov, red_chi2 = _covariance(problem, p, cost, jac_p)
     return FitResult(
         parameters=p,
         covariance=cov,

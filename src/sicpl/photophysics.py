@@ -45,15 +45,18 @@ def budget(tau_rad: float, tau_tot_exp: float, dw_exp: float, s_th: float,
     tau_nr_reference, when given, is compared against the computed value
     and any disagreement beyond 2 % is flagged in the notes.
     """
-    if not (0 < tau_tot_exp <= tau_rad):
+    if not (0 < tau_tot_exp <= tau_rad < math.inf):
         raise DomainError(
-            f"measured lifetime {tau_tot_exp} ns must be in (0, tau_rad={tau_rad}]; "
-            "a faster measured decay implies a finite non-radiative channel"
+            f"measured lifetime {tau_tot_exp} ns must be in (0, tau_rad={tau_rad}], "
+            "with tau_rad finite; a faster measured decay implies a finite "
+            "non-radiative channel"
         )
     if not (0 < dw_exp <= 1):
         raise DomainError("dw_exp must be in (0, 1]")
-    if s_th < 0:
-        raise DomainError("s_th must be >= 0")
+    if not (0 <= s_th < math.inf):
+        raise DomainError(f"s_th must be finite and >= 0, got {s_th}")
+    if tau_nr_reference is not None and not (0 < tau_nr_reference < math.inf):
+        raise DomainError(f"tau_nr_reference must be finite and > 0, got {tau_nr_reference}")
     eta_rad = tau_tot_exp / tau_rad
     if tau_tot_exp == tau_rad:
         tau_nr = None
@@ -100,18 +103,19 @@ class CavityParams:
     w_c_um: float | None = None
 
     def __post_init__(self):
-        if self.wavelength_nm <= 0 or self.roc_mm <= 0:
-            raise ValidationError("wavelength and mirror radius must be > 0")
-        if self.l_vac_um <= 0 or self.l_sic_um < 0:
-            raise ValidationError("cavity lengths must be positive")
-        if self.finesse < 0:
-            raise ValidationError("finesse must be >= 0")
-        if self.n_sic < 1:
-            raise ValidationError("n_sic must be >= 1")
+        # written so that NaN fails every range check
+        if not (0 < self.wavelength_nm < math.inf and 0 < self.roc_mm < math.inf):
+            raise ValidationError("wavelength and mirror radius must be finite and > 0")
+        if not (0 < self.l_vac_um < math.inf and 0 <= self.l_sic_um < math.inf):
+            raise ValidationError("cavity lengths must be finite and positive")
+        if not (0 <= self.finesse < math.inf):
+            raise ValidationError("finesse must be finite and >= 0")
+        if not (1 <= self.n_sic < math.inf):
+            raise ValidationError("n_sic must be finite and >= 1")
         if not (0 < self.eta_tot <= 1):
             raise ValidationError("eta_tot must be in (0, 1]")
-        if self.w_c_um is not None and self.w_c_um <= 0:
-            raise ValidationError("w_c must be > 0")
+        if self.w_c_um is not None and not (0 < self.w_c_um < math.inf):
+            raise ValidationError("w_c must be finite and > 0")
 
 
 def mode_field_radius(params: CavityParams) -> float:
@@ -186,8 +190,8 @@ def cooperativity(params: CavityParams,
 
 def finesse_sweep(params: CavityParams, start: float, stop: float, n: int):
     """eta_cav over a log-spaced finesse range; returns (F, C, eta_cav)."""
-    if start <= 0 or stop <= start or n < 2:
-        raise ValidationError("need 0 < start < stop and n >= 2")
+    if not (0 < start < stop < math.inf and n >= 2):
+        raise ValidationError("need 0 < start < stop < inf and n >= 2")
     fs = np.logspace(math.log10(start), math.log10(stop), n)
     rows = []
     for f in fs:

@@ -24,7 +24,7 @@ from .errors import (
     ModelInconsistencyError,
     ValidationError,
 )
-from .nls import FitProblem, minimize, reuse_last
+from .nls import FitProblem, minimize
 
 EV_NM_MEV = EV_NM * 1000.0  # hc in meV*nm
 
@@ -73,28 +73,17 @@ class ZplSet:
         return sum(self.lines[lab].area for lab in labels if lab in self.lines)
 
 
-def _gaussian_model():
-    """(model, jacobian) of B + A exp(-(x - c)^2 / (2 s^2)) in p = (B, A, c, s);
-    both share the exponentials of the last evaluation (nls.reuse_last)."""
-    @reuse_last
-    def exps(p, x):
-        return np.exp(-((x - p[2]) ** 2) / (2.0 * p[3] ** 2))
-
-    def model(p, x):
-        return p[0] + p[1] * exps(p, x)
-
-    def jac(p, x):
-        B, A, c, s = p
-        u = (x - c) / s
-        e = exps(p, x)
-        J = np.empty((x.size, 4))
-        J[:, 0] = 1.0
-        J[:, 1] = e
-        J[:, 2] = A * e * u / s
-        J[:, 3] = A * e * u**2 / s
-        return J
-
-    return model, jac
+def _gaussian_model(p, x):
+    """(values, Jacobian) of B + A exp(-(x - c)^2 / (2 s^2)) in p = (B, A, c, s)."""
+    B, A, c, s = p
+    e = np.exp(-((x - c) ** 2) / (2.0 * s**2))
+    u = (x - c) / s
+    J = np.empty((x.size, 4))
+    J[:, 0] = 1.0
+    J[:, 1] = e
+    J[:, 2] = A * e * u / s
+    J[:, 3] = A * e * u**2 / s
+    return B + A * e, J
 
 
 def fit_gaussian_line(wl, it):
@@ -116,12 +105,10 @@ def fit_gaussian_line(wl, it):
     fwhm0 = np.count_nonzero(it > b0 + a0 / 2.0) * float(np.median(np.diff(wl)))
     s0 = min(max(fwhm0 / (2.0 * math.sqrt(2.0 * math.log(2.0))), 1e-6 * span), span)
     p0 = np.array([b0, a0, float(wl[i_max]), s0])
-    model, jac = _gaussian_model()
     problem = FitProblem(
-        model=model, x=wl, y=it, p0=p0,
+        model=_gaussian_model, x=wl, y=it, p0=p0,
         lower=np.array([0.0, 0.0, wl[0], 1e-6 * span]),
         upper=np.array([np.inf, np.inf, wl[-1], span]),
-        jacobian=jac,
     )
     return minimize(problem)
 
@@ -177,10 +164,11 @@ def _doublet_ratio(r0, t0, temperature):
     return 1.0 + (r0 - 1.0) * np.exp(-np.asarray(temperature) / t0)
 
 
-def _doublet_ratio_jac(p, temperature):
+def _doublet_ratio_model(p, temperature):
+    """(values, Jacobian) of _doublet_ratio in p = (r0, T0)."""
     r0, t0 = p
     e = np.exp(-temperature / t0)
-    return np.column_stack([e, (r0 - 1.0) * e * temperature / t0**2])
+    return 1.0 + (r0 - 1.0) * e, np.column_stack([e, (r0 - 1.0) * e * temperature / t0**2])
 
 
 @dataclass
@@ -228,11 +216,10 @@ def doublet_ratio_vs_T(spectra, expected_pair) -> DoubletThermometry:
 
     r0_init = float(r[np.argmin(T)])
     problem = FitProblem(
-        model=lambda p, TT: _doublet_ratio(p[0], p[1], TT), x=T, y=r,
+        model=_doublet_ratio_model, x=T, y=r,
         p0=np.array([r0_init, 30.0]),
         lower=np.array([0.0, 1e-3]),
         upper=np.array([np.inf, 1e4]),
-        jacobian=_doublet_ratio_jac,
     )
     fit = minimize(problem)
     out = DoubletThermometry(
@@ -322,43 +309,41 @@ def _psb_base_jac(e, d, i0, sigma, centre):
     return J
 
 
-def _psb_model(j_max, doublet):
-    """(model, jacobian) of the sideband series in p = (i0, sigma, delta0).
-
-    With doublet = (splitting, ratio) each Gaussian is the weighted pair
-    of PsbModel, the secondary `splitting` meV below the primary. i0
-    enters as max(i0, 0). Both share the per-line (j_max, n) exponentials
-    of the last evaluation (nls.reuse_last).
-    """
+def _psb_lines(doublet):
+    """(offset, weight) of each Gaussian per series term: one line, or with
+    doublet = (splitting, ratio) the weighted pair of PsbModel, the
+    secondary `splitting` meV below the primary."""
     if doublet is None:
-        lines = ((0.0, 1.0),)
-    else:
-        splitting, ratio = doublet
-        w_primary = 1.0 / (1.0 + ratio)
-        lines = ((0.0, w_primary), (splitting, 1.0 - w_primary))
+        return ((0.0, 1.0),)
+    splitting, ratio = doublet
+    w_primary = 1.0 / (1.0 + ratio)
+    return ((0.0, w_primary), (splitting, 1.0 - w_primary))
 
-    @reuse_last
-    def exps(p, d):
-        return [_psb_exps(d, p[1], p[2] - offset, j_max) for offset, _ in lines]
+
+def _psb_model(j_max, doublet):
+    """The fit model of the sideband series in p = (i0, sigma, delta0):
+    model(p, d) returns (values, Jacobian), both from one (j_max, n) array
+    of exponentials per line. i0 enters as max(i0, 0)."""
+    lines = _psb_lines(doublet)
 
     def model(p, d):
         i0 = max(p[0], 0.0)
-        return sum(w * _psb_base(e, i0, p[1]) for (_, w), e in zip(lines, exps(p, d)))
+        exps = [_psb_exps(d, p[1], p[2] - offset, j_max) for offset, _ in lines]
+        values = sum(w * _psb_base(e, i0, p[1]) for (_, w), e in zip(lines, exps))
+        J = sum(w * _psb_base_jac(e, d, i0, p[1], p[2] - offset)
+                for (offset, w), e in zip(lines, exps))
+        return values, J
 
-    def jac(p, d):
-        i0 = max(p[0], 0.0)
-        return sum(w * _psb_base_jac(e, d, i0, p[1], p[2] - offset)
-                   for (offset, w), e in zip(lines, exps(p, d)))
-
-    return model, jac
+    return model
 
 
 def psb_eval(model: PsbModel, delta):
-    """Evaluate the sideband series on a phonon-energy grid (meV); the fit
-    evaluates the same `_psb_model` without building a PsbModel."""
-    series, _ = _psb_model(model.j_max, model.doublet)
-    return series(np.array([model.i0, model.sigma, model.delta0]),
-                  np.asarray(delta, dtype=float))
+    """Evaluate the sideband series on a phonon-energy grid (meV): the
+    values of `_psb_model`, without a Jacobian."""
+    d = np.asarray(delta, dtype=float)
+    return sum(w * _psb_base(_psb_exps(d, model.sigma, model.delta0 - offset, model.j_max),
+                             model.i0, model.sigma)
+               for offset, w in _psb_lines(model.doublet))
 
 
 def to_phonon_axis(spectrum: Spectrum, e_ref_mev: float):
@@ -421,21 +406,19 @@ def fit_psb(spectrum: Spectrum, zpls: ZplSet) -> PsbFit:
     else:
         ratio = 30.0 / 70.0
 
-    model, jacobian = _psb_model(PSB_J_MAX, (splitting, ratio))
     d0_init = float(d_fit[np.argmax(y_fit)])
     peak = float(np.max(y_fit))
     p0 = np.array([max(peak * 3.0, 1e-9), 5.0, max(d0_init, 1.0)])
     problem = FitProblem(
-        model=model, x=d_fit, y=y_fit, p0=p0,
+        model=_psb_model(PSB_J_MAX, (splitting, ratio)), x=d_fit, y=y_fit, p0=p0,
         lower=np.array([0.0, 1e-3, 0.0]),
         upper=np.array([np.inf, alpha_only_max, alpha_only_max]),
-        jacobian=jacobian,
     )
     fit = minimize(problem)
     psb = PsbModel(i0=float(fit.parameters[0]), sigma=float(fit.parameters[1]),
                    delta0=float(fit.parameters[2]), doublet=(splitting, ratio))
 
-    alpha_curve = model(fit.parameters, delta)
+    alpha_curve = psb_eval(psb, delta)
     residual = density - alpha_curve
     # alpha ZPL neighborhoods stay with alpha
     keep = (delta > 0) & (delta <= PSB_MAX_MEV) & ~zmask
@@ -570,8 +553,10 @@ def partition_dw(spectrum: Spectrum, zpls: ZplSet, partition_energy_mev: float,
     area_correction >= 1 scales the total emission area to account for
     sideband beyond the recorded window (default: no correction).
     """
-    if area_correction < 1.0:
-        raise ValidationError("area_correction must be >= 1")
+    if not (1.0 <= area_correction < math.inf):
+        raise ValidationError("area_correction must be finite and >= 1")
+    if not math.isfinite(partition_energy_mev):
+        raise ValidationError(f"partition energy must be finite, got {partition_energy_mev}")
     if "alpha3" not in zpls.lines:
         raise ValidationError("zpls must contain the 'alpha3' reference line")
     e_ref = zpls["alpha3"].energy_mev

@@ -77,7 +77,8 @@ FORMS = {
                     (_real, "a real number")),
     **dict.fromkeys(("bin_ns", "step_nm", "e_ref_nm", "zpl_energy_ev"),
                     (lambda v: _real(v) and v > 0, "a real > 0")),
-    "temperatures": (_reals, "a list of reals"),
+    "temperatures": (lambda v: _reals(v) and all(0 < t < math.inf for t in v),
+                     "a list of finite reals > 0"),
     "components": (_pairs, "a list of (A, tau) pairs"),
     "modes": (_pairs, "a list of (S, homega) pairs"),
     "doublet": (lambda v: _reals(v, 2), "a (splitting, ratio) pair"),
@@ -248,8 +249,6 @@ def _thermal_series(spec):
     if not (truth["tau"] > 0 and truth["tau_p"] > 0 and truth["e_p"] >= 0):
         raise ValidationError("invalid thermal truth: need tau > 0, tau_p > 0, e_p >= 0")
     temps = np.asarray(spec.sampling["temperatures"], dtype=float)
-    if np.any(temps <= 0):
-        raise ValidationError("temperatures must be positive")
     tau_tot = thermal_lifetime(temps, truth["tau"], truth["tau_p"], truth["e_p"])
     frac = spec.noise["sigma_frac"] if spec.noise["kind"] == "gaussian" else 1e-9
     return [(float(T), float(v), float(s))

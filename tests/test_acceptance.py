@@ -215,12 +215,12 @@ def test_7_psb_dw_partitioning():
 
 
 def test_8_engine_properties():
-    from sicpl.decay import R_MAX, _exp_model, _thermal_jac, _thermal_model
+    from sicpl.decay import R_MAX, _exp_model, _thermal_model, thermal_lifetime
     from sicpl.nls import FitProblem, minimize
     from sicpl.spectrum import (
         PSB_J_MAX,
         _doublet_ratio,
-        _doublet_ratio_jac,
+        _doublet_ratio_model,
         _gaussian_model,
         _psb_model,
     )
@@ -228,58 +228,63 @@ def test_8_engine_properties():
     rng = np.random.default_rng(8)
     worst = 0.0
 
-    def check(model, jac, draw, xs, h=1e-6):
-        # h must stay well below the narrowest feature scale relative to
-        # the parameter magnitude, else the FD truncation error dominates
+    def check(model, draw, xs, h=1e-6):
+        # the Jacobian model(p, x)[1] against the central difference of the
+        # values model(p, x)[0]; h must stay well below the narrowest
+        # feature scale relative to the parameter magnitude, else the FD
+        # truncation error dominates
         nonlocal worst
         for _ in range(100):
             p = draw(rng)
-            Ja = jac(p, xs)
-            Jf = finite_diff_jacobian(model, p, xs, h)
+            Ja = model(p, xs)[1]
+            Jf = finite_diff_jacobian(lambda q, x: model(q, x)[0], p, xs, h)
             scale = max(np.max(np.abs(Ja)), 1e-30)
             worst = max(worst, float(np.max(np.abs(Ja - Jf)) / scale))
 
     t = np.linspace(0.5, 800.0, 60)
-    m1, j1 = _exp_model(1)
-    check(m1, j1, lambda r: np.array([r.uniform(1e2, 1e5), r.uniform(20, 400)]), t)
+    check(_exp_model, lambda r: np.array([r.uniform(1e2, 1e5), r.uniform(20, 400)]), t)
     # the double in (A1, tau1, A2, r), tau2 = r tau1: r over its whole
     # range up to R_MAX, where a collapsed fit ends, and A2 = 0 there
-    m2, j2 = _exp_model(2)
-    check(m2, j2, lambda r: np.array([r.uniform(1e2, 1e5), r.uniform(100, 400),
-                                      r.uniform(1e2, 1e5), r.uniform(0.02, R_MAX)]), t)
+    check(_exp_model, lambda r: np.array([r.uniform(1e2, 1e5), r.uniform(100, 400),
+                                          r.uniform(1e2, 1e5), r.uniform(0.02, R_MAX)]), t)
     edge = np.random.default_rng(80)  # keeps rng's draws for the checks below
-    check(m2, j2, lambda _: np.array([edge.uniform(1e2, 1e5), edge.uniform(100, 400),
-                                      edge.choice([0.0, edge.uniform(1e2, 1e5)]),
-                                      R_MAX - edge.uniform(0.0, 1e-3)]), t)
+    check(_exp_model, lambda _: np.array([edge.uniform(1e2, 1e5), edge.uniform(100, 400),
+                                          edge.choice([0.0, edge.uniform(1e2, 1e5)]),
+                                          R_MAX - edge.uniform(0.0, 1e-3)]), t)
     wl = np.linspace(1270.0, 1290.0, 60)
-    check(*_gaussian_model(),
+    check(_gaussian_model,
           lambda r: np.array([r.uniform(0, 10), r.uniform(10, 1e4),
                               r.uniform(1275, 1285), r.uniform(0.1, 2.0)]),
           wl, h=1e-7)
 
     temps = np.linspace(4.0, 200.0, 40)
-    check(_thermal_model, _thermal_jac,
+    check(_thermal_model,
           lambda r: np.array([r.uniform(20, 400), r.uniform(5, 200),
                               r.uniform(2, 80)]), temps)
 
     # the fit-psb model: the doublet sideband series over the bench's range
     doublet = (1.47, 30.0 / 70.0)
-    check(*_psb_model(PSB_J_MAX, doublet),
+    check(_psb_model(PSB_J_MAX, doublet),
           lambda r: np.array([r.uniform(1.0, 3e3), r.uniform(2.0, 12.0),
                               r.uniform(10.0, 60.0)]),
           np.linspace(0.1, 70.0, 1500))
-    check(lambda p, T: _doublet_ratio(p[0], p[1], T), _doublet_ratio_jac,
+    check(_doublet_ratio_model,
           lambda r: np.array([r.uniform(0.5, 5.0), r.uniform(5.0, 100.0)]),
           np.linspace(4.0, 100.0, 7))
     ok = worst <= 1e-5
+    # the values a fit model returns are its value function's, bit for bit
+    q = np.array([163.0, 83.0, 28.0])
+    ok &= np.array_equal(_thermal_model(q, temps)[0], thermal_lifetime(temps, *q))
+    ok &= np.array_equal(_doublet_ratio_model(q[:2] / 50.0, temps)[0],
+                         _doublet_ratio(*(q[:2] / 50.0), temps))
 
     # weight rescaling must not move the optimum
-    y = m1(np.array([5e3, 150.0]), t) + rng.normal(0.0, 5.0, t.size)
+    y = _exp_model(np.array([5e3, 150.0]), t)[0] + rng.normal(0.0, 5.0, t.size)
     w = 1.0 / np.maximum(np.abs(y), 1.0)
-    f_a = minimize(FitProblem(model=m1, x=t, y=y, weights=w,
-                              p0=np.array([4e3, 100.0]), jacobian=j1))
-    f_b = minimize(FitProblem(model=m1, x=t, y=y, weights=7.3 * w,
-                              p0=np.array([4e3, 100.0]), jacobian=j1))
+    f_a = minimize(FitProblem(model=_exp_model, x=t, y=y, weights=w,
+                              p0=np.array([4e3, 100.0])))
+    f_b = minimize(FitProblem(model=_exp_model, x=t, y=y, weights=7.3 * w,
+                              p0=np.array([4e3, 100.0])))
     rescale = float(np.max(np.abs(f_a.parameters - f_b.parameters)
                            / np.abs(f_a.parameters)))
     ok &= rescale <= 1e-8

@@ -1,6 +1,7 @@
 """Command-line pipeline: exit codes, reports, manifests, determinism."""
 
 import json
+import math
 import os
 
 import numpy as np
@@ -288,6 +289,7 @@ TRACE = "".join(f"{i} {5 + 100 * (i >= 20)}\n" for i in range(60))
 SPECTRUM = "".join(f"{1270 + 0.5 * i} {-3 if i == 7 else 10}\n" for i in range(40))
 CAVITY = ["cavity", "--lambda-nm", "1280", "--finesse", "34000", "--roc-mm", "1.3",
           "--lvac-um", "5", "--lsic-um", "5", "--eta-tot", "0.089"]
+BUDGET = ["budget", "--tau-rad", "704", "--tau-tot", "163", "--dw", "0.39", "--s", "0.66"]
 # name: (files to write, argv with file names standing for their paths,
 #        text the error message must contain)
 MALFORMED = {
@@ -319,6 +321,16 @@ MALFORMED = {
     "window-non-numeric": ({"t.txt": TRACE}, ["fit-decay", "--trace", "t.txt", "--pulse-ns", "20",
                                               "--window", "a,b", "--out", "out"], "--window"),
     "sweep-two-values": ({}, CAVITY + ["--sweep", "finesse=1:2", "--out", "out"], "--sweep"),
+    "sweep-nan": ({}, CAVITY + ["--sweep", "finesse=nan:10:3", "--out", "out"], "start < stop"),
+    "cavity-lambda-nan": ({}, [*CAVITY[:2], "nan", *CAVITY[3:], "--out", "out"], "wavelength"),
+    "cavity-finesse-nan": ({}, [*CAVITY[:4], "nan", *CAVITY[5:], "--out", "out"], "finesse"),
+    "budget-tau-nr-ref-zero": ({}, BUDGET + ["--tau-nr-ref", "0", "--out", "out"],
+                               "tau_nr_reference"),
+    "budget-tau-nr-ref-negative": ({}, BUDGET + ["--tau-nr-ref", "-5", "--out", "out"],
+                                   "tau_nr_reference"),
+    "budget-s-nan": ({}, BUDGET[:-2] + ["--s", "nan", "--out", "out"], "s_th"),
+    "budget-tau-rad-inf": ({}, ["budget", "--tau-rad", "inf", *BUDGET[3:], "--out", "out"],
+                           "tau_rad"),
     "config-inputs-list": ({"run.json": '{"command": "budget", "inputs": ["a"]}'},
                            ["--config", "run.json"], "run.json"),
     "report-text-value": ({"b.json": '{"site": "k", "tau_rad": "x"}'},
@@ -359,6 +371,14 @@ MALFORMED = {
     "simulate-temperatures-text": _recipe_case(
         {"kind": "thermal_series", "truth": {"tau": 163.0, "tau_p": 83.0, "e_p": 28.0},
          "sampling": {"temperatures": "abc"}, "noise": {"kind": "none"}}, "'temperatures' must"),
+    "simulate-temperatures-nan": _recipe_case(
+        {"kind": "thermal_series", "truth": {"tau": 163.0, "tau_p": 83.0, "e_p": 28.0},
+         "sampling": {"temperatures": [4.0, math.nan, 50.0]}, "noise": {"kind": "none"}},
+        "'temperatures' must be a list of finite reals > 0"),
+    "simulate-temperatures-zero": _recipe_case(
+        {"kind": "thermal_series", "truth": {"tau": 163.0, "tau_p": 83.0, "e_p": 28.0},
+         "sampling": {"temperatures": [0.0, 50.0]}, "noise": {"kind": "none"}},
+        "'temperatures' must be a list of finite reals > 0"),
     "simulate-psb-no-sigma": _recipe_case(
         {"kind": "spectrum", "truth": {"psb": [{"i0": 90.0, "delta0": 35.0, "e_ref_nm": 1280.0}]},
          "sampling": {"wl_start": 1255.0, "wl_end": 1300.0, "step_nm": 0.2}},

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from sicpl import nls
 from sicpl.errors import DegenerateFitError, DomainError, EvaluationError, ValidationError
-from sicpl.nls import FitProblem, finite_diff_jacobian, minimize, reuse_last
+from sicpl.nls import FitProblem, finite_diff_jacobian, minimize
 
 
 def linear(p, x):
@@ -28,6 +28,16 @@ def exp_decay_jac(p, t):
     return np.column_stack([e, p[0] * e * t / p[1] ** 2])
 
 
+def with_jacobian(model, jac):
+    """The FitProblem model (values, Jacobian) of a value function and its
+    Jacobian."""
+    return lambda p, x: (model(p, x), jac(p, x))
+
+
+LINEAR = with_jacobian(linear, linear_jac)
+EXP_DECAY = with_jacobian(exp_decay, exp_decay_jac)
+
+
 def oracle(model):
     """The finite-difference oracle as the Jacobian of a model the test
     gives no derivative for."""
@@ -37,8 +47,7 @@ def oracle(model):
 def test_linear_exact():
     x = np.linspace(0.0, 10.0, 20)
     y = 3.0 + 0.5 * x
-    fit = minimize(FitProblem(model=linear, x=x, y=y, p0=np.array([0.0, 0.0]),
-                              jacobian=linear_jac))
+    fit = minimize(FitProblem(model=LINEAR, x=x, y=y, p0=np.array([0.0, 0.0])))
     assert fit.converged
     assert np.allclose(fit.parameters, [3.0, 0.5], atol=1e-10)
     assert fit.cost < 1e-18
@@ -49,8 +58,8 @@ def test_weighted_linear_matches_normal_equations():
     x = np.linspace(0.0, 5.0, 30)
     y = 1.0 + 2.0 * x + rng.normal(0.0, 0.3, x.size)
     w = rng.uniform(0.5, 2.0, x.size)
-    fit = minimize(FitProblem(model=linear, x=x, y=y, weights=w,
-                              p0=np.array([0.0, 0.0]), jacobian=linear_jac))
+    fit = minimize(FitProblem(model=LINEAR, x=x, y=y, weights=w,
+                              p0=np.array([0.0, 0.0])))
     X = np.column_stack([np.ones_like(x), x])
     ref = np.linalg.solve(X.T @ (w[:, None] * X), X.T @ (w * y))
     assert np.allclose(fit.parameters, ref, rtol=1e-8)
@@ -61,7 +70,7 @@ def test_exponential_recovery_with_bounds():
     x = np.linspace(0.0, 500.0, 200)
     truth = np.array([800.0, 120.0])
     y = exp_decay(truth, x) + rng.normal(0.0, 2.0, x.size)
-    fit = minimize(FitProblem(model=exp_decay, x=x, y=y, jacobian=exp_decay_jac,
+    fit = minimize(FitProblem(model=EXP_DECAY, x=x, y=y,
                               p0=np.array([100.0, 40.0]),
                               lower=np.array([0.0, 1.0]),
                               upper=np.array([1e6, 1e4])))
@@ -82,7 +91,7 @@ def test_degenerate_parameters_named():
         return np.column_stack([xx, xx])
 
     with pytest.raises(DegenerateFitError) as err:
-        minimize(FitProblem(model=model, x=x, y=y, p0=np.array([1.0, 1.0]), jacobian=jac))
+        minimize(FitProblem(model=with_jacobian(model, jac), x=x, y=y, p0=np.array([1.0, 1.0])))
     msg = str(err.value)
     assert "p[0]" in msg and "p[1]" in msg
 
@@ -94,8 +103,8 @@ def test_degenerate_parameters_named():
         return np.column_stack([np.ones_like(xx), jac(p[1:], xx)])
 
     with pytest.raises(DegenerateFitError) as err:
-        minimize(FitProblem(model=shifted, x=x, y=1.0 + y, p0=np.array([1.0, 1.0, 1.0]),
-                            jacobian=shifted_jac,
+        minimize(FitProblem(model=with_jacobian(shifted, shifted_jac), x=x, y=1.0 + y,
+                            p0=np.array([1.0, 1.0, 1.0]),
                             lower=np.array([1.0, -np.inf, -np.inf]),
                             upper=np.array([1.0, np.inf, np.inf])))
     msg = str(err.value)
@@ -107,8 +116,7 @@ def test_scale_disparity_is_not_degenerate():
     # magnitudes differ by many orders
     x = np.linspace(0.0, 1000.0, 300)
     y = exp_decay(np.array([1e8, 150.0]), x)
-    fit = minimize(FitProblem(model=exp_decay, x=x, y=y, p0=np.array([5e7, 80.0]),
-                              jacobian=exp_decay_jac,
+    fit = minimize(FitProblem(model=EXP_DECAY, x=x, y=y, p0=np.array([5e7, 80.0]),
                               lower=np.array([0.0, 1e-6])))
     assert abs(fit.parameters[0] - 1e8) / 1e8 < 1e-6
 
@@ -116,18 +124,17 @@ def test_scale_disparity_is_not_degenerate():
 def test_validation():
     x = np.arange(3.0)
     with pytest.raises(ValidationError):
-        FitProblem(model=linear, x=x, y=x, p0=np.array([]), jacobian=linear_jac)
+        FitProblem(model=LINEAR, x=x, y=x, p0=np.array([]))
     with pytest.raises(ValidationError):
-        FitProblem(model=linear, x=x[:1], y=x[:1], p0=np.array([1.0, 1.0]), jacobian=linear_jac)
+        FitProblem(model=LINEAR, x=x[:1], y=x[:1], p0=np.array([1.0, 1.0]))
     with pytest.raises(ValidationError):
-        FitProblem(model=linear, x=x, y=x, weights=np.array([1.0, -1.0, 1.0]),
-                   p0=np.array([1.0, 1.0]), jacobian=linear_jac)
+        FitProblem(model=LINEAR, x=x, y=x, weights=np.array([1.0, -1.0, 1.0]),
+                   p0=np.array([1.0, 1.0]))
     with pytest.raises(ValidationError):
-        FitProblem(model=linear, x=x, y=x, p0=np.array([5.0, 0.0]),
-                   upper=np.array([1.0, 1.0]), jacobian=linear_jac)
+        FitProblem(model=LINEAR, x=x, y=x, p0=np.array([5.0, 0.0]),
+                   upper=np.array([1.0, 1.0]))
     with pytest.raises(ValidationError):  # nothing left to fit
-        FitProblem(model=linear, x=x, y=x, p0=np.ones(2), lower=np.ones(2), upper=np.ones(2),
-                   jacobian=linear_jac)
+        FitProblem(model=LINEAR, x=x, y=x, p0=np.ones(2), lower=np.ones(2), upper=np.ones(2))
 
 
 def test_equal_bounds_pin_a_parameter():
@@ -150,11 +157,13 @@ def test_equal_bounds_pin_a_parameter():
         return jac(np.array([q[0], q[1], 20.0, q[2]]), tt)[:, [0, 1, 3]]
 
     inf = np.inf
-    pinned = minimize(FitProblem(model=model, x=t, y=y, p0=np.array([500.0, 30.0, 20.0, 0.0]),
+    pinned = minimize(FitProblem(model=with_jacobian(model, jac), x=t, y=y,
+                                 p0=np.array([500.0, 30.0, 20.0, 0.0]),
                                  lower=np.array([0.0, 1e-3, 20.0, -inf]),
-                                 upper=np.array([inf, inf, 20.0, inf]), jacobian=jac))
-    ref = minimize(FitProblem(model=reduced, x=t, y=y, p0=np.array([500.0, 30.0, 0.0]),
-                              lower=np.array([0.0, 1e-3, -inf]), jacobian=reduced_jac))
+                                 upper=np.array([inf, inf, 20.0, inf])))
+    ref = minimize(FitProblem(model=with_jacobian(reduced, reduced_jac), x=t, y=y,
+                              p0=np.array([500.0, 30.0, 0.0]),
+                              lower=np.array([0.0, 1e-3, -inf])))
     assert pinned.parameters[2] == 20.0
     assert not pinned.covariance[2].any() and not pinned.covariance[:, 2].any()
     free = [0, 1, 3]
@@ -171,8 +180,7 @@ def test_parameter_on_a_bound_is_released():
     inf = np.full(2, np.inf)
     for p0, lower, upper in ((np.zeros(2), np.zeros(2), inf),
                              (np.array([10.0, 2.0]), -inf, np.array([10.0, 2.0]))):
-        fit = minimize(FitProblem(model=linear, x=x, y=y, p0=p0, lower=lower, upper=upper,
-                                  jacobian=linear_jac))
+        fit = minimize(FitProblem(model=LINEAR, x=x, y=y, p0=p0, lower=lower, upper=upper))
         assert fit.converged
         assert np.allclose(fit.parameters, [3.0, 0.5], atol=1e-10)
 
@@ -184,21 +192,39 @@ def test_non_finite_model_rejected():
         return np.full(xx.shape, np.nan)
 
     with pytest.raises(EvaluationError):
-        minimize(FitProblem(model=model, x=x, y=x, p0=np.array([1.0]), jacobian=oracle(model)))
+        minimize(FitProblem(model=with_jacobian(model, oracle(model)), x=x, y=x,
+                            p0=np.array([1.0])))
 
 
 def test_jacobian_is_required_and_finite_differences_never_run(monkeypatch):
     x = np.linspace(0.0, 10.0, 20)
-    with pytest.raises(TypeError, match="jacobian"):
-        FitProblem(model=linear, x=x, y=x, p0=np.ones(2))
+    for model in (linear, with_jacobian(linear, lambda p, xx: linear_jac(p, xx)[:, :1])):
+        with pytest.raises(ValidationError, match="jacobian"):
+            minimize(FitProblem(model=model, x=x, y=x, p0=np.ones(2)))
 
     def refuse(*args, **kwargs):
         raise AssertionError("minimize called finite_diff_jacobian")
 
     monkeypatch.setattr(nls, "finite_diff_jacobian", refuse)
-    fit = minimize(FitProblem(model=linear, x=x, y=3.0 + 0.5 * x, p0=np.zeros(2),
-                              jacobian=linear_jac))
+    fit = minimize(FitProblem(model=LINEAR, x=x, y=3.0 + 0.5 * x, p0=np.zeros(2)))
     assert np.allclose(fit.parameters, [3.0, 0.5], atol=1e-10)
+
+
+def test_each_point_is_evaluated_once():
+    # one model call per point tried: the start and each trial step; the
+    # accepted point's Jacobian serves the next step and the covariance
+    x = np.linspace(0.0, 50.0, 40)
+    y = exp_decay(np.array([100.0, 12.0]), x)
+    points = []
+
+    def model(p, t):
+        points.append(p.tobytes())
+        return EXP_DECAY(p, t)
+
+    fit = minimize(FitProblem(model=model, x=x, y=y, p0=np.array([5.0, 60.0])))
+    assert fit.converged
+    assert len(points) == len(set(points))
+    assert points[-1] == fit.parameters.tobytes()
 
 
 def test_non_finite_trial_point_raises_the_damping():
@@ -214,11 +240,30 @@ def test_non_finite_trial_point_raises_the_damping():
             return np.full(t.shape, np.nan)
         return exp_decay(p, t)
 
-    fit = minimize(FitProblem(model=model, x=x, y=y, p0=np.array([5.0, 60.0]),
-                              jacobian=exp_decay_jac))
+    fit = minimize(FitProblem(model=with_jacobian(model, exp_decay_jac), x=x, y=y,
+                              p0=np.array([5.0, 60.0])))
     assert fit.converged
     assert np.allclose(fit.parameters, [100.0, 12.0], rtol=1e-8)
     assert nan_trials
+
+
+def test_non_finite_trial_jacobian_raises_the_damping():
+    # where tau <= 0 the values match the data exactly but the Jacobian is
+    # NaN: such a trial is rejected, not accepted for its zero cost
+    x = np.linspace(0.0, 50.0, 40)
+    y = exp_decay(np.array([100.0, 12.0]), x)
+    bad_trials = []
+
+    def model(p, t):
+        if p[1] <= 0:
+            bad_trials.append(p.copy())
+            return y.copy(), np.full((t.size, 2), np.nan)
+        return EXP_DECAY(p, t)
+
+    fit = minimize(FitProblem(model=model, x=x, y=y, p0=np.array([5.0, 60.0])))
+    assert fit.converged
+    assert np.allclose(fit.parameters, [100.0, 12.0], rtol=1e-8)
+    assert bad_trials
 
 
 def test_non_finite_jacobian_rejected():
@@ -228,7 +273,7 @@ def test_non_finite_jacobian_rejected():
         return np.full((xx.size, 2), np.nan)
 
     with pytest.raises(EvaluationError, match="Jacobian"):
-        minimize(FitProblem(model=linear, x=x, y=x, p0=np.ones(2), jacobian=jac))
+        minimize(FitProblem(model=with_jacobian(linear, jac), x=x, y=x, p0=np.ones(2)))
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +314,10 @@ def test_weight_rescale_invariance(scale, tau0):
     rng = np.random.default_rng(11)
     y = 100.0 * np.exp(-x / 12.0) + rng.normal(0.0, 1.0, x.size)
     w = 1.0 / np.maximum(np.abs(y), 1.0)
-    base = minimize(FitProblem(model=exp_decay, x=x, y=y, weights=w,
-                               p0=np.array([50.0, tau0]), jacobian=exp_decay_jac))
-    scaled = minimize(FitProblem(model=exp_decay, x=x, y=y, weights=scale * w,
-                                 p0=np.array([50.0, tau0]), jacobian=exp_decay_jac))
+    base = minimize(FitProblem(model=EXP_DECAY, x=x, y=y, weights=w,
+                               p0=np.array([50.0, tau0])))
+    scaled = minimize(FitProblem(model=EXP_DECAY, x=x, y=y, weights=scale * w,
+                                 p0=np.array([50.0, tau0])))
     assert np.allclose(base.parameters, scaled.parameters, rtol=1e-8)
     # reduced chi2 scales linearly with the weights
     assert scaled.reduced_chi2 == pytest.approx(scale * base.reduced_chi2, rel=1e-6)
@@ -291,8 +336,7 @@ def test_analytic_jacobian_used_and_consistent():
     p = np.array([40.0, 9.0])
     assert np.allclose(jac(p, x), finite_diff_jacobian(model, p, x), atol=1e-4)
     y = model(p, x)
-    fit = minimize(FitProblem(model=model, x=x, y=y, p0=np.array([10.0, 3.0]),
-                              jacobian=jac))
+    fit = minimize(FitProblem(model=with_jacobian(model, jac), x=x, y=y, p0=np.array([10.0, 3.0])))
     assert np.allclose(fit.parameters, p, rtol=1e-8)
 
 
@@ -312,8 +356,9 @@ def test_misspecified_fit_stops_when_the_cost_stops_falling():
         return np.column_stack([e, p[0] * e * tt / p[1] ** 2])
 
     def fit(p0):
-        return minimize(FitProblem(model=model, x=t, y=y, weights=1.0 / y, p0=p0,
-                                   lower=np.array([0.0, 1e-6]), jacobian=jac))
+        return minimize(FitProblem(model=with_jacobian(model, jac), x=t, y=y, weights=1.0 / y,
+                                   p0=p0,
+                                   lower=np.array([0.0, 1e-6])))
 
     first = fit(np.array([1000.0, 150.0]))
     assert first.converged and first.n_iterations <= 10
@@ -331,23 +376,6 @@ def test_max_iter_reported(monkeypatch):
     def model(p, xx):
         return p[0] * np.sin(p[1] * xx + p[2])
 
-    fit = minimize(FitProblem(model=model, x=x, y=y,
-                              p0=np.array([0.5, 0.9, 0.1]), jacobian=oracle(model)))
+    fit = minimize(FitProblem(model=with_jacobian(model, oracle(model)), x=x, y=y,
+                              p0=np.array([0.5, 0.9, 0.1])))
     assert fit.n_iterations <= 2
-
-
-def test_reuse_last_keys_on_the_point_and_the_abscissa():
-    calls = []
-
-    def scaled(p, x):
-        calls.append(1)
-        return p[0] * x
-
-    shared = reuse_last(scaled)
-    x = np.arange(3.0)
-    p = np.array([2.0, 1.0])
-    first = shared(p, x)
-    assert shared(p.copy(), x) is first and len(calls) == 1
-    p[0] = 3.0  # the caller changes its vector in place
-    assert np.array_equal(shared(p, x), 3.0 * x) and len(calls) == 2
-    assert np.array_equal(shared(p, x.copy()), 3.0 * x) and len(calls) == 3

@@ -52,6 +52,14 @@ def test_budget_domain_guards():
         budget(100.0, 50.0, 1.5, 0.7)
     with pytest.raises(DomainError):
         budget(100.0, 50.0, 0.5, -0.1)
+    # NaN fails every comparison, so each check must be written to refuse it
+    for args, kwargs in (((math.inf, 50.0, 0.5, 0.7), {}), ((math.nan, 50.0, 0.5, 0.7), {}),
+                         ((100.0, 50.0, 0.5, math.nan), {}), ((100.0, 50.0, 0.5, math.inf), {}),
+                         ((100.0, 50.0, 0.5, 0.7), {"tau_nr_reference": 0.0}),
+                         ((100.0, 50.0, 0.5, 0.7), {"tau_nr_reference": -5.0}),
+                         ((100.0, 50.0, 0.5, 0.7), {"tau_nr_reference": math.nan})):
+        with pytest.raises(DomainError):
+            budget(*args, **kwargs)
 
 
 @settings(max_examples=50)
@@ -132,8 +140,9 @@ def test_finesse_sweep_monotone():
     assert rows[-1][0] == pytest.approx(1e5)
     etas = [r[2] for r in rows]
     assert all(b > a for a, b in zip(etas, etas[1:]))
-    with pytest.raises(ValidationError):
-        finesse_sweep(default_params(), 100.0, 50.0, 5)
+    for start, stop in ((100.0, 50.0), (math.nan, 10.0), (1.0, math.nan), (1.0, math.inf)):
+        with pytest.raises(ValidationError):
+            finesse_sweep(default_params(), start, stop, 5)
 
 
 def test_finesse_sweep_carries_every_other_field():
@@ -150,3 +159,8 @@ def test_cavity_param_validation():
         default_params(n_sic=0.5)
     with pytest.raises(ValidationError):
         default_params(finesse=-1.0)
+    for field in ("wavelength_nm", "finesse", "roc_mm", "l_vac_um", "l_sic_um", "n_sic",
+                  "eta_tot", "w_c_um"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValidationError):
+                default_params(**{field: value})

@@ -172,13 +172,13 @@ def test_psb_jacobian_at_zero_i0():
     # fit-psb evaluates the series at max(i0, 0), so a central difference
     # at the bound i0 = 0 sees only its upper half and returns half the
     # slope; the analytic i0 column is the unit-i0 series there too
-    model, jac = _psb_model(10, (1.47, 30.0 / 70.0))
+    model = _psb_model(10, (1.47, 30.0 / 70.0))
     d = np.linspace(0.1, 70.0, 1500)
-    unit = model(np.array([1.0, 6.0, 35.0]), d)
-    J = jac(np.array([0.0, 6.0, 35.0]), d)
+    unit = model(np.array([1.0, 6.0, 35.0]), d)[0]
+    J = model(np.array([0.0, 6.0, 35.0]), d)[1]
     np.testing.assert_allclose(J[:, 0], unit, rtol=1e-12, atol=0.0)
     assert not J[:, 1:].any()
-    fd = finite_diff_jacobian(model, np.array([0.0, 6.0, 35.0]), d)
+    fd = finite_diff_jacobian(lambda p, x: model(p, x)[0], np.array([0.0, 6.0, 35.0]), d)
     np.testing.assert_allclose(fd[:, 0], 0.5 * unit, rtol=1e-6)
 
 
@@ -229,7 +229,10 @@ def test_fit_psb_alpha_model_is_the_fitted_series():
                                           "step_nm": 0.2}))
     zpls = find_zpls(sp, [("alpha3", 1280.0, 3.0), ("alpha2", C2, 3.0), ("beta", CB, 4.0)])
     fit = fit_psb(sp, zpls)
-    assert np.array_equal(fit.alpha_model, psb_eval(fit.model, fit.delta))
+    # the fit's model and the value-only psb_eval give the same floats
+    m = fit.model
+    series = _psb_model(m.j_max, m.doublet)(np.array([m.i0, m.sigma, m.delta0]), fit.delta)[0]
+    assert np.array_equal(fit.alpha_model, series)
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +326,19 @@ def test_partition_area_correction():
     base = partition_dw(sp, z, 60.0)
     corr = partition_dw(sp, z, 60.0, area_correction=1.2)
     assert corr.dw_mean < base.dw_mean  # more assumed sideband, smaller DW
-    with pytest.raises(ValidationError):
-        partition_dw(sp, z, 60.0, area_correction=0.9)
+    for bad in (0.9, math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            partition_dw(sp, z, 60.0, area_correction=bad)
+
+
+def test_partition_refuses_a_non_finite_energy():
+    # a NaN partition energy once selected no bins and gave alpha-high DW 1.0
+    wl = np.linspace(1256.0, 1456.0, 300)
+    sp = Spectrum(wavelengths=wl, intensities=np.full(wl.size, 2.0),
+                  temperature=4.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError):
+            partition_dw(sp, _zset(7.0, 3.0, 4.0), bad)
 
 
 def test_partition_requires_reference_line():
