@@ -160,15 +160,21 @@ def find_zpls(spectrum: Spectrum, expected) -> ZplSet:
 # Doublet thermometry
 
 
+def _doublet_terms(r0, t0, temperature):
+    """(exp(-T / T0), ratio 1 + (r0 - 1) exp(-T / T0))."""
+    e = np.exp(-np.asarray(temperature) / t0)
+    return e, 1.0 + (r0 - 1.0) * e
+
+
 def _doublet_ratio(r0, t0, temperature):
-    return 1.0 + (r0 - 1.0) * np.exp(-np.asarray(temperature) / t0)
+    return _doublet_terms(r0, t0, temperature)[1]
 
 
 def _doublet_ratio_model(p, temperature):
     """(values, Jacobian) of _doublet_ratio in p = (r0, T0)."""
     r0, t0 = p
-    e = np.exp(-temperature / t0)
-    return 1.0 + (r0 - 1.0) * e, np.column_stack([e, (r0 - 1.0) * e * temperature / t0**2])
+    e, ratio = _doublet_terms(r0, t0, temperature)
+    return ratio, np.column_stack([e, (r0 - 1.0) * e * temperature / t0**2])
 
 
 @dataclass
@@ -309,29 +315,29 @@ def _psb_base_jac(e, d, i0, sigma, centre):
     return J
 
 
-def _psb_lines(doublet):
-    """(offset, weight) of each Gaussian per series term: one line, or with
-    doublet = (splitting, ratio) the weighted pair of PsbModel, the
-    secondary `splitting` meV below the primary."""
-    if doublet is None:
-        return ((0.0, 1.0),)
-    splitting, ratio = doublet
-    w_primary = 1.0 / (1.0 + ratio)
-    return ((0.0, w_primary), (splitting, 1.0 - w_primary))
+def _psb_series(d, i0, sigma, delta0, j_max, doublet):
+    """(values, terms) of the sideband series: terms holds each line's
+    (offset, weight, _psb_exps array). One line, or with doublet =
+    (splitting, ratio) the weighted pair of PsbModel, the secondary
+    `splitting` meV below the primary."""
+    lines = ((0.0, 1.0),)
+    if doublet is not None:
+        splitting, ratio = doublet
+        w_primary = 1.0 / (1.0 + ratio)
+        lines = ((0.0, w_primary), (splitting, 1.0 - w_primary))
+    terms = [(offset, w, _psb_exps(d, sigma, delta0 - offset, j_max)) for offset, w in lines]
+    return sum(w * _psb_base(e, i0, sigma) for _, w, e in terms), terms
 
 
 def _psb_model(j_max, doublet):
     """The fit model of the sideband series in p = (i0, sigma, delta0):
     model(p, d) returns (values, Jacobian), both from one (j_max, n) array
     of exponentials per line. i0 enters as max(i0, 0)."""
-    lines = _psb_lines(doublet)
 
     def model(p, d):
         i0 = max(p[0], 0.0)
-        exps = [_psb_exps(d, p[1], p[2] - offset, j_max) for offset, _ in lines]
-        values = sum(w * _psb_base(e, i0, p[1]) for (_, w), e in zip(lines, exps))
-        J = sum(w * _psb_base_jac(e, d, i0, p[1], p[2] - offset)
-                for (offset, w), e in zip(lines, exps))
+        values, terms = _psb_series(d, i0, p[1], p[2], j_max, doublet)
+        J = sum(w * _psb_base_jac(e, d, i0, p[1], p[2] - offset) for offset, w, e in terms)
         return values, J
 
     return model
@@ -341,9 +347,7 @@ def psb_eval(model: PsbModel, delta):
     """Evaluate the sideband series on a phonon-energy grid (meV): the
     values of `_psb_model`, without a Jacobian."""
     d = np.asarray(delta, dtype=float)
-    return sum(w * _psb_base(_psb_exps(d, model.sigma, model.delta0 - offset, model.j_max),
-                             model.i0, model.sigma)
-               for offset, w in _psb_lines(model.doublet))
+    return _psb_series(d, model.i0, model.sigma, model.delta0, model.j_max, model.doublet)[0]
 
 
 def to_phonon_axis(spectrum: Spectrum, e_ref_mev: float):

@@ -54,7 +54,8 @@ def _files(item, out_root):
 
 def digest_items(workload, seed, root=ROOT, items=0):
     """(id, exit codes, sha256) of each item of `workload` at `seed`, run
-    through the `sicpl` this process imports."""
+    through the `sicpl` this process imports; `items` > 0 keeps the first
+    `items` of them."""
     import sicpl.cli
 
     rows = []
@@ -86,13 +87,10 @@ def main(argv=None):
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--root", type=Path, default=ROOT,
                    help="checkout whose src/ and bench/workloads.py to use")
-    p.add_argument("--items", type=int, default=0,
-                   help="keep only the first N items (default: all)")
     args = p.parse_args(argv)
     sys.dont_write_bytecode = True
     sys.path.insert(0, str(args.root.resolve() / "src"))
-    for item_id, rcs, digest in digest_items(args.workload, args.seed,
-                                             args.root.resolve(), args.items):
+    for item_id, rcs, digest in digest_items(args.workload, args.seed, args.root.resolve()):
         print(item_id, ",".join(map(str, rcs)), digest)
     return 0
 
