@@ -185,9 +185,9 @@ def _cmd_fit_psb(args):
     part = partition_dw(spectrum, zpls, args.partition_mev, psb_fit=fit,
                         area_correction=args.area_correction)
     rows = [
-        ("I0 [counts]", fit.model.i0, fit.sigma3[0]),
-        ("sigma [meV]", fit.model.sigma, fit.sigma3[1]),
-        ("Delta0 [meV]", fit.model.delta0, fit.sigma3[2]),
+        ("I0 [counts]", fit.model.i0, fit.fit.sigma3[0]),
+        ("sigma [meV]", fit.model.sigma, fit.fit.sigma3[1]),
+        ("Delta0 [meV]", fit.model.delta0, fit.fit.sigma3[2]),
         ("DW mean", part.dw_mean),
         ("DW alpha low", part.dw_alpha_bounds[0]),
         ("DW alpha high", part.dw_alpha_bounds[1]),
@@ -201,7 +201,7 @@ def _cmd_fit_psb(args):
                                       "delta_meV alpha_sideband_counts_per_meV")
         files["fit-psb_beta_residual.txt"] = (fit.delta, fit.beta_residual,
                                               "delta_meV beta_residual_counts_per_meV")
-    text = _report_lines("Phonon sideband fit and DW partition", rows)
+    text = _report_lines("Phonon sideband fit and DW partition", rows, fit=fit.fit)
     return "fit-psb_report.txt", text, files
 
 

@@ -61,6 +61,8 @@ class FitProblem:
         self.y = np.asarray(self.y, dtype=float)
         self.p0 = np.asarray(self.p0, dtype=float)
         n, m = self.y.size, self.p0.size
+        if not (np.isfinite(self.x).all() and np.isfinite(self.y).all()):
+            raise ValidationError("x and y must be finite")
         if m == 0:
             raise ValidationError("empty initial guess")
         if n < m:

@@ -24,9 +24,10 @@ from .errors import (
     ModelInconsistencyError,
     ValidationError,
 )
-from .nls import FitProblem, minimize
+from .nls import FitProblem, FitResult, minimize
 
 EV_NM_MEV = EV_NM * 1000.0  # hc in meV*nm
+FWHM_PER_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))  # Gaussian FWHM / sigma
 
 # np.trapz was renamed in numpy 2.0
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -103,7 +104,7 @@ def fit_gaussian_line(wl, it):
     b0 = max(float(np.median(np.concatenate((it[:k], it[-k:])))), 0.0)
     a0 = float(it[i_max]) - b0
     fwhm0 = np.count_nonzero(it > b0 + a0 / 2.0) * float(np.median(np.diff(wl)))
-    s0 = min(max(fwhm0 / (2.0 * math.sqrt(2.0 * math.log(2.0))), 1e-6 * span), span)
+    s0 = min(max(fwhm0 / FWHM_PER_SIGMA, 1e-6 * span), span)
     p0 = np.array([b0, a0, float(wl[i_max]), s0])
     problem = FitProblem(
         model=_gaussian_model, x=wl, y=it, p0=p0,
@@ -133,7 +134,7 @@ def find_zpls(spectrum: Spectrum, expected) -> ZplSet:
             raise ValidationError(f"window for {label!r} has fewer than 6 samples")
         fit = fit_gaussian_line(wl_all[sel], spectrum.intensities[sel])
         _, A, c, s = fit.parameters
-        fwhm = 2.0 * math.sqrt(2.0 * math.log(2.0)) * s
+        fwhm = FWHM_PER_SIGMA * s
         limited = fwhm < 2.0 * pixel
         zpls[label] = ZplLine(
             label=label,
@@ -367,14 +368,14 @@ class PsbFit:
     delta: np.ndarray          # meV grid of the converted spectrum
     alpha_model: np.ndarray    # fitted alpha sideband on that grid
     beta_residual: np.ndarray  # residual density assigned to beta
-    sigma3: np.ndarray
+    fit: FitResult             # the sideband fit in (i0, sigma, delta0)
 
 
 def _zpl_mask(delta, zpls, e_ref_mev):
     mask = np.zeros(delta.shape, dtype=bool)
     for line in zpls.lines.values():
         c = e_ref_mev - line.energy_mev
-        half = ZPL_EXCLUSION_SIGMAS * (line.fwhm / 2.355) * EV_NM_MEV / line.center**2
+        half = ZPL_EXCLUSION_SIGMAS * (line.fwhm / FWHM_PER_SIGMA) * EV_NM_MEV / line.center**2
         mask |= (delta >= c - half) & (delta <= c + half)
     return mask
 
@@ -386,6 +387,8 @@ def fit_psb(spectrum: Spectrum, zpls: ZplSet) -> PsbFit:
     up to the 'beta' ZPL offset (40 meV without one) plus BETA_PSB_MIN_MEV,
     skipping ZPL_EXCLUSION_SIGMAS line sigmas around each ZPL; the residual
     up to PSB_MAX_MEV, outside those ZPL neighborhoods, is assigned to beta.
+    Raises ModelInconsistencyError when over 5% of those bins lie below -3 sd,
+    the Poisson sd of the fitted alpha counts, sqrt(alpha * lambda^2 / hc).
     """
     if "alpha3" not in zpls.lines:
         raise ValidationError("zpls must contain the 'alpha3' reference line")
@@ -430,15 +433,14 @@ def fit_psb(spectrum: Spectrum, zpls: ZplSet) -> PsbFit:
 
     check = residual[keep]
     if check.size:
-        noise = 1.4826 * np.median(np.abs(np.diff(density))) / math.sqrt(2.0)
-        noise = max(noise, 1e-12 * max(density.max(), 1.0))
-        frac_neg = np.mean(check < -3.0 * noise)
+        sd = np.sqrt(alpha_curve[keep] * spectrum.wavelengths[keep] ** 2 / EV_NM_MEV)
+        frac_neg = np.mean(check < -3.0 * sd)
         if frac_neg > 0.05:
             raise ModelInconsistencyError(
-                f"negative residual beyond 3x noise over {frac_neg:.1%} of bins"
+                f"negative residual beyond 3 Poisson sd over {frac_neg:.1%} of bins"
             )
     return PsbFit(model=psb, delta=delta, alpha_model=alpha_curve,
-                  beta_residual=beta_residual, sigma3=fit.sigma3)
+                  beta_residual=beta_residual, fit=fit)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,8 @@ from .constants import EV_NM
 from .datatypes import DecayTrace, Spectrum
 from .decay import thermal_lifetime
 from .errors import ValidationError
-from .spectrum import EV_NM_MEV, PSB_J_MAX, HRModel, PsbModel, hr_lineshape, psb_eval
+from .spectrum import (EV_NM_MEV, FWHM_PER_SIGMA, PSB_J_MAX, HRModel, PsbModel, hr_lineshape,
+                       psb_eval)
 
 # a key with no default: a recipe must give it
 REQUIRED = object()
@@ -212,7 +213,7 @@ def expected_spectrum(spec: GeneratorSpec):
     if len(set(labels)) != len(labels):
         raise ValidationError("duplicate ZPL labels in truth")
     for _, center, fwhm, area in truth["zpl"]:
-        s = fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+        s = fwhm / FWHM_PER_SIGMA
         y += area / (s * math.sqrt(2.0 * math.pi)) * np.exp(
             -((wl - center) ** 2) / (2.0 * s**2)
         )

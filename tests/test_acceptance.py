@@ -152,30 +152,33 @@ def test_6_cavity_enhancement():
              f"eta_cav={100 * est.eta_cav:.1f} %, f_L={fl:.4f}, sweep monotone")
 
 
-def _composite_spectrum(seed, noise):
+ZPL_LINES = [("alpha3", 1280.0, 3.0), ("alpha2", C_ALPHA2, 3.0), ("beta", C_BETA, 4.0)]
+
+
+def _composite_spectrum(seed, noise, scale=1.0, step_nm=0.2):
+    """The three ZPLs, the alpha doublet series and the beta series, every
+    area times scale."""
     ratio = 300.0 / 700.0
     truth = {
-        "zpl": [("alpha3", 1280.0, 0.30, 700.0),
-                ("alpha2", C_ALPHA2, 0.30, 300.0),
-                ("beta", C_BETA, 0.30, 400.0)],
-        "psb": [{"i0": 90.0, "sigma": 6.0, "delta0": 35.0, "j_max": 10,
+        "zpl": [("alpha3", 1280.0, 0.30, 700.0 * scale),
+                ("alpha2", C_ALPHA2, 0.30, 300.0 * scale),
+                ("beta", C_BETA, 0.30, 400.0 * scale)],
+        "psb": [{"i0": 90.0 * scale, "sigma": 6.0, "delta0": 35.0, "j_max": 10,
                  "doublet": (1.47, ratio), "e_ref_nm": 1280.0},
-                {"i0": 230.0, "sigma": 6.0, "delta0": 50.0, "j_max": 3,
+                {"i0": 230.0 * scale, "sigma": 6.0, "delta0": 50.0, "j_max": 3,
                  "e_ref_nm": C_BETA}],
         "temperature": 4.0,
     }
     return generate(GeneratorSpec(
         seed=seed, kind="spectrum", truth=truth,
-        sampling={"wl_start": 1255.0, "wl_end": 1470.0, "step_nm": 0.2},
+        sampling={"wl_start": 1255.0, "wl_end": 1470.0, "step_nm": step_nm},
         noise=noise,
     ))
 
 
 def test_7_psb_dw_partitioning():
     spectrum = _composite_spectrum(5, {"kind": "none"})
-    expected = [("alpha3", 1280.0, 3.0), ("alpha2", C_ALPHA2, 3.0),
-                ("beta", C_BETA, 4.0)]
-    zpls = find_zpls(spectrum, expected)
+    zpls = find_zpls(spectrum, ZPL_LINES)
     psb = fit_psb(spectrum, zpls)
     part = partition_dw(spectrum, zpls, 60.0, psb_fit=psb)
     dw_true = 1400.0 / (1400.0 + 900.0 + 690.0)
@@ -364,3 +367,18 @@ def test_9_doublet_thermometry():
     share = model.dominant_share(4.0)
     ok = abs(share - 0.70) <= 0.02
     _verdict(9, "doublet thermometry", ok, f"4 K dominant share {share:.4f}")
+
+
+def test_10_psb_dw_poisson_round_trip():
+    # one Poisson spectrum per count scale from 0.3x to 10x: fit_psb must
+    # reject none of them, and the refined alpha DW must recover the truth
+    dw_true = 1000.0 / (1000.0 + 90.0 * 10)
+    dws = []
+    for seed, scale in enumerate(np.geomspace(0.3, 10.0, 20)):
+        spectrum = _composite_spectrum(seed, {"kind": "poisson"}, float(scale), step_nm=0.05)
+        zpls = find_zpls(spectrum, ZPL_LINES)
+        part = partition_dw(spectrum, zpls, 60.0, psb_fit=fit_psb(spectrum, zpls))
+        dws.append(part.dw_alpha_refined)
+    ok = max(abs(dw - dw_true) for dw in dws) <= 0.01
+    _verdict(10, "sideband DW on Poisson spectra", ok,
+             f"alpha DW refined {min(dws):.4f}-{max(dws):.4f} (constructed {dw_true:.4f})")

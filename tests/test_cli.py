@@ -230,12 +230,17 @@ def test_unconverged_fits_say_so(decay_files, monkeypatch):
     note = f"note: fit did not converge in {nls.MAX_ITER} iterations\n"
     assert (tmp_path / "th" / "fit-thermal_report.txt").read_text().endswith(note)
     decay = ["fit-decay", "--trace", str(trace), "--pulse-ns", "100"]
-    assert run(*decay, "--out", str(tmp_path / "a")) == 0
-    assert "note:" not in (tmp_path / "a" / "fit-decay_report.txt").read_text()
-    monkeypatch.setattr(nls, "MAX_ITER", 2)
-    assert run(*decay, "--out", str(tmp_path / "b")) == 0
-    report = (tmp_path / "b" / "fit-decay_report.txt").read_text()
-    assert report.endswith("note: fit did not converge in 2 iterations\n")
+    spectrum, lines = _spectrum_files(tmp_path)
+    psb = ["fit-psb", "--spectrum", str(spectrum), "--zpl-config", str(lines),
+           "--partition-mev", "60"]
+    for argv, report in ((decay, "fit-decay_report.txt"), (psb, "fit-psb_report.txt")):
+        assert run(*argv, "--out", str(tmp_path / "a")) == 0
+        assert "note:" not in (tmp_path / "a" / report).read_text()
+        monkeypatch.setattr(nls, "MAX_ITER", 2)
+        assert run(*argv, "--out", str(tmp_path / "b")) == 0
+        text = (tmp_path / "b" / report).read_text()
+        assert text.endswith("note: fit did not converge in 2 iterations\n")
+        monkeypatch.undo()
 
 
 def test_zpl_and_psb_cli(tmp_path):
@@ -299,6 +304,12 @@ MALFORMED = {
                         ["report", "--inputs", "b.json", "--out", "out"], "b.json"),
     "thermal-non-numeric": ({"pts.txt": "# T tau sigma\n4 163 3\n25, fast, 3\n"},
                             ["fit-thermal", "--points", "pts.txt", "--out", "out"], "pts.txt:3"),
+    "thermal-tau-nan": ({"pts.txt": "4 163 3\n25 160 3\n50 nan 3\n75 150 3\n"},
+                        ["fit-thermal", "--points", "pts.txt", "--out", "out"],
+                        "x and y must be finite"),
+    "thermal-temperature-nan": ({"pts.txt": "4 163 3\n25 160 3\nnan 160 3\n75 150 3\n"},
+                                ["fit-thermal", "--points", "pts.txt", "--out", "out"],
+                                "x and y must be finite"),
     "sidecar-non-numeric": ({"t.txt": TRACE, "m.meta": "pulse_time_ns = 20\ntemperature_K = warm\n"},
                             ["fit-decay", "--trace", "t.txt", "--meta", "m.meta", "--out", "out"],
                             "m.meta:2"),

@@ -135,6 +135,10 @@ def test_validation():
                    upper=np.array([1.0, 1.0]))
     with pytest.raises(ValidationError):  # nothing left to fit
         FitProblem(model=LINEAR, x=x, y=x, p0=np.ones(2), lower=np.ones(2), upper=np.ones(2))
+    for bad in (np.nan, np.inf):
+        for xs, ys in ((np.array([0.0, bad, 2.0]), x), (x, np.array([0.0, 1.0, bad]))):
+            with pytest.raises(ValidationError, match="x and y must be finite"):
+                FitProblem(model=LINEAR, x=xs, y=ys, p0=np.ones(2))
 
 
 def test_equal_bounds_pin_a_parameter():

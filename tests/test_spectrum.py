@@ -200,21 +200,30 @@ def test_phonon_axis_preserves_area():
     assert mev_area == pytest.approx(nm_area, rel=1e-4)
 
 
-def test_fit_psb_flags_oversubtraction():
-    # data holding only the one-phonon Gaussian: the full ten-term series
-    # fitted to it badly overshoots at higher phonon energies, and the
-    # negative residual must trip the consistency check
-    truth = {"psb": [{"i0": 90.0, "sigma": 6.0, "delta0": 35.0, "j_max": 1,
+def _one_phonon_spectrum(scale, noise):
+    """alpha ZPLs and only the one-phonon Gaussian, every area times scale"""
+    truth = {"psb": [{"i0": 90.0 * scale, "sigma": 6.0, "delta0": 35.0, "j_max": 1,
                       "e_ref_nm": 1280.0}],
-             "zpl": [("alpha3", 1280.0, 0.3, 700.0),
-                     ("alpha2", C2, 0.3, 300.0)]}
-    sp = generate(GeneratorSpec(seed=2, kind="spectrum", truth=truth,
-                                sampling={"wl_start": 1256.0,
-                                          "wl_end": 1400.0,
-                                          "step_nm": 0.2}))
-    zpls = find_zpls(sp, [("alpha3", 1280.0, 1.5), ("alpha2", C2, 1.5)])
-    with pytest.raises(ModelInconsistencyError):
-        fit_psb(sp, zpls)
+             "zpl": [("alpha3", 1280.0, 0.3, 700.0 * scale),
+                     ("alpha2", C2, 0.3, 300.0 * scale)]}
+    return generate(GeneratorSpec(seed=2, kind="spectrum", truth=truth, noise={"kind": noise},
+                                  sampling={"wl_start": 1256.0, "wl_end": 1400.0,
+                                            "step_nm": 0.2}))
+
+
+def test_fit_psb_flags_oversubtraction():
+    # the full ten-term series fitted to one-phonon data overshoots at
+    # higher phonon energies. At scale 1 it overshoots by less than one
+    # count per bin, within Poisson noise, so the fit stands; at 1000x the
+    # counts the overshoot lies beyond 3 sd in about a third of the bins
+    lines = [("alpha3", 1280.0, 1.5), ("alpha2", C2, 1.5)]
+    sp = _one_phonon_spectrum(1.0, "none")
+    fit_psb(sp, find_zpls(sp, lines))
+    for noise in ("none", "poisson"):
+        sp = _one_phonon_spectrum(1000.0, noise)
+        zpls = find_zpls(sp, lines)
+        with pytest.raises(ModelInconsistencyError, match="beyond 3 Poisson sd"):
+            fit_psb(sp, zpls)
 
 
 def test_fit_psb_alpha_model_is_the_fitted_series():
