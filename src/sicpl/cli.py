@@ -4,9 +4,12 @@ estimation and simulation into reproducible pipelines.
 Each command handler computes its report and any extra files; `main`
 writes them, then a manifest (command, every resolved option, config
 hash, hashes of every input file, tool and numpy versions);
-`--config <manifest>` replays that run identically. Exit codes: 0
-success, 1 usage error, otherwise the `exit_code` of the error raised:
-2 validation error, 3 fit failure.
+`--config <manifest>` replays that run identically. `zpl` also writes
+its lines to `zpl_result.json`, and `fit-psb` takes them from there
+when that file records the spectrum and ZPL config it was given, so a
+spectrum's ZPLs are fitted once. Exit codes: 0 success, 1 usage error,
+otherwise the `exit_code` of the error raised: 2 validation error, 3
+fit failure.
 """
 
 from __future__ import annotations
@@ -15,8 +18,10 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
+import typing
 from dataclasses import asdict
 
 import numpy as np
@@ -28,7 +33,7 @@ from .errors import AggregationError, SicplError, ValidationError
 from .io import (load_sidecar, load_spectrum, load_trace, read_json, read_table,
                  save_two_column)
 from .photophysics import CavityParams, budget, cooperativity, finesse_sweep
-from .spectrum import find_zpls, fit_psb, partition_dw
+from .spectrum import ZplLine, ZplSet, find_zpls, fit_psb, partition_dw
 from .synth import GeneratorSpec, generate
 
 EXIT_OK = 0
@@ -39,6 +44,10 @@ INPUT_OPTIONS = ("trace", "meta", "points", "spectrum", "zpl_config", "spec", "i
 # the keys of a manifest; a replay reads the last three only as information
 MANIFEST_KEYS = ("command", "parameters", "inputs", "config_hash", "tool_version",
                  "numpy_version")
+# the lines `zpl` found, in its --out, for `fit-psb` on the same inputs
+ZPL_RESULT = "zpl_result.json"
+# the type of each ZplLine field, which a stored line must match
+ZPL_LINE_TYPES = typing.get_type_hints(ZplLine)
 
 
 class _Refused(Exception):
@@ -55,13 +64,26 @@ def _sha256(path):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _write_manifest(out_dir, args):
+class _Inputs(dict):
+    """The SHA-256 of each file one run read, by path; each is hashed once."""
+
+    def digest(self, path):
+        if path not in self:
+            self[path] = _sha256(path)
+        return self[path]
+
+
+def _json_text(data):
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+def _write_manifest(out_dir, args, inputs):
     params = vars(args)
-    paths = []
     for key in INPUT_OPTIONS:
         value = params.get(key)
         if value is not None:
-            paths += value if isinstance(value, list) else [value]
+            for path in value if isinstance(value, list) else [value]:
+                inputs.digest(path)
     manifest = {
         "command": args.command,
         "tool_version": __version__,
@@ -72,12 +94,10 @@ def _write_manifest(out_dir, args):
         "config_hash": hashlib.sha256(
             json.dumps(params, sort_keys=True).encode()
         ).hexdigest(),
-        "inputs": {str(p): _sha256(p) for p in paths},
+        "inputs": dict(inputs),
     }
-    path = os.path.join(out_dir, f"{args.command}_manifest.json")
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with open(os.path.join(out_dir, f"{args.command}_manifest.json"), "w") as fh:
+        fh.write(_json_text(manifest))
 
 
 def _report_lines(title, rows, notes=(), fit=None):
@@ -116,20 +136,67 @@ def _json_object(path, key, value):
     return value
 
 
-def _find_zpls(args):
-    """The spectrum and the ZPLs found on it from the --zpl-config rows."""
-    spectrum = load_spectrum(args.spectrum)
+def _zpl_rows(args):
+    """The (label, center_nm, window_nm) rows of --zpl-config."""
     labels, values = read_table(args.zpl_config, "label center_nm window_nm",
                                 labelled=True)
-    return spectrum, find_zpls(spectrum, list(zip(labels, *values.T.tolist())))
+    return list(zip(labels, *values.T.tolist()))
+
+
+def _zpl_stamp(args, inputs):
+    """The fields by which a zpl result names the run that wrote it."""
+    return {"spectrum_sha256": inputs.digest(args.spectrum),
+            "zpl_config_sha256": inputs.digest(args.zpl_config),
+            "tool_version": __version__}
+
+
+def _is_zpl_line(entry, row):
+    """Whether `entry` is a ZplLine's fields, each of its type and finite,
+    for the line of config row `row` (label, center_nm, window_nm)."""
+    label, center, window = row
+    return (isinstance(entry, dict) and entry.keys() == ZPL_LINE_TYPES.keys()
+            and all(type(entry[k]) is t and (t is not float or math.isfinite(entry[k]))
+                    for k, t in ZPL_LINE_TYPES.items())
+            and entry["label"] == label
+            and center - window / 2.0 <= entry["center"] <= center + window / 2.0)
+
+
+def _stored_zpls(args, inputs, rows):
+    """The ZPLs that `zpl` stored in --out for this run's spectrum, ZPL
+    config `rows` and tool version, or None if the file is missing, is
+    for other inputs or has any field that is not as `zpl` writes it.
+    The file's digest joins `inputs` when its lines are used."""
+    path = os.path.join(args.out, ZPL_RESULT)
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        stored = json.loads(raw)
+    except (OSError, ValueError, RecursionError):
+        return None
+    stamp = _zpl_stamp(args, inputs)
+    if (not isinstance(stored, dict)
+            or stored.keys() != {*stamp, "lines", "doublet_splitting_mev", "warnings"}
+            or any(stored[k] != v for k, v in stamp.items())):
+        return None
+    lines, splitting, warnings = (stored["lines"], stored["doublet_splitting_mev"],
+                                  stored["warnings"])
+    if not (isinstance(lines, list) and len(lines) == len(rows)
+            and all(map(_is_zpl_line, lines, rows))
+            and (splitting is None or type(splitting) is float and math.isfinite(splitting))
+            and isinstance(warnings, list) and all(type(w) is str for w in warnings)):
+        return None
+    inputs[path] = hashlib.sha256(raw).hexdigest()
+    return ZplSet(lines={entry["label"]: ZplLine(**entry) for entry in lines},
+                  doublet_splitting_mev=splitting, warnings=warnings)
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (report file name or None, report text,
+# subcommand handlers: each takes the parsed arguments and the run's
+# _Inputs, and returns (report file name or None, report text,
 # {file name: text, or (x, y, header) of a two-column file})
 
 
-def _cmd_fit_decay(args):
+def _cmd_fit_decay(args, inputs):
     meta = load_sidecar(args.meta) if args.meta else {}
     if args.pulse_ns is not None:
         meta["pulse_time_ns"] = args.pulse_ns
@@ -154,7 +221,7 @@ def _cmd_fit_decay(args):
     return "fit-decay_report.txt", _report_lines("Decay fit", rows, res.warnings, res.fit), files
 
 
-def _cmd_fit_thermal(args):
+def _cmd_fit_thermal(args, inputs):
     model = fit_thermal(read_table(args.points, "T_K tau_ns sigma_ns"))
     text = _report_lines("Thermally activated decay fit", [
         ("tau [ns]", model.tau, model.sigma3[0]),
@@ -165,8 +232,8 @@ def _cmd_fit_thermal(args):
     return "fit-thermal_report.txt", text, {}
 
 
-def _cmd_zpl(args):
-    _, zpls = _find_zpls(args)
+def _cmd_zpl(args, inputs):
+    zpls = find_zpls(load_spectrum(args.spectrum), _zpl_rows(args))
     rows = []
     for label, line in sorted(zpls.lines.items()):
         bound = "<= " if line.fwhm_is_upper_bound else ""
@@ -176,11 +243,21 @@ def _cmd_zpl(args):
         rows.append((f"{label} area [counts*nm]", line.area))
     if zpls.doublet_splitting_mev is not None:
         rows.append(("doublet splitting [meV]", zpls.doublet_splitting_mev))
-    return "zpl_report.txt", _report_lines("ZPL identification", rows, notes=zpls.warnings), {}
+    # the lines in config order: partition_dw subtracts their areas in it
+    result = {**_zpl_stamp(args, inputs),
+              "lines": [asdict(line) for line in zpls.lines.values()],
+              "doublet_splitting_mev": zpls.doublet_splitting_mev,
+              "warnings": zpls.warnings}
+    text = _report_lines("ZPL identification", rows, notes=zpls.warnings)
+    return "zpl_report.txt", text, {ZPL_RESULT: _json_text(result)}
 
 
-def _cmd_fit_psb(args):
-    spectrum, zpls = _find_zpls(args)
+def _cmd_fit_psb(args, inputs):
+    spectrum = load_spectrum(args.spectrum)
+    rows = _zpl_rows(args)
+    zpls = _stored_zpls(args, inputs, rows)
+    if zpls is None:
+        zpls = find_zpls(spectrum, rows)
     fit = fit_psb(spectrum, zpls)
     part = partition_dw(spectrum, zpls, args.partition_mev, psb_fit=fit,
                         area_correction=args.area_correction)
@@ -205,7 +282,7 @@ def _cmd_fit_psb(args):
     return "fit-psb_report.txt", text, files
 
 
-def _cmd_budget(args):
+def _cmd_budget(args, inputs):
     b = budget(args.tau_rad, args.tau_tot, args.dw, args.s,
                site_label=args.site, tau_nr_reference=args.tau_nr_ref)
     rows = [
@@ -223,10 +300,10 @@ def _cmd_budget(args):
     payload["site"] = payload.pop("site_label")
     name = f"budget_{b.site_label}.json" if b.site_label else "budget.json"
     text = _report_lines("Radiative-efficiency budget", rows, notes=b.notes)
-    return "budget_report.txt", text, {name: json.dumps(payload, indent=2, sort_keys=True) + "\n"}
+    return "budget_report.txt", text, {name: _json_text(payload)}
 
 
-def _cmd_cavity(args):
+def _cmd_cavity(args, inputs):
     params = CavityParams(
         wavelength_nm=args.lambda_nm, finesse=args.finesse, roc_mm=args.roc_mm,
         l_vac_um=args.lvac_um, l_sic_um=args.lsic_um, eta_tot=args.eta_tot,
@@ -256,7 +333,7 @@ def _cmd_cavity(args):
     return "cavity_report.txt", _report_lines("Cavity-enhancement estimate", rows), files
 
 
-def _cmd_simulate(args):
+def _cmd_simulate(args, inputs):
     # the GeneratorSpec fields: a missing one is None, which it refuses; noise has a default
     recipe = dict.fromkeys(("seed", "kind", "truth", "sampling"))
     try:
@@ -284,7 +361,7 @@ REPORT_HEADER = ("site", "S(th.)", "DW(th.)", "DW(exp.)", "tau_rad",
                  "tau_tot(exp.)", "tau_NR", "eta_rad", "eta_tot")
 
 
-def _cmd_report(args):
+def _cmd_report(args, inputs):
     rows = {}
     for path in args.inputs:
         data = read_json(path)
@@ -440,7 +517,8 @@ def main(argv=None):
         out_dir = (os.path.dirname(os.path.abspath(args.outfile))
                    if args.command == "simulate" else args.out)
         os.makedirs(out_dir, exist_ok=True)
-        report, text, files = HANDLERS[args.command](args)
+        inputs = _Inputs()
+        report, text, files = HANDLERS[args.command](args, inputs)
         if report is not None:
             files = {report: text, **files}
             print(text, end="")
@@ -451,7 +529,7 @@ def main(argv=None):
                     fh.write(data)
             else:
                 save_two_column(path, *data)
-        _write_manifest(out_dir, args)
+        _write_manifest(out_dir, args, inputs)
         return EXIT_OK
     except _Refused as exc:
         usage, message = exc.args

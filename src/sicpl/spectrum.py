@@ -120,7 +120,13 @@ def find_zpls(spectrum: Spectrum, expected) -> ZplSet:
     expected: iterable of (label, center_guess_nm, window_nm). Each line
     is fitted with a local constant-plus-Gaussian model; the FWHM of a
     resolution-limited line is reported as an upper bound of two pixels.
+    Each label may appear once.
     """
+    expected = list(expected)
+    labels = [label for label, _, _ in expected]
+    for label in labels:
+        if labels.count(label) > 1:
+            raise ValidationError(f"ZPL label {label!r} appears more than once")
     zpls = {}
     warnings = []
     wl_all = spectrum.wavelengths
@@ -141,7 +147,7 @@ def find_zpls(spectrum: Spectrum, expected) -> ZplSet:
             center=float(c),
             center_sigma3=float(fit.sigma3[2]),
             fwhm=float(2.0 * pixel) if limited else float(fwhm),
-            fwhm_is_upper_bound=limited,
+            fwhm_is_upper_bound=bool(limited),
             area=float(A * s * math.sqrt(2.0 * math.pi)),
         )
     splitting = None

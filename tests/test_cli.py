@@ -321,6 +321,10 @@ MALFORMED = {
                                      "--out", "out"], "t.txt: pulse_time must be finite"),
     "pulse-nan": ({"t.txt": TRACE}, ["fit-decay", "--trace", "t.txt", "--pulse-ns", "nan",
                                      "--out", "out"], "t.txt: pulse_time must be finite"),
+    "zpl-repeated-label": ({"s.txt": SPECTRUM.replace("-3", "10"),
+                            "l.txt": "alpha3 1280.0 3.0\nalpha3 1278.0604 3.0\nbeta 1335.1352 4.0\n"},
+                           ["zpl", "--spectrum", "s.txt", "--zpl-config", "l.txt",
+                            "--out", "out"], "ZPL label 'alpha3' appears more than once"),
     "spectrum-negative-count": ({"s.txt": SPECTRUM, "l.txt": "a 1280 3\n"},
                                 ["zpl", "--spectrum", "s.txt", "--zpl-config", "l.txt",
                                  "--out", "out"], "s.txt: negative intensity"),
@@ -506,7 +510,7 @@ def test_error_classes_map_to_exit_codes(monkeypatch, capsys, tmp_path):
     classes = {cls.__name__: cls for cls in _subclasses(SicplError)}
     assert set(classes) == set(EXIT_CODES)
     for name, code in EXIT_CODES.items():
-        def fail(args, cls=classes[name]):
+        def fail(args, inputs, cls=classes[name]):
             raise cls("boom")
         monkeypatch.setitem(cli.HANDLERS, "zpl", fail)
         assert run("zpl", "--spectrum", "s", "--zpl-config", "c",
@@ -515,27 +519,28 @@ def test_error_classes_map_to_exit_codes(monkeypatch, capsys, tmp_path):
         assert capsys.readouterr().err == prefix + "boom\n"
 
 
-def _spectrum_files(tmp_path):
+def _spectrum_files(tmp_path, splitting=1.47, step_nm=0.2):
     """A spectrum with the three ZPLs and both sideband series, and a
-    comma-delimited ZPL config for it."""
+    comma-delimited ZPL config for it. At 0.2 nm a pixel every ZPL is
+    resolution-limited; a splitting off 1.47 meV draws zpl's warning."""
     from sicpl.io import save_two_column
     from sicpl.spectrum import EV_NM_MEV
     from sicpl.synth import GeneratorSpec, generate
 
     e3 = EV_NM_MEV / 1280.0
-    c2 = EV_NM_MEV / (e3 + 1.47)
+    c2 = EV_NM_MEV / (e3 + splitting)
     cb = EV_NM_MEV / (e3 - 40.0)
     truth = {
         "zpl": [("alpha3", 1280.0, 0.30, 700.0), ("alpha2", c2, 0.30, 300.0),
                 ("beta", cb, 0.30, 400.0)],
         "psb": [{"i0": 90.0, "sigma": 6.0, "delta0": 35.0, "j_max": 10,
-                 "doublet": [1.47, 300.0 / 700.0], "e_ref_nm": 1280.0},
+                 "doublet": [splitting, 300.0 / 700.0], "e_ref_nm": 1280.0},
                 {"i0": 230.0, "sigma": 6.0, "delta0": 50.0, "j_max": 3,
                  "e_ref_nm": cb}],
     }
     sp = generate(GeneratorSpec(
         seed=5, kind="spectrum", truth=truth,
-        sampling={"wl_start": 1255.0, "wl_end": 1470.0, "step_nm": 0.2}))
+        sampling={"wl_start": 1255.0, "wl_end": 1470.0, "step_nm": step_nm}))
     data = tmp_path / "spec.txt"
     save_two_column(data, sp.wavelengths, sp.intensities)
     lines = tmp_path / "lines.txt"
@@ -576,16 +581,22 @@ def test_manifest_records_resolved_options_and_inputs(decay_files, tmp_path):
     meta = tmp_path / "trace.meta"
     meta.write_text("pulse_time_ns = 100\ntemperature_K = 4\n")
     spectrum, lines = _spectrum_files(tmp_path)
+    zpl = ["--spectrum", str(spectrum), "--zpl-config", str(lines)]
+    psb = ["fit-psb", *zpl, "--partition-mev", "60"]
     runs = [
         (["fit-decay", "--trace", str(trace), "--meta", str(meta), "--pulse-ns", "100",
           "--window", "110,1500", "--out", str(tmp_path / "fit-decay")], [trace, meta]),
-        (["fit-psb", "--spectrum", str(spectrum), "--zpl-config", str(lines),
-          "--partition-mev", "60", "--out", str(tmp_path / "fit-psb")], [spectrum, lines]),
+        ([*psb, "--out", str(tmp_path / "fit-psb")], [spectrum, lines]),
+        # fit-psb reads the result zpl wrote to the same --out
+        (["zpl", *zpl, "--out", str(tmp_path / "zpl")], [spectrum, lines]),
+        ([*psb, "--out", str(tmp_path / "zpl")],
+         [spectrum, lines, tmp_path / "zpl" / "zpl_result.json"]),
     ]
     for argv, inputs in runs:
         assert run(*argv) == 0
-        command = argv[0]
-        manifest = json.loads((tmp_path / command / f"{command}_manifest.json").read_text())
+        command, out = argv[0], argv[-1]
+        with open(os.path.join(out, f"{command}_manifest.json")) as fh:
+            manifest = json.load(fh)
         assert manifest["parameters"] == vars(build_parser().parse_args(argv))
         assert manifest["inputs"] == {str(p): _sha256(p) for p in inputs}
 
@@ -598,6 +609,105 @@ def test_replay_refuses_a_changed_input(decay_files, capsys):
     capsys.readouterr()
     assert run("--config", str(out / "fit-decay_manifest.json")) == 2
     assert f"input {trace} changed" in capsys.readouterr().err
+
+
+def _counting_find_zpls(monkeypatch):
+    """The list of calls to the find_zpls that cli runs, from now on."""
+    from sicpl import cli
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return find_zpls(*args)
+
+    find_zpls = cli.find_zpls
+    monkeypatch.setattr(cli, "find_zpls", counted)
+    return calls
+
+
+PSB_OUTPUTS = ("fit-psb_report.txt", "fit-psb_model.txt", "fit-psb_beta_residual.txt")
+
+
+@pytest.mark.parametrize("splitting, step_nm, limited, warned",
+                         [(1.47, 0.2, True, False), (2.2, 0.1, False, True)],
+                         ids=["resolution-limited", "splitting-warning"])
+def test_fit_psb_reuses_the_zpl_result(tmp_path, monkeypatch, capsys, splitting, step_nm,
+                                       limited, warned):
+    spectrum, lines = _spectrum_files(tmp_path, splitting, step_nm)
+    common = ["--spectrum", str(spectrum), "--zpl-config", str(lines)]
+    psb = ["fit-psb", *common, "--partition-mev", "60", "--plot"]
+    fresh, shared = tmp_path / "fresh", tmp_path / "shared"
+    assert run(*psb, "--out", str(fresh)) == 0
+    assert run("zpl", *common, "--out", str(shared)) == 0
+    stored = json.loads((shared / "zpl_result.json").read_text())
+    assert [line["label"] for line in stored["lines"]] == ["alpha3", "alpha2", "beta"]
+    assert {line["fwhm_is_upper_bound"] for line in stored["lines"]} == {limited}
+    assert bool(stored["warnings"]) is warned
+    calls = _counting_find_zpls(monkeypatch)
+    assert run(*psb, "--out", str(shared)) == 0
+    assert calls == []
+    for name in PSB_OUTPUTS:
+        assert (shared / name).read_bytes() == (fresh / name).read_bytes()
+    # the manifest lists the result, so a replay checks it
+    report = shared / "fit-psb_report.txt"
+    report.unlink()
+    manifest = str(shared / "fit-psb_manifest.json")
+    assert run("--config", manifest) == 0
+    assert report.read_bytes() == (fresh / report.name).read_bytes()
+    result = shared / "zpl_result.json"
+    result.write_text(result.read_text().replace('"tool_version"', '"tool_version" '))
+    capsys.readouterr()
+    assert run("--config", manifest) == 2
+    assert f"input {result} changed" in capsys.readouterr().err
+
+
+def _edit_result(edit):
+    def change(result, lines, other):
+        data = json.loads(result.read_text())
+        edit(data)
+        result.write_text(json.dumps(data))
+    return change
+
+
+# name: change(zpl result, ZPL config, another spectrum) made after zpl
+# ran; each leaves fit-psb to fit its own lines
+STALE_RESULTS = {
+    "other-spectrum": lambda result, lines, other: run(
+        "zpl", "--spectrum", str(other), "--zpl-config", str(lines),
+        "--out", str(result.parent)),
+    "edited-config": lambda result, lines, other: lines.write_text(
+        lines.read_text().replace("alpha3, 1280.0, 3.0", "alpha3, 1280.0, 2.5")),
+    "truncated": lambda result, lines, other: result.write_bytes(
+        result.read_bytes()[:-40]),
+    "nan-center": _edit_result(lambda data: data["lines"][0].update(center=math.nan)),
+    "renamed-line": _edit_result(lambda data: data["lines"][0].update(label="alpha1")),
+    "infinite-area": _edit_result(lambda data: data["lines"][2].update(area=math.inf)),
+    "zero-center": _edit_result(lambda data: data["lines"][0].update(center=0.0)),
+    "text-center": _edit_result(lambda data: data["lines"][0].update(center="1280.0")),
+    "number-bound-flag": _edit_result(
+        lambda data: data["lines"][1].update(fwhm_is_upper_bound=1)),
+}
+
+
+@pytest.mark.parametrize("change", STALE_RESULTS.values(), ids=STALE_RESULTS.keys())
+def test_fit_psb_refits_beside_a_stale_zpl_result(tmp_path, monkeypatch, change):
+    spectrum, lines = _spectrum_files(tmp_path)
+    (tmp_path / "other").mkdir()
+    other, _ = _spectrum_files(tmp_path / "other", 2.2, 0.1)
+    common = ["--spectrum", str(spectrum), "--zpl-config", str(lines)]
+    fresh, shared = tmp_path / "fresh", tmp_path / "shared"
+    assert run("zpl", *common, "--out", str(shared)) == 0
+    change(shared / "zpl_result.json", lines, other)
+    psb = ["fit-psb", *common, "--partition-mev", "60", "--plot"]
+    assert run(*psb, "--out", str(fresh)) == 0
+    calls = _counting_find_zpls(monkeypatch)
+    assert run(*psb, "--out", str(shared)) == 0
+    assert len(calls) == 1
+    for name in PSB_OUTPUTS:
+        assert (shared / name).read_bytes() == (fresh / name).read_bytes()
+    manifest = json.loads((shared / "fit-psb_manifest.json").read_text())
+    assert str(shared / "zpl_result.json") not in manifest["inputs"]
 
 
 def test_every_option_flag_spells_its_dest():

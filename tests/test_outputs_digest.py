@@ -1,8 +1,10 @@
 """tools/outputs_digest.py, which compares two checkouts item by item:
-one line per item, and the same digests when the items run again."""
+one row per item with a digest per written file, and the same digests
+when the items run again."""
 
 import importlib.util
 import re
+import sys
 from pathlib import Path
 
 _TOOL = Path(__file__).resolve().parents[1] / "tools" / "outputs_digest.py"
@@ -18,9 +20,23 @@ def _tool():
 def test_three_items_digest_the_same_twice():
     tool = _tool()
     first = tool.digest_items("simulate", 1, items=3)
-    assert [item_id for item_id, _, _ in first] == [
+    assert [item_id for item_id, _, _, _ in first] == [
         "recipe-000-decay-double", "recipe-001-decay-double", "recipe-002-decay-double"]
-    for _, rcs, digest in first:
-        assert rcs == [0] and re.fullmatch("[0-9a-f]{64}", digest)
-    assert len({digest for _, _, digest in first}) == 3
+    for item_id, rcs, text, files in first:
+        assert rcs == [0] and re.fullmatch("[0-9a-f]{64}", text)
+        (path, digest), = files
+        assert path == f"out/{item_id}/simulated.txt"
+        assert re.fullmatch("[0-9a-f]{64}", digest)
+    assert len({files[0][1] for _, _, _, files in first}) == 3
     assert tool.digest_items("simulate", 1, items=3) == first
+
+
+def test_each_written_file_has_its_line(monkeypatch, capsys):
+    tool = _tool()
+    rows = [("a", [0, 3], "1" * 64, [("out/a/r.txt", "2" * 64), ("out/a/x.json", "missing")])]
+    monkeypatch.setattr(tool, "digest_items", lambda *args: rows)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    assert tool.main(["--workload", "simulate", "--seed", "1"]) == 0
+    assert capsys.readouterr().out == (f"a 0,3 {'1' * 64}\n  out/a/r.txt {'2' * 64}\n"
+                                       "  out/a/x.json missing\n")

@@ -54,6 +54,7 @@ def test_find_zpls_doublet():
     sp = spectrum_with_lines([("alpha3", 1280.0, 0.30, 700.0),
                               ("alpha2", C2, 0.30, 300.0)])
     zpls = find_zpls(sp, [("alpha3", 1280.0, 1.5), ("alpha2", C2, 1.5)])
+    assert type(zpls["alpha3"].fwhm_is_upper_bound) is bool  # JSON writes it
     assert zpls["alpha3"].center == pytest.approx(1280.0, abs=1e-6)
     assert zpls["alpha3"].area == pytest.approx(700.0, rel=1e-6)
     assert zpls.doublet_splitting_mev == pytest.approx(1.47, abs=1e-6)
@@ -75,7 +76,7 @@ def test_resolution_limited_fwhm_is_upper_bound():
                              wl=(1275.0, 1285.0))
     zpls = find_zpls(sp, [("alpha3", 1280.0, 3.0)])
     line = zpls["alpha3"]
-    assert line.fwhm_is_upper_bound
+    assert line.fwhm_is_upper_bound is True
     assert line.fwhm == pytest.approx(0.4)  # two pixels
 
 
@@ -122,6 +123,14 @@ def test_line_not_found():
         find_zpls(flat, [("alpha3", 1280.0, 2.0)])
     with pytest.raises(ValidationError):
         find_zpls(flat, [("alpha3", 1269.0, 4.0)])  # window leaves the data
+
+
+def test_repeated_label_is_refused():
+    # a second row with the same label would replace the first line's fit
+    sp = spectrum_with_lines([("alpha3", 1280.0, 0.30, 700.0),
+                              ("alpha2", C2, 0.30, 300.0)])
+    with pytest.raises(ValidationError, match="'alpha3' appears more than once"):
+        find_zpls(sp, [("alpha3", 1280.0, 1.5), ("alpha3", C2, 1.5)])
 
 
 # ---------------------------------------------------------------------------

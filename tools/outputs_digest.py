@@ -6,10 +6,14 @@
 Builds the workload's items from `bench/workloads.py` and runs each once
 through `sicpl.cli.main`, both taken from the checkout `--root` (default:
 the one this file sits in). Prints one line per item: its id, the exit
-codes of its calls and a sha256 over its standard output and error and
-every file it wrote, `*_manifest.json` excluded (manifests record paths
-and versions). The work directory in the captured text reads `<work>`,
-so two checkouts can be compared by diffing what this prints for each.
+codes of its calls and a sha256 over its standard output and error.
+Each item line is followed by one `<path> <sha256>` line per file the
+item wrote, `*_manifest.json` excluded (manifests record paths and
+versions); the path is relative to the work directory, and a listed
+output that was not written reads `missing`. The work directory in the
+captured text reads `<work>`, so two checkouts can be compared by diffing
+what this prints for each, and the diff names each changed, added or
+missing file.
 Nothing under `bench/` is written: no bytecode is cached, and the items
 run in a temporary directory.
 """
@@ -53,9 +57,10 @@ def _files(item, out_root):
 
 
 def digest_items(workload, seed, root=ROOT, items=0):
-    """(id, exit codes, sha256) of each item of `workload` at `seed`, run
-    through the `sicpl` this process imports; `items` > 0 keeps the first
-    `items` of them."""
+    """(id, exit codes, sha256 of the captured text, [(path, sha256 or
+    "missing")] of the files written) of each item of `workload` at
+    `seed`, run through the `sicpl` this process imports; `items` > 0
+    keeps the first `items` of them."""
     import sicpl.cli
 
     rows = []
@@ -71,12 +76,12 @@ def digest_items(workload, seed, root=ROOT, items=0):
                     return sicpl.cli.main(argv)
 
             item.rcs = item.run(call)
-            h = hashlib.sha256(sink.getvalue().replace(work, "<work>").encode())
-            for path in _files(item, out_root):
-                h.update(str(path.relative_to(work)).encode() if path.is_relative_to(work)
-                         else path.name.encode())
-                h.update(path.read_bytes() if path.exists() else b"<missing>")
-            rows.append((item.id, item.rcs, h.hexdigest()))
+            text = hashlib.sha256(sink.getvalue().replace(work, "<work>").encode())
+            files = [(str(path.relative_to(work)) if path.is_relative_to(work) else path.name,
+                      hashlib.sha256(path.read_bytes()).hexdigest() if path.exists()
+                      else "missing")
+                     for path in _files(item, out_root)]
+            rows.append((item.id, item.rcs, text.hexdigest(), files))
     return rows
 
 
@@ -90,8 +95,11 @@ def main(argv=None):
     args = p.parse_args(argv)
     sys.dont_write_bytecode = True
     sys.path.insert(0, str(args.root.resolve() / "src"))
-    for item_id, rcs, digest in digest_items(args.workload, args.seed, args.root.resolve()):
+    for item_id, rcs, digest, files in digest_items(args.workload, args.seed,
+                                                    args.root.resolve()):
         print(item_id, ",".join(map(str, rcs)), digest)
+        for path, file_digest in files:
+            print(f"  {path} {file_digest}")
     return 0
 
 
