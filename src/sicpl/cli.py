@@ -143,6 +143,14 @@ def _zpl_rows(args):
     return list(zip(labels, *values.T.tolist()))
 
 
+def _find_zpls(args, spectrum, rows):
+    """find_zpls over the --zpl-config `rows`; a row it refuses names the file."""
+    try:
+        return find_zpls(spectrum, rows)
+    except ValidationError as exc:
+        raise ValidationError(f"{args.zpl_config}: {exc}") from None
+
+
 def _zpl_stamp(args, inputs):
     """The fields by which a zpl result names the run that wrote it."""
     return {"spectrum_sha256": inputs.digest(args.spectrum),
@@ -233,7 +241,7 @@ def _cmd_fit_thermal(args, inputs):
 
 
 def _cmd_zpl(args, inputs):
-    zpls = find_zpls(load_spectrum(args.spectrum), _zpl_rows(args))
+    zpls = _find_zpls(args, load_spectrum(args.spectrum), _zpl_rows(args))
     rows = []
     for label, line in sorted(zpls.lines.items()):
         bound = "<= " if line.fwhm_is_upper_bound else ""
@@ -257,7 +265,7 @@ def _cmd_fit_psb(args, inputs):
     rows = _zpl_rows(args)
     zpls = _stored_zpls(args, inputs, rows)
     if zpls is None:
-        zpls = find_zpls(spectrum, rows)
+        zpls = _find_zpls(args, spectrum, rows)
     fit = fit_psb(spectrum, zpls)
     part = partition_dw(spectrum, zpls, args.partition_mev, psb_fit=fit,
                         area_correction=args.area_correction)

@@ -296,35 +296,19 @@ def _psb_exps(d, sigma, centre, j_max):
     return np.exp(u, out=u)
 
 
-def _psb_base(e, i0, sigma):
-    """i0 sum_j exp(-u_j^2) / (sqrt(pi) s_j), from the _psb_exps terms e;
-    the rows are summed in j order, as a per-j loop adds them."""
-    norm = np.sqrt(np.arange(1.0, len(e) + 1) * math.pi)[:, None] * sigma
-    return i0 * (e / norm).sum(axis=0)
-
-
-def _psb_base_jac(e, d, i0, sigma, centre):
-    # With x = d - centre, s_j = sqrt(j) sigma, u_j = x / s_j and the
-    # per-j terms g_j = exp(-u_j^2) / (sqrt(pi) s_j) of _psb_base:
-    #   d/d i0     = sum g_j
-    #   d/d sigma  = i0 sum g_j (2 u_j^2 - 1) / sigma
-    #   d/d delta0 = i0 sum g_j 2 u_j / s_j
-    # u_j^2 and u_j / s_j both carry 1 / s_j^2, so one matrix product
-    # over the (j_max, n) exponentials gives sum g_j and sum g_j / s_j^2.
-    s2 = np.arange(1.0, len(e) + 1) * sigma**2
+def _psb_sums(d, sigma, centre, j_max):
+    """(g, gs) = (sum_j g_j, sum_j g_j / s_j^2) over the terms
+    g_j = exp(-u_j^2) / (sqrt(pi) s_j) of one line, u_j = (d - centre) / s_j:
+    one matrix product [c; c / s^2] @ e over the _psb_exps array e, with
+    c_j = 1 / sqrt(pi s_j^2)."""
+    s2 = np.arange(1.0, j_max + 1) * sigma**2
     c = 1.0 / np.sqrt(math.pi * s2)
-    x = d - centre
-    g, gs = np.stack([c, c / s2]) @ e
-    J = np.empty((d.size, 3))
-    J[:, 0] = g
-    J[:, 1] = i0 * (2.0 * x * x * gs - g) / sigma
-    J[:, 2] = i0 * 2.0 * x * gs
-    return J
+    return np.stack([c, c / s2]) @ _psb_exps(d, sigma, centre, j_max)
 
 
-def _psb_series(d, i0, sigma, delta0, j_max, doublet):
-    """(values, terms) of the sideband series: terms holds each line's
-    (offset, weight, _psb_exps array). One line, or with doublet =
+def _psb_series(d, sigma, delta0, j_max, doublet):
+    """Each line of the unit-i0 sideband series as (centre, w, g, gs): its
+    centre, its weight w and its _psb_sums. One line, or with doublet =
     (splitting, ratio) the weighted pair of PsbModel, the secondary
     `splitting` meV below the primary."""
     lines = ((0.0, 1.0),)
@@ -332,29 +316,43 @@ def _psb_series(d, i0, sigma, delta0, j_max, doublet):
         splitting, ratio = doublet
         w_primary = 1.0 / (1.0 + ratio)
         lines = ((0.0, w_primary), (splitting, 1.0 - w_primary))
-    terms = [(offset, w, _psb_exps(d, sigma, delta0 - offset, j_max)) for offset, w in lines]
-    return sum(w * _psb_base(e, i0, sigma) for _, w, e in terms), terms
+    return [(delta0 - offset, w, *_psb_sums(d, sigma, delta0 - offset, j_max))
+            for offset, w in lines]
 
 
 def _psb_model(j_max, doublet):
     """The fit model of the sideband series in p = (i0, sigma, delta0):
-    model(p, d) returns (values, Jacobian), both from one (j_max, n) array
-    of exponentials per line. i0 enters as max(i0, 0)."""
+    model(p, d) returns (values, Jacobian), both from the one pair of sums
+    (g, gs) that _psb_series gives per line. With x = d - centre and
+    u_j = x / s_j, the per-j derivatives g_j (2 u_j^2 - 1) / sigma and
+    g_j 2 u_j / s_j both carry 1 / s_j^2, so summed over j and the lines:
+      d/d i0     = sum w g
+      d/d sigma  = i0 sum w (2 x^2 gs - g) / sigma
+      d/d delta0 = i0 sum w 2 x gs
+    The values are i0 times the first column. i0 enters as max(i0, 0)."""
 
     def model(p, d):
-        i0 = max(p[0], 0.0)
-        values, terms = _psb_series(d, i0, p[1], p[2], j_max, doublet)
-        J = sum(w * _psb_base_jac(e, d, i0, p[1], p[2] - offset) for offset, w, e in terms)
-        return values, J
+        i0, sigma, delta0 = max(p[0], 0.0), p[1], p[2]
+        J = np.zeros((d.size, 3))
+        for centre, w, g, gs in _psb_series(d, sigma, delta0, j_max, doublet):
+            x = d - centre
+            J[:, 0] += w * g
+            J[:, 1] += w * (2.0 * x * x * gs - g)
+            J[:, 2] += w * 2.0 * x * gs
+        J[:, 1] *= i0 / sigma
+        J[:, 2] *= i0
+        return i0 * J[:, 0], J
 
     return model
 
 
 def psb_eval(model: PsbModel, delta):
     """Evaluate the sideband series on a phonon-energy grid (meV): the
-    values of `_psb_model`, without a Jacobian."""
+    values of `_psb_model`, bit for bit, without a Jacobian."""
     d = np.asarray(delta, dtype=float)
-    return _psb_series(d, model.i0, model.sigma, model.delta0, model.j_max, model.doublet)[0]
+    # gs goes unused, but BLAS rounds the c row alone (c @ e) differently
+    lines = _psb_series(d, model.sigma, model.delta0, model.j_max, model.doublet)
+    return model.i0 * sum(w * g for _, w, g, _ in lines)
 
 
 def to_phonon_axis(spectrum: Spectrum, e_ref_mev: float):

@@ -324,7 +324,16 @@ MALFORMED = {
     "zpl-repeated-label": ({"s.txt": SPECTRUM.replace("-3", "10"),
                             "l.txt": "alpha3 1280.0 3.0\nalpha3 1278.0604 3.0\nbeta 1335.1352 4.0\n"},
                            ["zpl", "--spectrum", "s.txt", "--zpl-config", "l.txt",
-                            "--out", "out"], "ZPL label 'alpha3' appears more than once"),
+                            "--out", "out"], "l.txt: ZPL label 'alpha3' appears more than once"),
+    "zpl-window-outside": ({"s.txt": SPECTRUM.replace("-3", "10"),
+                            "l.txt": "beta 1335.1352 4.0\nalpha3 1280.0 3.0\n"},
+                           ["zpl", "--spectrum", "s.txt", "--zpl-config", "l.txt",
+                            "--out", "out"], "l.txt: window for 'beta' outside spectrum range"),
+    # fit-psb finds no zpl result in its --out and fits the lines itself
+    "zpl-window-narrow": ({"s.txt": SPECTRUM.replace("-3", "10"), "l.txt": "alpha3 1280.0 0.1\n"},
+                          ["fit-psb", "--spectrum", "s.txt", "--zpl-config", "l.txt",
+                           "--partition-mev", "60", "--out", "out"],
+                          "l.txt: window for 'alpha3' has fewer than 6 samples"),
     "spectrum-negative-count": ({"s.txt": SPECTRUM, "l.txt": "a 1280 3\n"},
                                 ["zpl", "--spectrum", "s.txt", "--zpl-config", "l.txt",
                                  "--out", "out"], "s.txt: negative intensity"),

@@ -31,6 +31,17 @@ def test_three_items_digest_the_same_twice():
     assert tool.digest_items("simulate", 1, items=3) == first
 
 
+def test_sideband_items_list_each_pipeline_file():
+    # zpl -> fit-psb -> budget: three calls and five files per item
+    for item_id, rcs, text, files in _tool().digest_items("sideband-dw", 1, items=2):
+        assert rcs == [0, 0, 0] and re.fullmatch("[0-9a-f]{64}", text)
+        assert [path for path, _ in files] == [
+            f"out/{item_id}/{name}" for name in ("budget_k.json", "budget_report.txt",
+                                                 "fit-psb_report.txt", "zpl_report.txt",
+                                                 "zpl_result.json")]
+        assert all(re.fullmatch("[0-9a-f]{64}", digest) for _, digest in files)
+
+
 def test_each_written_file_has_its_line(monkeypatch, capsys):
     tool = _tool()
     rows = [("a", [0, 3], "1" * 64, [("out/a/r.txt", "2" * 64), ("out/a/x.json", "missing")])]

@@ -30,9 +30,8 @@ from sicpl.spectrum import (
     hr_lineshape,
     partition_dw,
     psb_eval,
-    _psb_base,
-    _psb_exps,
     _psb_model,
+    _psb_sums,
     to_phonon_axis,
 )
 from sicpl.synth import GeneratorSpec, generate
@@ -161,20 +160,59 @@ def test_psb_area_invariant(sigma, delta0, j_max, ratio):
     assert area == pytest.approx(model.area, rel=1e-6)
 
 
+def _per_j_terms(d, sigma, centre, j_max):
+    """Each g_j = exp(-u_j^2) / (sqrt(pi) s_j) of one line, with s_j^2."""
+    for j in range(1, j_max + 1):
+        sj = math.sqrt(j) * sigma
+        yield np.exp(-(((d - centre) / sj) ** 2)) / (math.sqrt(j * math.pi) * sigma), sj**2
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.floats(min_value=0.5, max_value=12.0),
        st.floats(min_value=1.0, max_value=60.0),
        st.integers(min_value=1, max_value=10),
        st.integers(min_value=1, max_value=3000))
 def test_psb_base_matches_per_j_loop(sigma, delta0, j_max, n):
-    # the (j_max, n) broadcast against the per-j sum it replaced
+    # the one matrix product over the (j_max, n) exponentials against the
+    # per-j sums it replaced
     d = np.linspace(-10.0, 200.0, n)
+    g_ref, gs_ref = np.zeros_like(d), np.zeros_like(d)
+    for gj, s2 in _per_j_terms(d, sigma, delta0, j_max):
+        g_ref += gj
+        gs_ref += gj / s2
+    g, gs = _psb_sums(d, sigma, delta0, j_max)
+    np.testing.assert_allclose(g, g_ref, rtol=1e-14, atol=0.0)
+    # far-tail gs can be subnormal, where a float holds fewer than 53 bits
+    np.testing.assert_allclose(gs, gs_ref, rtol=1e-14, atol=np.finfo(float).tiny)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.floats(min_value=0.5, max_value=12.0),
+       st.floats(min_value=1.0, max_value=60.0),
+       st.integers(min_value=1, max_value=10),
+       st.floats(min_value=0.05, max_value=1.0))
+def test_psb_doublet_matches_per_j_loop(sigma, delta0, j_max, ratio):
+    # the weighted pair, the secondary 1.47 meV below the primary, against
+    # a per-j loop over both lines
+    d = np.linspace(-10.0, 200.0, 1500)
+    w = 1.0 / (1.0 + ratio)
     ref = np.zeros_like(d)
-    for j in range(1, j_max + 1):
-        sj = math.sqrt(j) * sigma
-        ref += np.exp(-(((d - delta0) / sj) ** 2)) / (math.sqrt(j * math.pi) * sigma)
-    out = _psb_base(_psb_exps(d, sigma, delta0, j_max), 7.0, sigma)
+    for centre, weight in ((delta0, w), (delta0 - 1.47, 1.0 - w)):
+        for gj, _ in _per_j_terms(d, sigma, centre, j_max):
+            ref += weight * gj
+    out = psb_eval(PsbModel(i0=7.0, sigma=sigma, delta0=delta0, j_max=j_max,
+                            doublet=(1.47, ratio)), d)
     np.testing.assert_allclose(out, 7.0 * ref, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("doublet", [None, (1.47, 30.0 / 70.0)])
+def test_psb_values_are_i0_times_the_i0_column(doublet):
+    # values and Jacobian come from one pair of sums per line
+    model = _psb_model(10, doublet)
+    d = np.linspace(0.1, 70.0, 1500)
+    for p in ([1.0, 6.0, 35.0], [163.7, 2.3, 12.9], [2.9e3, 11.5, 58.0]):
+        values, J = model(np.array(p), d)
+        assert np.array_equal(values, p[0] * J[:, 0])
 
 
 def test_psb_jacobian_at_zero_i0():
