@@ -30,7 +30,7 @@ from . import __version__
 from .constants import EV_NM, N_SIC_DEFAULT
 from .decay import fit_decay, fit_thermal
 from .errors import AggregationError, SicplError, ValidationError
-from .io import (load_sidecar, load_spectrum, load_trace, read_json, read_table,
+from .io import (format_table, load_sidecar, load_spectrum, load_trace, read_json, read_table,
                  save_two_column)
 from .photophysics import CavityParams, budget, cooperativity, finesse_sweep
 from .spectrum import ZplLine, ZplSet, find_zpls, fit_psb, partition_dw
@@ -335,9 +335,8 @@ def _cmd_cavity(args, inputs):
         if name != "finesse":
             raise ValidationError(f"--sweep must look like {form}, got {args.sweep!r}")
         start, stop, n = _numbers("--sweep", values, ":", (float, float, int), form)
-        files["cavity_sweep.txt"] = "# finesse cooperativity eta_cav\n" + "".join(
-            f"{f:.9g} {c:.9g} {eta:.9g}\n"
-            for f, c, eta in finesse_sweep(params, start, stop, n))
+        files["cavity_sweep.txt"] = format_table(
+            np.array(finesse_sweep(params, start, stop, n)).T, "finesse cooperativity eta_cav")
     return "cavity_report.txt", _report_lines("Cavity-enhancement estimate", rows), files
 
 
@@ -359,7 +358,8 @@ def _cmd_simulate(args, inputs):
     elif spec.kind == "spectrum":
         data = (result.wavelengths, result.intensities, "wavelength_nm counts")
     else:
-        data = "".join(" ".join(f"{v:.9g}" for v in row) + "\n" for row in result)
+        # (T, tau, sigma) rows; reshape keeps an empty series three columns wide
+        data = format_table(np.array(result, dtype=float).reshape(-1, 3).T)
     return None, None, {os.path.basename(args.outfile): data}
 
 

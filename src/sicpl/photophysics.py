@@ -16,6 +16,7 @@ import numpy as np
 
 from .constants import N_SIC_DEFAULT
 from .errors import ConfigurationError, DomainError, ValidationError
+from .synth import MAX_GRID_POINTS
 
 
 @dataclass
@@ -189,9 +190,10 @@ def cooperativity(params: CavityParams,
 
 
 def finesse_sweep(params: CavityParams, start: float, stop: float, n: int):
-    """eta_cav over a log-spaced finesse range; returns (F, C, eta_cav)."""
-    if not (0 < start < stop < math.inf and n >= 2):
-        raise ValidationError("need 0 < start < stop < inf and n >= 2")
+    """eta_cav over n log-spaced finesse values; returns (F, C, eta_cav)
+    rows. n above MAX_GRID_POINTS is refused before the grid is made."""
+    if not (0 < start < stop < math.inf and 2 <= n <= MAX_GRID_POINTS):
+        raise ValidationError(f"need 0 < start < stop < inf and 2 <= n <= {MAX_GRID_POINTS:.0e}")
     fs = np.logspace(math.log10(start), math.log10(stop), n)
     rows = []
     for f in fs:

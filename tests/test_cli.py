@@ -11,7 +11,8 @@ from sicpl import nls
 from sicpl.cli import main
 from sicpl.decay import thermal_lifetime
 from sicpl.io import SIDECAR_KEYS
-from sicpl.synth import RECIPES
+from sicpl.photophysics import CavityParams, finesse_sweep
+from sicpl.synth import RECIPES, GeneratorSpec, generate
 
 
 def run(*argv):
@@ -188,6 +189,40 @@ def test_cavity_with_sweep(tmp_path):
     assert etas == sorted(etas)
 
 
+def _old_rows_text(rows):
+    # the f-string rows `simulate` and `cavity --sweep` wrote before both
+    # went through io.format_table
+    return "".join(" ".join(f"{v:.9g}" for v in row) + "\n" for row in rows)
+
+
+@pytest.mark.parametrize("temperatures, noise", [
+    ([4.0, 50.0, 100.0, 150.0, 300.0], {"kind": "gaussian", "sigma_frac": 0.02}),
+    ([4.0, 20.5, 77.0], {"kind": "none"}),
+    ([10.0, 200.0], {"kind": "gaussian", "sigma_frac": 0.0}),
+    ([], {"kind": "none"}),
+])
+def test_simulate_thermal_series_bytes_match_row_writer(tmp_path, temperatures, noise):
+    recipe = {"seed": 5, "kind": "thermal_series",
+              "truth": {"tau": 163.0, "tau_p": 83.0, "e_p": 28.0},
+              "sampling": {"temperatures": temperatures}, "noise": noise}
+    spec = tmp_path / "r.json"
+    spec.write_text(json.dumps(recipe))
+    out = tmp_path / "series.txt"
+    assert run("simulate", "--spec", str(spec), "--outfile", str(out)) == 0
+    assert out.read_text() == _old_rows_text(generate(GeneratorSpec(**recipe)))
+
+
+@pytest.mark.parametrize("sweep", ["100:100000:4", "100:100000:9", "1.5:2.5:7"])
+def test_cavity_sweep_bytes_match_row_writer(tmp_path, sweep):
+    assert run(*CAVITY, "--sweep", f"finesse={sweep}", "--out", str(tmp_path)) == 0
+    params = CavityParams(wavelength_nm=1280.0, finesse=34000.0, roc_mm=1.3, l_vac_um=5.0,
+                          l_sic_um=5.0, eta_tot=0.089)
+    start, stop, n = sweep.split(":")
+    rows = finesse_sweep(params, float(start), float(stop), int(n))
+    assert ((tmp_path / "cavity_sweep.txt").read_text()
+            == "# finesse cooperativity eta_cav\n" + _old_rows_text(rows))
+
+
 def test_config_file_drives_run(decay_files, tmp_path):
     src, trace = decay_files
     out = tmp_path / "viacfg"
@@ -346,6 +381,8 @@ MALFORMED = {
                                               "--window", "a,b", "--out", "out"], "--window"),
     "sweep-two-values": ({}, CAVITY + ["--sweep", "finesse=1:2", "--out", "out"], "--sweep"),
     "sweep-nan": ({}, CAVITY + ["--sweep", "finesse=nan:10:3", "--out", "out"], "start < stop"),
+    "sweep-too-many": ({}, CAVITY + ["--sweep", "finesse=1:10:1000000000000", "--out", "out"],
+                       "n <= 1e+07"),
     "cavity-lambda-nan": ({}, [*CAVITY[:2], "nan", *CAVITY[3:], "--out", "out"], "wavelength"),
     "cavity-finesse-nan": ({}, [*CAVITY[:4], "nan", *CAVITY[5:], "--out", "out"], "finesse"),
     "budget-tau-nr-ref-zero": ({}, BUDGET + ["--tau-nr-ref", "0", "--out", "out"],

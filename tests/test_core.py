@@ -1,6 +1,8 @@
 """Data types and file ingestion."""
 
+import os
 import re
+import tempfile
 import warnings
 
 import numpy as np
@@ -10,7 +12,8 @@ from hypothesis import strategies as st
 
 from sicpl.datatypes import DecayTrace, Spectrum
 from sicpl.errors import ParseError, ValidationError
-from sicpl.io import load_sidecar, load_spectrum, load_trace, read_table, save_two_column
+from sicpl.io import (_column, load_sidecar, load_spectrum, load_trace, read_table,
+                      save_two_column)
 
 
 def test_spectrum_validation():
@@ -277,9 +280,61 @@ def _old_save_two_column(path, x, y, header=""):
      np.array([5e-324, -2.2250738585072014e-308, 1e-12, np.nan])),
     (np.array([0.0, -0.0, 0.1, 1 / 3], dtype=np.float32), [7, 2**40, -(2**62), 0]),
     ([], []),
+    # the edge of the whole-number rule: 999999999 is printed as an integer,
+    # 1e9 is not, in either sign
+    ([999999999.0, -999999999.0, 0.0], [1e9, 2.0, -1e9]),
+    ([3.0, -0.0, 5.0], [0.0, -7.0, -123456789.0]),
+    (np.array([1, -2, 16777216], dtype=np.float32), np.array([2**53 + 1, -(2**62) - 3, 2**63 - 1])),
+    ([1.0, np.nan, 3.0], [4.0, np.inf, -np.inf]),
+    ([1.0, 2.5, 3.0], [2**31, 2**32 + 0.5, -1.0]),
 ])
 def test_save_two_column_bytes_match_row_writer(tmp_path, x, y):
     for header in ("", "time_ns counts (pulse_time_ns=100.0)", "a\nb"):
         save_two_column(tmp_path / "new.txt", x, y, header=header)
         _old_save_two_column(tmp_path / "old.txt", x, y, header=header)
         assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
+
+
+def test_whole_number_columns_print_as_integers():
+    assert _column(np.arange(-3.0, 3.0))[0] == "%d"
+    assert _column(np.array([999999999.0, -999999999.0], dtype=np.float32))[0] == "%.9g"
+    assert _column([999999999.0, -999999999.0])[0] == "%d"
+    for other in ([1e9], [-1e9], [1.0, -0.0], [1.0, np.nan], [np.inf], [0.5], [2**53 + 1]):
+        assert _column(other)[0] == "%.9g"
+
+
+def _columns(n):
+    whole = st.integers(-10**9 - 2, 10**9 + 2)
+    cells = st.one_of(st.floats(), whole.map(float),
+                      st.sampled_from([-0.0, 1e9, -1e9, 999999999.0, -999999999.0]))
+    return st.one_of(
+        st.lists(cells, min_size=n, max_size=n).map(lambda v: np.array(v, dtype=float)),
+        st.lists(whole, min_size=n, max_size=n).map(lambda v: np.array(v, dtype=np.float32)),
+        st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n)
+        .map(lambda v: np.array(v, dtype=np.int64)),
+    )
+
+
+@st.composite
+def _two_columns(draw):
+    n = draw(st.integers(0, 12))
+    return draw(_columns(n)), draw(_columns(n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_two_columns())
+def test_save_two_column_property_matches_row_writer(columns):
+    x, y = columns
+    with tempfile.TemporaryDirectory() as tmp:
+        new, old = os.path.join(tmp, "new.txt"), os.path.join(tmp, "old.txt")
+        save_two_column(new, x, y, header="x y")
+        _old_save_two_column(old, x, y, header="x y")
+        with open(new, "rb") as a, open(old, "rb") as b:
+            assert a.read() == b.read()
+
+
+def test_save_two_column_refuses_unequal_lengths(tmp_path):
+    path = tmp_path / "out.txt"
+    with pytest.raises(ValidationError, match="differ in length: 3, 2"):
+        save_two_column(path, [1.0, 2.0, 3.0], [4.0, 5.0])
+    assert not path.exists()

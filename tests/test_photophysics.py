@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -143,6 +144,15 @@ def test_finesse_sweep_monotone():
     for start, stop in ((100.0, 50.0), (math.nan, 10.0), (1.0, math.nan), (1.0, math.inf)):
         with pytest.raises(ValidationError):
             finesse_sweep(default_params(), start, stop, 5)
+
+
+def test_finesse_sweep_refuses_too_many_points_before_allocating(monkeypatch):
+    def logspace(*args, **kwargs):
+        raise AssertionError("the grid was allocated")
+
+    monkeypatch.setattr(np, "logspace", logspace)
+    with pytest.raises(ValidationError, match="n <= 1e\\+07"):
+        finesse_sweep(default_params(), 1e2, 1e5, 10**12)
 
 
 def test_finesse_sweep_carries_every_other_field():
