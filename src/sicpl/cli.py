@@ -5,11 +5,12 @@ Each command handler computes its report and any extra files; `main`
 writes them, then a manifest (command, every resolved option, config
 hash, hashes of every input file, tool and numpy versions);
 `--config <manifest>` replays that run identically. `zpl` also writes
-its lines to `zpl_result.json`, and `fit-psb` takes them from there
-when that file records the spectrum and ZPL config it was given, so a
-spectrum's ZPLs are fitted once. Exit codes: 0 success, 1 usage error,
-otherwise the `exit_code` of the error raised: 2 validation error, 3
-fit failure.
+its lines to `zpl_result.json` and the spectrum it parsed to
+`zpl_spectrum.npy`, and `fit-psb` takes both from there when the result
+records the spectrum and ZPL config it was given and the `.npy` has the
+SHA-256 the result records, so a spectrum is parsed and its ZPLs fitted
+once. Exit codes: 0 success, 1 usage error, otherwise the `exit_code` of
+the error raised: 2 validation error, 3 fit failure.
 """
 
 from __future__ import annotations
@@ -23,15 +24,17 @@ import os
 import sys
 import typing
 from dataclasses import asdict
+from io import BytesIO
 
 import numpy as np
 
 from . import __version__
 from .constants import EV_NM, N_SIC_DEFAULT
+from .datatypes import Spectrum
 from .decay import fit_decay, fit_thermal
 from .errors import AggregationError, SicplError, ValidationError
-from .io import (format_table, load_sidecar, load_spectrum, load_trace, read_json, read_table,
-                 save_two_column)
+from .io import (SPECTRUM_TEMPERATURE_K, format_table, load_sidecar, load_spectrum, load_trace,
+                 read_json, read_table, save_two_column)
 from .photophysics import CavityParams, budget, cooperativity, finesse_sweep
 from .spectrum import ZplLine, ZplSet, find_zpls, fit_psb, partition_dw
 from .synth import GeneratorSpec, generate
@@ -46,6 +49,10 @@ MANIFEST_KEYS = ("command", "parameters", "inputs", "config_hash", "tool_version
                  "numpy_version")
 # the lines `zpl` found, in its --out, for `fit-psb` on the same inputs
 ZPL_RESULT = "zpl_result.json"
+# and the spectrum it parsed: the sorted (wavelengths, intensities) as one
+# (2, n) float64 array, whose SHA-256 the result records under this key
+ZPL_SPECTRUM = "zpl_spectrum.npy"
+ZPL_SPECTRUM_KEY = "spectrum_npy_sha256"
 # the type of each ZplLine field, which a stored line must match
 ZPL_LINE_TYPES = typing.get_type_hints(ZplLine)
 
@@ -169,39 +176,81 @@ def _is_zpl_line(entry, row):
             and center - window / 2.0 <= entry["center"] <= center + window / 2.0)
 
 
-def _stored_zpls(args, inputs, rows):
-    """The ZPLs that `zpl` stored in --out for this run's spectrum, ZPL
-    config `rows` and tool version, or None if the file is missing, is
-    for other inputs or has any field that is not as `zpl` writes it.
-    The file's digest joins `inputs` when its lines are used."""
-    path = os.path.join(args.out, ZPL_RESULT)
+def _stored_result(args, inputs):
+    """The result `zpl` stored in --out for this run's spectrum, ZPL config
+    and tool version, as (its fields, its bytes), or None if the file is
+    missing, is not a JSON object of zpl's keys or is for other inputs.
+    One from before `zpl` stored its spectrum lacks ZPL_SPECTRUM_KEY."""
     try:
-        with open(path, "rb") as fh:
+        with open(os.path.join(args.out, ZPL_RESULT), "rb") as fh:
             raw = fh.read()
         stored = json.loads(raw)
+        # hashing fails on a missing --spectrum or --zpl-config; the reads
+        # that follow report it as a run without a result does
+        stamp = _zpl_stamp(args, inputs)
     except (OSError, ValueError, RecursionError):
         return None
-    stamp = _zpl_stamp(args, inputs)
     if (not isinstance(stored, dict)
-            or stored.keys() != {*stamp, "lines", "doublet_splitting_mev", "warnings"}
+            or stored.keys() - {ZPL_SPECTRUM_KEY}
+            != {*stamp, "lines", "doublet_splitting_mev", "warnings"}
             or any(stored[k] != v for k, v in stamp.items())):
         return None
-    lines, splitting, warnings = (stored["lines"], stored["doublet_splitting_mev"],
-                                  stored["warnings"])
+    return stored, raw
+
+
+def _stored_zpls(args, inputs, stored, rows):
+    """The ZPLs of the stored result `stored` (fields, bytes), or None if
+    any field is not as `zpl` writes it for the ZPL config `rows`. The
+    file's digest joins `inputs` when its lines are used."""
+    fields, raw = stored
+    lines, splitting, warnings = (fields["lines"], fields["doublet_splitting_mev"],
+                                  fields["warnings"])
     if not (isinstance(lines, list) and len(lines) == len(rows)
             and all(map(_is_zpl_line, lines, rows))
             and (splitting is None or type(splitting) is float and math.isfinite(splitting))
             and isinstance(warnings, list) and all(type(w) is str for w in warnings)):
         return None
-    inputs[path] = hashlib.sha256(raw).hexdigest()
+    inputs[os.path.join(args.out, ZPL_RESULT)] = hashlib.sha256(raw).hexdigest()
     return ZplSet(lines={entry["label"]: ZplLine(**entry) for entry in lines},
                   doublet_splitting_mev=splitting, warnings=warnings)
+
+
+def _spectrum_npy(spectrum):
+    """The bytes of ZPL_SPECTRUM for `spectrum`."""
+    buf = BytesIO()
+    np.save(buf, np.stack((spectrum.wavelengths, spectrum.intensities)), allow_pickle=False)
+    return buf.getvalue()
+
+
+def _stored_spectrum(args, inputs, fields):
+    """The Spectrum in --out's ZPL_SPECTRUM, or None unless the file has the
+    SHA-256 that the stored result `fields` records and holds one (2, n)
+    float64 array that makes a valid Spectrum. The file's digest joins
+    `inputs` when it is used."""
+    digest = fields.get(ZPL_SPECTRUM_KEY)
+    path = os.path.join(args.out, ZPL_SPECTRUM)
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        if hashlib.sha256(raw).hexdigest() != digest:
+            return None
+        data = np.load(BytesIO(raw), allow_pickle=False)
+        if not (isinstance(data, np.ndarray) and data.dtype == np.float64
+                and data.ndim == 2 and len(data) == 2):
+            return None
+        # as load_spectrum builds it, so every record check runs
+        spectrum = Spectrum(wavelengths=data[0], intensities=data[1],
+                            temperature=SPECTRUM_TEMPERATURE_K)
+    except (OSError, ValueError, EOFError, ValidationError):
+        return None
+    inputs[path] = digest
+    return spectrum
 
 
 # ---------------------------------------------------------------------------
 # subcommand handlers: each takes the parsed arguments and the run's
 # _Inputs, and returns (report file name or None, report text,
-# {file name: text, or (x, y, header) of a two-column file})
+# {file name: text, bytes, or (x, y, header) of a two-column file})
 
 
 def _cmd_fit_decay(args, inputs):
@@ -241,7 +290,8 @@ def _cmd_fit_thermal(args, inputs):
 
 
 def _cmd_zpl(args, inputs):
-    zpls = _find_zpls(args, load_spectrum(args.spectrum), _zpl_rows(args))
+    spectrum = load_spectrum(args.spectrum)
+    zpls = _find_zpls(args, spectrum, _zpl_rows(args))
     rows = []
     for label, line in sorted(zpls.lines.items()):
         bound = "<= " if line.fwhm_is_upper_bound else ""
@@ -251,19 +301,31 @@ def _cmd_zpl(args, inputs):
         rows.append((f"{label} area [counts*nm]", line.area))
     if zpls.doublet_splitting_mev is not None:
         rows.append(("doublet splitting [meV]", zpls.doublet_splitting_mev))
+    npy = _spectrum_npy(spectrum)
     # the lines in config order: partition_dw subtracts their areas in it
     result = {**_zpl_stamp(args, inputs),
               "lines": [asdict(line) for line in zpls.lines.values()],
               "doublet_splitting_mev": zpls.doublet_splitting_mev,
-              "warnings": zpls.warnings}
+              "warnings": zpls.warnings,
+              ZPL_SPECTRUM_KEY: hashlib.sha256(npy).hexdigest()}
     text = _report_lines("ZPL identification", rows, notes=zpls.warnings)
-    return "zpl_report.txt", text, {ZPL_RESULT: _json_text(result)}
+    return "zpl_report.txt", text, {ZPL_RESULT: _json_text(result), ZPL_SPECTRUM: npy}
 
 
 def _cmd_fit_psb(args, inputs):
-    spectrum = load_spectrum(args.spectrum)
-    rows = _zpl_rows(args)
-    zpls = _stored_zpls(args, inputs, rows)
+    stored = _stored_result(args, inputs)
+    if stored is None:
+        spectrum = load_spectrum(args.spectrum)
+        rows = _zpl_rows(args)
+        zpls = None
+    else:
+        # the result names a spectrum and ZPL config that zpl read without
+        # error, so reading the config first changes no error
+        rows = _zpl_rows(args)
+        zpls = _stored_zpls(args, inputs, stored, rows)
+        spectrum = None if zpls is None else _stored_spectrum(args, inputs, stored[0])
+        if spectrum is None:
+            spectrum = load_spectrum(args.spectrum)
     if zpls is None:
         zpls = _find_zpls(args, spectrum, rows)
     fit = fit_psb(spectrum, zpls)
@@ -336,7 +398,7 @@ def _cmd_cavity(args, inputs):
             raise ValidationError(f"--sweep must look like {form}, got {args.sweep!r}")
         start, stop, n = _numbers("--sweep", values, ":", (float, float, int), form)
         files["cavity_sweep.txt"] = format_table(
-            np.array(finesse_sweep(params, start, stop, n)).T, "finesse cooperativity eta_cav")
+            finesse_sweep(params, start, stop, n).T, "finesse cooperativity eta_cav")
     return "cavity_report.txt", _report_lines("Cavity-enhancement estimate", rows), files
 
 
@@ -532,8 +594,8 @@ def main(argv=None):
             print(text, end="")
         for name, data in files.items():
             path = os.path.join(out_dir, name)
-            if isinstance(data, str):
-                with open(path, "w") as fh:
+            if isinstance(data, (str, bytes)):
+                with open(path, "w" if isinstance(data, str) else "wb") as fh:
                     fh.write(data)
             else:
                 save_two_column(path, *data)

@@ -31,6 +31,8 @@ SIDECAR_KEYS = {
     "polarization_deg",
     "label",
 }
+# a spectrum's temperature in K when its metadata gives none
+SPECTRUM_TEMPERATURE_K = 4.0
 
 
 def _read_text(path) -> str:
@@ -147,7 +149,7 @@ def load_spectrum(path, metadata: dict | None = None) -> Spectrum:
         return Spectrum(
             wavelengths=wl,
             intensities=it,
-            temperature=float(meta.get("temperature_K", 4.0)),
+            temperature=float(meta.get("temperature_K", SPECTRUM_TEMPERATURE_K)),
         )
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None

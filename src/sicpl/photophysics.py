@@ -164,6 +164,11 @@ class CavityEstimate:
     w_c_um: float
 
 
+def _eta_cav(C):
+    """Cavity emission probability 2C/(2C+1), of a number or an array."""
+    return 2.0 * C / (2.0 * C + 1.0)
+
+
 def cooperativity(params: CavityParams,
                   extraction_fraction: float | None = None) -> CavityEstimate:
     """Cooperativity, cavity emission probability and optional output
@@ -172,7 +177,7 @@ def cooperativity(params: CavityParams,
     f_l = fill_factor(params)
     C = (2.0 / math.pi) * (sigma_e / sigma_c) * params.eta_tot \
         * (f_l / params.n_sic) * params.finesse
-    eta_cav = 2.0 * C / (2.0 * C + 1.0)
+    eta_cav = _eta_cav(C)
     eta_out = None
     if extraction_fraction is not None:
         if not (0 < extraction_fraction <= 1):
@@ -189,14 +194,14 @@ def cooperativity(params: CavityParams,
     )
 
 
-def finesse_sweep(params: CavityParams, start: float, stop: float, n: int):
-    """eta_cav over n log-spaced finesse values; returns (F, C, eta_cav)
-    rows. n above MAX_GRID_POINTS is refused before the grid is made."""
+def finesse_sweep(params: CavityParams, start: float, stop: float, n: int) -> np.ndarray:
+    """eta_cav over n log-spaced finesse values; returns an (n, 3) array of
+    (F, C, eta_cav) rows, each equal to what `cooperativity` gives at that
+    finesse. n above MAX_GRID_POINTS is refused before the grid is made."""
     if not (0 < start < stop < math.inf and 2 <= n <= MAX_GRID_POINTS):
         raise ValidationError(f"need 0 < start < stop < inf and 2 <= n <= {MAX_GRID_POINTS:.0e}")
     fs = np.logspace(math.log10(start), math.log10(stop), n)
-    rows = []
-    for f in fs:
-        est = cooperativity(replace(params, finesse=float(f)))
-        rows.append((float(f), est.cooperativity, est.eta_cav))
-    return rows
+    # C is the factor in front of F times F, and C at F = 1 is that factor
+    # exactly, so one product per finesse gives cooperativity's C
+    C = cooperativity(replace(params, finesse=1.0)).cooperativity * fs
+    return np.column_stack((fs, C, _eta_cav(C)))

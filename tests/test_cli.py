@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from sicpl import nls
 from sicpl.cli import main
 from sicpl.decay import thermal_lifetime
-from sicpl.io import SIDECAR_KEYS
+from sicpl.io import SIDECAR_KEYS, load_spectrum
 from sicpl.photophysics import CavityParams, finesse_sweep
 from sicpl.synth import RECIPES, GeneratorSpec, generate
 
@@ -636,7 +637,8 @@ def test_manifest_records_resolved_options_and_inputs(decay_files, tmp_path):
         # fit-psb reads the result zpl wrote to the same --out
         (["zpl", *zpl, "--out", str(tmp_path / "zpl")], [spectrum, lines]),
         ([*psb, "--out", str(tmp_path / "zpl")],
-         [spectrum, lines, tmp_path / "zpl" / "zpl_result.json"]),
+         [spectrum, lines, tmp_path / "zpl" / "zpl_result.json",
+          tmp_path / "zpl" / "zpl_spectrum.npy"]),
     ]
     for argv, inputs in runs:
         assert run(*argv) == 0
@@ -657,18 +659,18 @@ def test_replay_refuses_a_changed_input(decay_files, capsys):
     assert f"input {trace} changed" in capsys.readouterr().err
 
 
-def _counting_find_zpls(monkeypatch):
-    """The list of calls to the find_zpls that cli runs, from now on."""
+def _counting(monkeypatch, name):
+    """The list of calls to the function `name` that cli runs, from now on."""
     from sicpl import cli
 
     calls = []
+    original = getattr(cli, name)
 
     def counted(*args):
         calls.append(args)
-        return find_zpls(*args)
+        return original(*args)
 
-    find_zpls = cli.find_zpls
-    monkeypatch.setattr(cli, "find_zpls", counted)
+    monkeypatch.setattr(cli, name, counted)
     return calls
 
 
@@ -690,17 +692,32 @@ def test_fit_psb_reuses_the_zpl_result(tmp_path, monkeypatch, capsys, splitting,
     assert [line["label"] for line in stored["lines"]] == ["alpha3", "alpha2", "beta"]
     assert {line["fwhm_is_upper_bound"] for line in stored["lines"]} == {limited}
     assert bool(stored["warnings"]) is warned
-    calls = _counting_find_zpls(monkeypatch)
+    # the spectrum zpl parsed, as load_spectrum returned it
+    npy = shared / "zpl_spectrum.npy"
+    data = np.load(npy, allow_pickle=False)
+    parsed = load_spectrum(spectrum)
+    assert data.dtype == np.float64 and data.shape == (2, parsed.wavelengths.size)
+    assert np.array_equal(data, [parsed.wavelengths, parsed.intensities])
+    assert stored["spectrum_npy_sha256"] == _sha256(npy)
+    calls = _counting(monkeypatch, "find_zpls")
+    loads = _counting(monkeypatch, "load_spectrum")
     assert run(*psb, "--out", str(shared)) == 0
-    assert calls == []
+    assert calls == [] and loads == []
     for name in PSB_OUTPUTS:
         assert (shared / name).read_bytes() == (fresh / name).read_bytes()
-    # the manifest lists the result, so a replay checks it
+    # the manifest lists the result and the spectrum, so a replay checks both
     report = shared / "fit-psb_report.txt"
     report.unlink()
     manifest = str(shared / "fit-psb_manifest.json")
     assert run("--config", manifest) == 0
     assert report.read_bytes() == (fresh / report.name).read_bytes()
+    assert loads == []
+    saved = npy.read_bytes()
+    npy.write_bytes(saved[:-1] + bytes([saved[-1] ^ 1]))
+    capsys.readouterr()
+    assert run("--config", manifest) == 2
+    assert f"input {npy} changed" in capsys.readouterr().err
+    npy.write_bytes(saved)
     result = shared / "zpl_result.json"
     result.write_text(result.read_text().replace('"tool_version"', '"tool_version" '))
     capsys.readouterr()
@@ -747,13 +764,92 @@ def test_fit_psb_refits_beside_a_stale_zpl_result(tmp_path, monkeypatch, change)
     change(shared / "zpl_result.json", lines, other)
     psb = ["fit-psb", *common, "--partition-mev", "60", "--plot"]
     assert run(*psb, "--out", str(fresh)) == 0
-    calls = _counting_find_zpls(monkeypatch)
+    calls = _counting(monkeypatch, "find_zpls")
     assert run(*psb, "--out", str(shared)) == 0
     assert len(calls) == 1
     for name in PSB_OUTPUTS:
         assert (shared / name).read_bytes() == (fresh / name).read_bytes()
     manifest = json.loads((shared / "fit-psb_manifest.json").read_text())
     assert str(shared / "zpl_result.json") not in manifest["inputs"]
+
+
+def _stamped(write):
+    """A change that writes another zpl_spectrum.npy by `write(path,
+    arrays)` and records its SHA-256 in the result, which stays valid."""
+    def change(result, npy):
+        write(npy, np.load(npy))
+        data = json.loads(result.read_text())
+        data["spectrum_npy_sha256"] = _sha256(npy)
+        result.write_text(json.dumps(data))
+    return change
+
+
+def _drop_npy_digest(result, npy):
+    data = json.loads(result.read_text())
+    del data["spectrum_npy_sha256"]
+    result.write_text(json.dumps(data))
+
+
+# name: change(zpl result, stored spectrum) made after zpl ran; each
+# leaves fit-psb to parse the spectrum text, with the result's lines
+REFUSED_SPECTRA = {
+    "missing": lambda result, npy: npy.unlink(),
+    "edited-byte": lambda result, npy: npy.write_bytes(
+        npy.read_bytes()[:-1] + bytes([npy.read_bytes()[-1] ^ 1])),
+    "truncated": _stamped(lambda npy, a: npy.write_bytes(npy.read_bytes()[:-40])),
+    "pickled": _stamped(lambda npy, a: np.save(npy, a.astype(object), allow_pickle=True)),
+    "three-rows": _stamped(lambda npy, a: np.save(npy, np.vstack([a, a[:1]]))),
+    "float32": _stamped(lambda npy, a: np.save(npy, a.astype(np.float32))),
+    "no-digest-key": _drop_npy_digest,
+}
+
+
+@pytest.mark.parametrize("change", REFUSED_SPECTRA.values(), ids=REFUSED_SPECTRA.keys())
+def test_fit_psb_parses_the_text_beside_a_refused_stored_spectrum(tmp_path, monkeypatch,
+                                                                  change):
+    spectrum, lines = _spectrum_files(tmp_path)
+    common = ["--spectrum", str(spectrum), "--zpl-config", str(lines)]
+    fresh, shared = tmp_path / "fresh", tmp_path / "shared"
+    assert run("zpl", *common, "--out", str(shared)) == 0
+    change(shared / "zpl_result.json", shared / "zpl_spectrum.npy")
+    psb = ["fit-psb", *common, "--partition-mev", "60", "--plot"]
+    assert run(*psb, "--out", str(fresh)) == 0
+    calls = _counting(monkeypatch, "find_zpls")
+    loads = _counting(monkeypatch, "load_spectrum")
+
+    def unpickle(*args, **kwargs):
+        raise AssertionError("the stored spectrum was unpickled")
+
+    monkeypatch.setattr(pickle, "load", unpickle)
+    assert run(*psb, "--out", str(shared)) == 0
+    assert calls == [] and loads == [(str(spectrum),)]
+    for name in PSB_OUTPUTS:
+        assert (shared / name).read_bytes() == (fresh / name).read_bytes()
+    manifest = json.loads((shared / "fit-psb_manifest.json").read_text())
+    assert str(shared / "zpl_result.json") in manifest["inputs"]
+    assert str(shared / "zpl_spectrum.npy") not in manifest["inputs"]
+
+
+# name: (change to the spectrum after zpl stored its result, error text)
+BAD_SPECTRA = {
+    "missing": (lambda spectrum: spectrum.unlink(),
+                "cannot read {spectrum}: No such file or directory"),
+    "non-numeric": (lambda spectrum: spectrum.write_text("1270 5\n1271 many\n"),
+                    "{spectrum}:2: non-numeric value in '1271 many'"),
+}
+
+
+@pytest.mark.parametrize("change, message", BAD_SPECTRA.values(), ids=BAD_SPECTRA.keys())
+def test_fit_psb_bad_spectrum_beside_a_stored_result_exit_2(tmp_path, capsys, change,
+                                                            message):
+    # the stored result and spectrum are for the spectrum as zpl read it
+    spectrum, lines = _spectrum_files(tmp_path)
+    common = ["--spectrum", str(spectrum), "--zpl-config", str(lines)]
+    assert run("zpl", *common, "--out", str(tmp_path)) == 0
+    change(spectrum)
+    capsys.readouterr()
+    assert run("fit-psb", *common, "--partition-mev", "60", "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err == f"error: {message.format(spectrum=spectrum)}\n"
 
 
 def test_every_option_flag_spells_its_dest():

@@ -32,13 +32,13 @@ def test_three_items_digest_the_same_twice():
 
 
 def test_sideband_items_list_each_pipeline_file():
-    # zpl -> fit-psb -> budget: three calls and five files per item
+    # zpl -> fit-psb -> budget: three calls and six files per item
     for item_id, rcs, text, files in _tool().digest_items("sideband-dw", 1, items=2):
         assert rcs == [0, 0, 0] and re.fullmatch("[0-9a-f]{64}", text)
         assert [path for path, _ in files] == [
             f"out/{item_id}/{name}" for name in ("budget_k.json", "budget_report.txt",
                                                  "fit-psb_report.txt", "zpl_report.txt",
-                                                 "zpl_result.json")]
+                                                 "zpl_result.json", "zpl_spectrum.npy")]
         assert all(re.fullmatch("[0-9a-f]{64}", digest) for _, digest in files)
 
 

@@ -156,10 +156,13 @@ def test_finesse_sweep_refuses_too_many_points_before_allocating(monkeypatch):
 
 
 def test_finesse_sweep_carries_every_other_field():
+    # each row equals cooperativity at that finesse, bit for bit
     base = default_params(n_sic=2.4, w_c_um=3.0)
-    for f, c, eta in finesse_sweep(base, 1e2, 1e5, 4):
-        est = cooperativity(dataclasses.replace(base, finesse=f))
-        assert (c, eta) == (est.cooperativity, est.eta_cav)
+    for n in (2, 9, 1000):
+        grid = np.logspace(2.0, 5.0, n).tolist()
+        ests = [cooperativity(dataclasses.replace(base, finesse=f)) for f in grid]
+        assert np.array_equal(finesse_sweep(base, 1e2, 1e5, n),
+                              [(f, est.cooperativity, est.eta_cav) for f, est in zip(grid, ests)])
 
 
 def test_cavity_param_validation():
