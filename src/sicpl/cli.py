@@ -6,11 +6,13 @@ writes them, then a manifest (command, every resolved option, config
 hash, hashes of every input file, tool and numpy versions);
 `--config <manifest>` replays that run identically. `zpl` also writes
 its lines to `zpl_result.json` and the spectrum it parsed to
-`zpl_spectrum.npy`, and `fit-psb` takes both from there when the result
-records the spectrum and ZPL config it was given and the `.npy` has the
-SHA-256 the result records, so a spectrum is parsed and its ZPLs fitted
-once. Exit codes: 0 success, 1 usage error, otherwise the `exit_code` of
-the error raised: 2 validation error, 3 fit failure.
+`zpl_spectrum.npy`. `fit-psb` takes both or neither: both when the
+result records the spectrum and ZPL config it was given and the `.npy`
+has the SHA-256 the result records, so a spectrum is parsed and its ZPLs
+fitted once; otherwise it parses the spectrum and fits the ZPLs itself.
+Exit codes: 0 success, 1 usage error, otherwise the `exit_code` of the
+error raised: 2 validation error (an unreadable or unwritable file too),
+3 fit failure.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 from . import __version__
 from .constants import EV_NM, N_SIC_DEFAULT
 from .datatypes import Spectrum
-from .decay import fit_decay, fit_thermal
+from .decay import decay_counts, fit_decay, fit_thermal
 from .errors import AggregationError, SicplError, ValidationError
 from .io import (SPECTRUM_TEMPERATURE_K, format_table, load_sidecar, load_spectrum, load_trace,
                  read_json, read_table, save_two_column)
@@ -176,13 +178,22 @@ def _is_zpl_line(entry, row):
             and center - window / 2.0 <= entry["center"] <= center + window / 2.0)
 
 
-def _stored_result(args, inputs):
-    """The result `zpl` stored in --out for this run's spectrum, ZPL config
-    and tool version, as (its fields, its bytes), or None if the file is
-    missing, is not a JSON object of zpl's keys or is for other inputs.
-    One from before `zpl` stored its spectrum lacks ZPL_SPECTRUM_KEY."""
+def _spectrum_npy(spectrum):
+    """The bytes of ZPL_SPECTRUM for `spectrum`."""
+    buf = BytesIO()
+    np.save(buf, np.stack((spectrum.wavelengths, spectrum.intensities)), allow_pickle=False)
+    return buf.getvalue()
+
+
+def _stored(args, inputs):
+    """The (spectrum, ZPLs) that `zpl` stored in --out as ZPL_RESULT and
+    ZPL_SPECTRUM for this run's spectrum, ZPL config and tool version, or
+    None unless both files are there and pass every check. Both files
+    join `inputs` only when they are used."""
+    result_path = os.path.join(args.out, ZPL_RESULT)
+    npy_path = os.path.join(args.out, ZPL_SPECTRUM)
     try:
-        with open(os.path.join(args.out, ZPL_RESULT), "rb") as fh:
+        with open(result_path, "rb") as fh:
             raw = fh.read()
         stored = json.loads(raw)
         # hashing fails on a missing --spectrum or --zpl-config; the reads
@@ -191,50 +202,27 @@ def _stored_result(args, inputs):
     except (OSError, ValueError, RecursionError):
         return None
     if (not isinstance(stored, dict)
-            or stored.keys() - {ZPL_SPECTRUM_KEY}
-            != {*stamp, "lines", "doublet_splitting_mev", "warnings"}
+            or stored.keys() != {*stamp, "lines", "doublet_splitting_mev", "warnings",
+                                 ZPL_SPECTRUM_KEY}
             or any(stored[k] != v for k, v in stamp.items())):
         return None
-    return stored, raw
-
-
-def _stored_zpls(args, inputs, stored, rows):
-    """The ZPLs of the stored result `stored` (fields, bytes), or None if
-    any field is not as `zpl` writes it for the ZPL config `rows`. The
-    file's digest joins `inputs` when its lines are used."""
-    fields, raw = stored
-    lines, splitting, warnings = (fields["lines"], fields["doublet_splitting_mev"],
-                                  fields["warnings"])
+    # the stamp names a spectrum and ZPL config that zpl read without
+    # error, so reading the config before the spectrum changes no error
+    rows = _zpl_rows(args)
+    lines, splitting, warnings = (stored["lines"], stored["doublet_splitting_mev"],
+                                  stored["warnings"])
     if not (isinstance(lines, list) and len(lines) == len(rows)
             and all(map(_is_zpl_line, lines, rows))
             and (splitting is None or type(splitting) is float and math.isfinite(splitting))
             and isinstance(warnings, list) and all(type(w) is str for w in warnings)):
         return None
-    inputs[os.path.join(args.out, ZPL_RESULT)] = hashlib.sha256(raw).hexdigest()
-    return ZplSet(lines={entry["label"]: ZplLine(**entry) for entry in lines},
-                  doublet_splitting_mev=splitting, warnings=warnings)
-
-
-def _spectrum_npy(spectrum):
-    """The bytes of ZPL_SPECTRUM for `spectrum`."""
-    buf = BytesIO()
-    np.save(buf, np.stack((spectrum.wavelengths, spectrum.intensities)), allow_pickle=False)
-    return buf.getvalue()
-
-
-def _stored_spectrum(args, inputs, fields):
-    """The Spectrum in --out's ZPL_SPECTRUM, or None unless the file has the
-    SHA-256 that the stored result `fields` records and holds one (2, n)
-    float64 array that makes a valid Spectrum. The file's digest joins
-    `inputs` when it is used."""
-    digest = fields.get(ZPL_SPECTRUM_KEY)
-    path = os.path.join(args.out, ZPL_SPECTRUM)
+    digest = stored[ZPL_SPECTRUM_KEY]
     try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-        if hashlib.sha256(raw).hexdigest() != digest:
+        with open(npy_path, "rb") as fh:
+            npy = fh.read()
+        if hashlib.sha256(npy).hexdigest() != digest:
             return None
-        data = np.load(BytesIO(raw), allow_pickle=False)
+        data = np.load(BytesIO(npy), allow_pickle=False)
         if not (isinstance(data, np.ndarray) and data.dtype == np.float64
                 and data.ndim == 2 and len(data) == 2):
             return None
@@ -243,8 +231,10 @@ def _stored_spectrum(args, inputs, fields):
                             temperature=SPECTRUM_TEMPERATURE_K)
     except (OSError, ValueError, EOFError, ValidationError):
         return None
-    inputs[path] = digest
-    return spectrum
+    inputs[result_path] = hashlib.sha256(raw).hexdigest()
+    inputs[npy_path] = digest
+    return spectrum, ZplSet(lines={entry["label"]: ZplLine(**entry) for entry in lines},
+                            doublet_splitting_mev=splitting, warnings=warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -269,12 +259,8 @@ def _cmd_fit_decay(args, inputs):
     rows.append(("reduced chi2", res.fit.reduced_chi2))
     files = {}
     if args.plot:
-        t = trace.times
-        model = np.full(t.shape, res.background)
-        after = t >= trace.pulse_time
-        for amp, tau in res.components:
-            model[after] += amp * np.exp(-(t[after] - trace.pulse_time) / tau)
-        files["fit-decay_model.txt"] = (t, model, "time_ns model_counts")
+        model = decay_counts(trace.times, trace.pulse_time, res.background, res.components)
+        files["fit-decay_model.txt"] = (trace.times, model, "time_ns model_counts")
     return "fit-decay_report.txt", _report_lines("Decay fit", rows, res.warnings, res.fit), files
 
 
@@ -313,21 +299,12 @@ def _cmd_zpl(args, inputs):
 
 
 def _cmd_fit_psb(args, inputs):
-    stored = _stored_result(args, inputs)
+    stored = _stored(args, inputs)
     if stored is None:
         spectrum = load_spectrum(args.spectrum)
-        rows = _zpl_rows(args)
-        zpls = None
+        zpls = _find_zpls(args, spectrum, _zpl_rows(args))
     else:
-        # the result names a spectrum and ZPL config that zpl read without
-        # error, so reading the config first changes no error
-        rows = _zpl_rows(args)
-        zpls = _stored_zpls(args, inputs, stored, rows)
-        spectrum = None if zpls is None else _stored_spectrum(args, inputs, stored[0])
-        if spectrum is None:
-            spectrum = load_spectrum(args.spectrum)
-    if zpls is None:
-        zpls = _find_zpls(args, spectrum, rows)
+        spectrum, zpls = stored
     fit = fit_psb(spectrum, zpls)
     part = partition_dw(spectrum, zpls, args.partition_mev, psb_fit=fit,
                         area_correction=args.area_correction)
@@ -610,7 +587,7 @@ def main(argv=None):
     except SicplError as exc:
         print(f"{'fit error' if exc.exit_code == 3 else 'error'}: {exc}", file=sys.stderr)
         return exc.exit_code
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ValidationError.exit_code
 

@@ -95,6 +95,16 @@ def _thermal_model(p, T):
     return 1.0 / rate, J
 
 
+def decay_counts(t, pulse_time, background, components):
+    """Expected counts at times `t`: `background`, plus from `pulse_time`
+    on A exp(-(t - pulse_time) / tau) for each (A, tau) of `components`."""
+    y = np.full(t.shape, background)
+    after = t >= pulse_time
+    for amp, tau in components:
+        y[after] += amp * np.exp(-(t[after] - pulse_time) / tau)
+    return y
+
+
 def estimate_background(trace: DecayTrace) -> BackgroundEstimate:
     """Mean and standard error of the pre-pulse bins."""
     pre = trace.counts[trace.times < trace.pulse_time]

@@ -31,7 +31,7 @@ SIDECAR_KEYS = {
     "polarization_deg",
     "label",
 }
-# a spectrum's temperature in K when its metadata gives none
+# the temperature in K of every spectrum read from a file, which carries none
 SPECTRUM_TEMPERATURE_K = 4.0
 
 
@@ -134,13 +134,13 @@ def load_sidecar(path) -> dict:
     return meta
 
 
-def load_spectrum(path, metadata: dict | None = None) -> Spectrum:
-    """Load a (wavelength_nm, counts) file into a validated Spectrum.
+def load_spectrum(path) -> Spectrum:
+    """Load a (wavelength_nm, counts) file into a validated Spectrum at
+    SPECTRUM_TEMPERATURE_K.
 
     Rows are sorted by wavelength if needed; exact duplicate wavelengths
     are rejected.
     """
-    meta = dict(metadata or {})
     data = read_table(path, "wavelength_nm counts")
     wl, it = data[np.argsort(data[:, 0], kind="stable")].T.copy()
     if np.any(np.diff(wl) == 0):
@@ -149,7 +149,7 @@ def load_spectrum(path, metadata: dict | None = None) -> Spectrum:
         return Spectrum(
             wavelengths=wl,
             intensities=it,
-            temperature=float(meta.get("temperature_K", SPECTRUM_TEMPERATURE_K)),
+            temperature=SPECTRUM_TEMPERATURE_K,
         )
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None

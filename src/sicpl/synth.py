@@ -22,7 +22,7 @@ import numpy as np
 
 from .constants import EV_NM
 from .datatypes import DecayTrace, Spectrum
-from .decay import thermal_lifetime
+from .decay import decay_counts, thermal_lifetime
 from .errors import ValidationError
 from .spectrum import (EV_NM_MEV, FWHM_PER_SIGMA, PSB_J_MAX, HRModel, PsbModel, hr_lineshape,
                        psb_eval)
@@ -190,11 +190,7 @@ def expected_decay(spec: GeneratorSpec):
     if bg < 0 or any(a < 0 or tau <= 0 for a, tau in comps):
         raise ValidationError("invalid decay truth: need background >= 0, A >= 0, tau > 0")
     t = _grid(samp["t_start"], samp["t_end"] + samp["bin_ns"] / 2.0, samp["bin_ns"])
-    y = np.full(t.shape, bg)
-    after = t >= pulse
-    for a, tau in comps:
-        y[after] += a * np.exp(-(t[after] - pulse) / tau)
-    return t, y
+    return t, decay_counts(t, pulse, bg, comps)
 
 
 def _decay(spec):

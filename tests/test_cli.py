@@ -395,6 +395,11 @@ MALFORMED = {
                            "tau_rad"),
     "config-inputs-list": ({"run.json": '{"command": "budget", "inputs": ["a"]}'},
                            ["--config", "run.json"], "run.json"),
+    "config-input-is-a-directory": (
+        {"run.json": '{"command": "budget", "inputs": {".": "0"}}'},
+        ["--config", "run.json"], "Is a directory: '.'"),
+    "out-is-a-file": ({"taken.txt": "x\n"}, BUDGET + ["--out", "taken.txt"],
+                      "File exists"),
     "report-text-value": ({"b.json": '{"site": "k", "tau_rad": "x"}'},
                           ["report", "--inputs", "b.json", "--out", "out"], "b.json"),
     "simulate-truth-list": ({"r.json": '{"seed": 1, "kind": "decay", "truth": [], '
@@ -726,22 +731,34 @@ def test_fit_psb_reuses_the_zpl_result(tmp_path, monkeypatch, capsys, splitting,
 
 
 def _edit_result(edit):
-    def change(result, lines, other):
+    def change(result, npy, lines, other):
         data = json.loads(result.read_text())
         edit(data)
         result.write_text(json.dumps(data))
     return change
 
 
-# name: change(zpl result, ZPL config, another spectrum) made after zpl
-# ran; each leaves fit-psb to fit its own lines
+def _stamped(write):
+    """A change that writes another zpl_spectrum.npy by `write(path,
+    arrays)` and records its SHA-256 in the result, which stays valid."""
+    def change(result, npy, lines, other):
+        write(npy, np.load(npy))
+        data = json.loads(result.read_text())
+        data["spectrum_npy_sha256"] = _sha256(npy)
+        result.write_text(json.dumps(data))
+    return change
+
+
+# name: change(zpl result, stored spectrum, ZPL config, another spectrum)
+# made after zpl ran; each leaves fit-psb to parse the spectrum text and
+# fit its own lines, since it takes both stored files or neither
 STALE_RESULTS = {
-    "other-spectrum": lambda result, lines, other: run(
+    "other-spectrum": lambda result, npy, lines, other: run(
         "zpl", "--spectrum", str(other), "--zpl-config", str(lines),
         "--out", str(result.parent)),
-    "edited-config": lambda result, lines, other: lines.write_text(
+    "edited-config": lambda result, npy, lines, other: lines.write_text(
         lines.read_text().replace("alpha3, 1280.0, 3.0", "alpha3, 1280.0, 2.5")),
-    "truncated": lambda result, lines, other: result.write_bytes(
+    "truncated": lambda result, npy, lines, other: result.write_bytes(
         result.read_bytes()[:-40]),
     "nan-center": _edit_result(lambda data: data["lines"][0].update(center=math.nan)),
     "renamed-line": _edit_result(lambda data: data["lines"][0].update(label="alpha1")),
@@ -750,6 +767,16 @@ STALE_RESULTS = {
     "text-center": _edit_result(lambda data: data["lines"][0].update(center="1280.0")),
     "number-bound-flag": _edit_result(
         lambda data: data["lines"][1].update(fwhm_is_upper_bound=1)),
+    # a result from before zpl stored its spectrum
+    "no-npy-digest-key": _edit_result(lambda data: data.pop("spectrum_npy_sha256")),
+    "npy-missing": lambda result, npy, lines, other: npy.unlink(),
+    "npy-edited-byte": lambda result, npy, lines, other: npy.write_bytes(
+        npy.read_bytes()[:-1] + bytes([npy.read_bytes()[-1] ^ 1])),
+    "npy-truncated": _stamped(lambda npy, a: npy.write_bytes(npy.read_bytes()[:-40])),
+    "npy-pickled": _stamped(
+        lambda npy, a: np.save(npy, a.astype(object), allow_pickle=True)),
+    "npy-three-rows": _stamped(lambda npy, a: np.save(npy, np.vstack([a, a[:1]]))),
+    "npy-float32": _stamped(lambda npy, a: np.save(npy, a.astype(np.float32))),
 }
 
 
@@ -761,57 +788,7 @@ def test_fit_psb_refits_beside_a_stale_zpl_result(tmp_path, monkeypatch, change)
     common = ["--spectrum", str(spectrum), "--zpl-config", str(lines)]
     fresh, shared = tmp_path / "fresh", tmp_path / "shared"
     assert run("zpl", *common, "--out", str(shared)) == 0
-    change(shared / "zpl_result.json", lines, other)
-    psb = ["fit-psb", *common, "--partition-mev", "60", "--plot"]
-    assert run(*psb, "--out", str(fresh)) == 0
-    calls = _counting(monkeypatch, "find_zpls")
-    assert run(*psb, "--out", str(shared)) == 0
-    assert len(calls) == 1
-    for name in PSB_OUTPUTS:
-        assert (shared / name).read_bytes() == (fresh / name).read_bytes()
-    manifest = json.loads((shared / "fit-psb_manifest.json").read_text())
-    assert str(shared / "zpl_result.json") not in manifest["inputs"]
-
-
-def _stamped(write):
-    """A change that writes another zpl_spectrum.npy by `write(path,
-    arrays)` and records its SHA-256 in the result, which stays valid."""
-    def change(result, npy):
-        write(npy, np.load(npy))
-        data = json.loads(result.read_text())
-        data["spectrum_npy_sha256"] = _sha256(npy)
-        result.write_text(json.dumps(data))
-    return change
-
-
-def _drop_npy_digest(result, npy):
-    data = json.loads(result.read_text())
-    del data["spectrum_npy_sha256"]
-    result.write_text(json.dumps(data))
-
-
-# name: change(zpl result, stored spectrum) made after zpl ran; each
-# leaves fit-psb to parse the spectrum text, with the result's lines
-REFUSED_SPECTRA = {
-    "missing": lambda result, npy: npy.unlink(),
-    "edited-byte": lambda result, npy: npy.write_bytes(
-        npy.read_bytes()[:-1] + bytes([npy.read_bytes()[-1] ^ 1])),
-    "truncated": _stamped(lambda npy, a: npy.write_bytes(npy.read_bytes()[:-40])),
-    "pickled": _stamped(lambda npy, a: np.save(npy, a.astype(object), allow_pickle=True)),
-    "three-rows": _stamped(lambda npy, a: np.save(npy, np.vstack([a, a[:1]]))),
-    "float32": _stamped(lambda npy, a: np.save(npy, a.astype(np.float32))),
-    "no-digest-key": _drop_npy_digest,
-}
-
-
-@pytest.mark.parametrize("change", REFUSED_SPECTRA.values(), ids=REFUSED_SPECTRA.keys())
-def test_fit_psb_parses_the_text_beside_a_refused_stored_spectrum(tmp_path, monkeypatch,
-                                                                  change):
-    spectrum, lines = _spectrum_files(tmp_path)
-    common = ["--spectrum", str(spectrum), "--zpl-config", str(lines)]
-    fresh, shared = tmp_path / "fresh", tmp_path / "shared"
-    assert run("zpl", *common, "--out", str(shared)) == 0
-    change(shared / "zpl_result.json", shared / "zpl_spectrum.npy")
+    change(shared / "zpl_result.json", shared / "zpl_spectrum.npy", lines, other)
     psb = ["fit-psb", *common, "--partition-mev", "60", "--plot"]
     assert run(*psb, "--out", str(fresh)) == 0
     calls = _counting(monkeypatch, "find_zpls")
@@ -822,12 +799,12 @@ def test_fit_psb_parses_the_text_beside_a_refused_stored_spectrum(tmp_path, monk
 
     monkeypatch.setattr(pickle, "load", unpickle)
     assert run(*psb, "--out", str(shared)) == 0
-    assert calls == [] and loads == [(str(spectrum),)]
+    assert len(calls) == 1 and loads == [(str(spectrum),)]
     for name in PSB_OUTPUTS:
         assert (shared / name).read_bytes() == (fresh / name).read_bytes()
     manifest = json.loads((shared / "fit-psb_manifest.json").read_text())
-    assert str(shared / "zpl_result.json") in manifest["inputs"]
-    assert str(shared / "zpl_spectrum.npy") not in manifest["inputs"]
+    for name in ("zpl_result.json", "zpl_spectrum.npy"):
+        assert str(shared / name) not in manifest["inputs"]
 
 
 # name: (change to the spectrum after zpl stored its result, error text)

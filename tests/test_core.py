@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from sicpl.datatypes import DecayTrace, Spectrum
 from sicpl.errors import ParseError, ValidationError
-from sicpl.io import (_column, load_sidecar, load_spectrum, load_trace, read_table,
-                      save_two_column)
+from sicpl.io import (SPECTRUM_TEMPERATURE_K, _column, load_sidecar, load_spectrum, load_trace,
+                      read_table, save_two_column)
 
 
 def test_spectrum_validation():
@@ -35,7 +35,7 @@ def test_spectrum_validation():
         Spectrum(wavelengths=wl, intensities=bad, temperature=4.0)
 
 
-def test_spectrum_temperature_follows_the_trace_rule(tmp_path):
+def test_spectrum_temperature_follows_the_trace_rule():
     # one temperature rule, 0 < T < inf, with one message for both records
     wl = np.linspace(1250.0, 1350.0, 50)
     it = np.ones(50)
@@ -47,10 +47,6 @@ def test_spectrum_temperature_follows_the_trace_rule(tmp_path):
             Spectrum(wavelengths=wl, intensities=it, temperature=bad)
         assert str(spectrum_err.value) == str(trace_err.value)
         assert str(spectrum_err.value) == f"temperature must be > 0 K, got {bad}"
-    p = tmp_path / "s.txt"
-    p.write_text("1300 5\n1301 6\n")
-    with pytest.raises(ValidationError, match="s.txt: temperature"):
-        load_spectrum(p, {"temperature_K": np.inf})
 
 
 def test_trace_validation():
@@ -75,8 +71,8 @@ def test_trace_validation():
 def test_load_spectrum_delimiters(tmp_path):
     p = tmp_path / "s.csv"
     p.write_text("# header comment\n1300, 5\n1301\t6\n1302 7  # trailing\n")
-    sp = load_spectrum(p, {"temperature_K": 10.0})
-    assert sp.temperature == 10.0
+    sp = load_spectrum(p)
+    assert sp.temperature == SPECTRUM_TEMPERATURE_K
     assert list(sp.intensities) == [5.0, 6.0, 7.0]
 
 

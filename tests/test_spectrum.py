@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sicpl import spectrum
@@ -181,8 +181,8 @@ def test_psb_base_matches_per_j_loop(sigma, delta0, j_max, n):
         g_ref += gj
         gs_ref += gj / s2
     g, gs = _psb_sums(d, sigma, delta0, j_max)
-    np.testing.assert_allclose(g, g_ref, rtol=1e-14, atol=0.0)
-    # far-tail gs can be subnormal, where a float holds fewer than 53 bits
+    # far-tail g and gs can be subnormal, where a float holds fewer than 53 bits
+    np.testing.assert_allclose(g, g_ref, rtol=1e-14, atol=np.finfo(float).tiny)
     np.testing.assert_allclose(gs, gs_ref, rtol=1e-14, atol=np.finfo(float).tiny)
 
 
@@ -191,6 +191,8 @@ def test_psb_base_matches_per_j_loop(sigma, delta0, j_max, n):
        st.floats(min_value=1.0, max_value=60.0),
        st.integers(min_value=1, max_value=10),
        st.floats(min_value=0.05, max_value=1.0))
+# a subnormal far-tail value that differs from the loop's in its last bits
+@example(0.741217490931057, 8.795712204482342, 7, 1.0)
 def test_psb_doublet_matches_per_j_loop(sigma, delta0, j_max, ratio):
     # the weighted pair, the secondary 1.47 meV below the primary, against
     # a per-j loop over both lines
@@ -202,7 +204,8 @@ def test_psb_doublet_matches_per_j_loop(sigma, delta0, j_max, ratio):
             ref += weight * gj
     out = psb_eval(PsbModel(i0=7.0, sigma=sigma, delta0=delta0, j_max=j_max,
                             doublet=(1.47, ratio)), d)
-    np.testing.assert_allclose(out, 7.0 * ref, rtol=1e-14, atol=0.0)
+    # far-tail values can be subnormal, where a float holds fewer than 53 bits
+    np.testing.assert_allclose(out, 7.0 * ref, rtol=1e-14, atol=np.finfo(float).tiny)
 
 
 @pytest.mark.parametrize("doublet", [None, (1.47, 30.0 / 70.0)])
