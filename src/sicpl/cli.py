@@ -34,9 +34,9 @@ from . import __version__
 from .constants import EV_NM, N_SIC_DEFAULT
 from .datatypes import Spectrum
 from .decay import decay_counts, fit_decay, fit_thermal
-from .errors import AggregationError, SicplError, ValidationError
-from .io import (SPECTRUM_TEMPERATURE_K, format_table, load_sidecar, load_spectrum, load_trace,
-                 read_json, read_table, save_two_column)
+from .errors import SicplError, ValidationError
+from .io import (format_table, load_sidecar, load_spectrum, load_trace, read_json, read_table,
+                 save_two_column)
 from .photophysics import CavityParams, budget, cooperativity, finesse_sweep
 from .spectrum import ZplLine, ZplSet, find_zpls, fit_psb, partition_dw
 from .synth import GeneratorSpec, generate
@@ -227,8 +227,7 @@ def _stored(args, inputs):
                 and data.ndim == 2 and len(data) == 2):
             return None
         # as load_spectrum builds it, so every record check runs
-        spectrum = Spectrum(wavelengths=data[0], intensities=data[1],
-                            temperature=SPECTRUM_TEMPERATURE_K)
+        spectrum = Spectrum(wavelengths=data[0], intensities=data[1])
     except (OSError, ValueError, EOFError, ValidationError):
         return None
     inputs[result_path] = hashlib.sha256(raw).hexdigest()
@@ -382,8 +381,10 @@ def _cmd_cavity(args, inputs):
 def _cmd_simulate(args, inputs):
     # the GeneratorSpec fields: a missing one is None, which it refuses; noise has a default
     recipe = dict.fromkeys(("seed", "kind", "truth", "sampling"))
+    # outside the try: read_json's errors name the file already
+    given = read_json(args.spec)
     try:
-        for key, value in read_json(args.spec).items():
+        for key, value in given.items():
             if key not in (*recipe, "noise"):
                 raise ValidationError(f"unknown key {key!r}")
             recipe[key] = value
@@ -416,11 +417,12 @@ def _cmd_report(args, inputs):
         if not isinstance(site, str):
             raise ValidationError(f"{path}: 'site' must be a string, got {site!r}")
         for key in REPORT_COLUMNS:
-            if not isinstance(data.get(key), (int, float, type(None))):
+            value = data.get(key)
+            if isinstance(value, bool) or not isinstance(value, (int, float, type(None))):
                 raise ValidationError(f"{path}: {key!r} must be a number or null, "
-                                      f"got {data[key]!r}")
+                                      f"got {value!r}")
         if site in rows and rows[site] != data:
-            raise AggregationError(f"conflicting entries for site {site!r}")
+            raise ValidationError(f"conflicting entries for site {site!r}")
         rows[site] = data
     lines = ["Radiative-properties summary", "=" * 28]
     lines.append("  ".join(f"{h:>13}" for h in REPORT_HEADER))
@@ -493,7 +495,10 @@ def build_parser():
     p.add_argument("--extraction", type=float)
     p.add_argument("--sweep", help="finesse=start:stop:n")
 
-    p = add("simulate", help="generate synthetic data from a JSON recipe")
+    # no --out: simulate writes next to --outfile. No abbreviations either,
+    # or argparse would read --out as --outfile
+    p = sub.add_parser("simulate", help="generate synthetic data from a JSON recipe",
+                       allow_abbrev=False)
     p.add_argument("--spec", required=True)
     p.add_argument("--outfile", required=True)
 

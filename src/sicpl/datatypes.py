@@ -46,19 +46,20 @@ class Spectrum:
     """A wavelength-indexed intensity record and its temperature in K.
 
     wavelengths are strictly increasing, positive vacuum values in nm;
-    intensities are finite, non-negative counts; the temperature is
-    finite and > 0 K.
+    intensities are finite, non-negative counts; the temperature is None
+    (a spectrum read from a file carries none) or finite and > 0 K.
     """
 
     wavelengths: np.ndarray
     intensities: np.ndarray
-    temperature: float
+    temperature: float | None = None
 
     def __post_init__(self):
         wl, it = _record(self.wavelengths, self.intensities, "wavelength", "intensity")
         if wl[0] <= 0:
             raise ValidationError(f"wavelengths must be > 0 nm, got {wl[0]}")
-        _check_temperature(self.temperature)
+        if self.temperature is not None:
+            _check_temperature(self.temperature)
         object.__setattr__(self, "wavelengths", wl)
         object.__setattr__(self, "intensities", it)
 

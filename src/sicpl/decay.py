@@ -14,7 +14,7 @@ import numpy as np
 
 from .constants import KB_MEV_PER_K
 from .datatypes import DecayTrace
-from .errors import DegenerateFitError, NoDataError, ValidationError
+from .errors import DegenerateFitError, FitError, ValidationError
 from .nls import FitProblem, FitResult, minimize
 
 # Thermally-assisted channels roughly 4x apart in the data; anything
@@ -330,7 +330,7 @@ def pool_lifetimes(entries) -> list[PooledLifetime]:
     """
     entries = [(float(t), float(s)) for t, s in entries]
     if not entries:
-        raise NoDataError("no lifetimes to pool")
+        raise FitError("no lifetimes to pool")
     for tau, sigma in entries:
         if not (0 < tau < np.inf and 0 < sigma < np.inf):
             raise ValidationError(f"tau and sigma must be finite and > 0, got ({tau}, {sigma})")

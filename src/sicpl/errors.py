@@ -1,7 +1,10 @@
 """Exception hierarchy for the analysis toolkit.
 
-Each class carries the command line's exit code for it: 2 for bad input
-(the default), 3 for a fit that failed on valid input.
+Each class carries the command line's exit code for it, and there is one
+class per code: ValidationError (2) for bad input, whatever its kind (a
+malformed file, a value out of range, conflicting entries), and FitError
+(3) for a fit that failed on valid input. The three subclasses of
+FitError are the failures a caller catches to try something else.
 """
 
 
@@ -11,50 +14,22 @@ class SicplError(Exception):
 
 
 class ValidationError(SicplError):
-    """Input data violates a type invariant."""
+    """Bad input: a malformed file or a value outside its domain; the
+    message names the file, line or value."""
 
 
-class ParseError(SicplError):
-    """Malformed input file; message names the offending line."""
+class FitError(SicplError):
+    """A fit failed on valid input."""
+    exit_code = 3
 
 
-class DomainError(SicplError):
-    """Argument outside the mathematical domain of an operation."""
-
-
-class EvaluationError(SicplError):
+class EvaluationError(FitError):
     """Model returned NaN/inf during fitting."""
-    exit_code = 3
 
 
-class DegenerateFitError(SicplError):
+class DegenerateFitError(FitError):
     """Normal matrix is singular; message names the unidentifiable direction."""
-    exit_code = 3
 
 
-class InsufficientDataError(SicplError):
-    """Not enough usable points for the requested analysis."""
-    exit_code = 3
-
-
-class LineNotFoundError(SicplError):
+class LineNotFoundError(FitError):
     """No emission line found inside a search window."""
-    exit_code = 3
-
-
-class ModelInconsistencyError(SicplError):
-    """Fitted model leaves systematically negative residuals."""
-    exit_code = 3
-
-
-class ConfigurationError(SicplError):
-    """Required derived quantity could not be resolved from the parameters."""
-
-
-class AggregationError(SicplError):
-    """Conflicting entries while bundling reports."""
-
-
-class NoDataError(SicplError):
-    """Empty channel or result list."""
-    exit_code = 3

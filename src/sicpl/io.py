@@ -16,7 +16,7 @@ from itertools import chain
 import numpy as np
 
 from .datatypes import DecayTrace, Spectrum
-from .errors import ParseError, ValidationError
+from .errors import ValidationError
 
 # the keys a sidecar may hold. Only fit-decay reads a sidecar:
 # pulse_time_ns sets the pulse and temperature_K is stored on the trace,
@@ -31,8 +31,6 @@ SIDECAR_KEYS = {
     "polarization_deg",
     "label",
 }
-# the temperature in K of every spectrum read from a file, which carries none
-SPECTRUM_TEMPERATURE_K = 4.0
 
 
 def _read_text(path) -> str:
@@ -40,9 +38,10 @@ def _read_text(path) -> str:
         with open(path) as fh:
             return fh.read()
     except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc.strerror}") from None
+        raise ValidationError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not a text file ({exc.reason} at byte {exc.start})") from None
+        raise ValidationError(f"{path}: not a text file "
+                              f"({exc.reason} at byte {exc.start})") from None
 
 
 def _lines(text):
@@ -59,7 +58,7 @@ def read_table(path, columns: str, labelled: bool = False):
     With `labelled`, the first column is a text label and the result is
     (labels, values) with the remaining columns as values. A missing
     file, a wrong column count, a non-numeric field or an empty table
-    raises ParseError naming the file and, for a bad row, its line.
+    raises ValidationError naming the file and, for a bad row, its line.
     """
     names = columns.split()
     text = _read_text(path)
@@ -81,7 +80,7 @@ def read_table(path, columns: str, labelled: bool = False):
     rows = [line.replace(",", " ").split() for line in _lines(text)]
     data = [fields for fields in rows if fields]
     if not data:
-        raise ParseError(f"{path}: no data rows")
+        raise ValidationError(f"{path}: no data rows")
     numeric = [fields[1:] for fields in data] if labelled else data
     try:
         if set(map(len, data)) != {len(names)}:
@@ -92,27 +91,27 @@ def read_table(path, columns: str, labelled: bool = False):
         # row checked, to name the first bad line
         for lineno, fields in enumerate(rows, start=1):
             if fields and len(fields) != len(names):
-                raise ParseError(f"{path}:{lineno}: expected {len(names)} columns "
-                                 f"({columns}), got {len(fields)}") from None
+                raise ValidationError(f"{path}:{lineno}: expected {len(names)} columns "
+                                      f"({columns}), got {len(fields)}") from None
             try:
                 [float(v) for v in fields[1 if labelled else 0:]]
             except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-numeric value in "
-                                 f"{' '.join(fields)!r}") from None
+                raise ValidationError(f"{path}:{lineno}: non-numeric value in "
+                                      f"{' '.join(fields)!r}") from None
         raise
     values = values.reshape(len(data), -1)
     return ([fields[0] for fields in data], values) if labelled else values
 
 
 def read_json(path) -> dict:
-    """Read a JSON object; ParseError names the file if it is missing or
+    """Read a JSON object; ValidationError names the file if it is missing or
     is not a JSON object."""
     try:
         data = json.loads(_read_text(path))
     except ValueError as exc:
-        raise ParseError(f"{path}: invalid JSON ({exc})") from None
+        raise ValidationError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(data, dict):
-        raise ParseError(f"{path}: expected a JSON object")
+        raise ValidationError(f"{path}: expected a JSON object")
     return data
 
 
@@ -124,19 +123,20 @@ def load_sidecar(path) -> dict:
             continue
         key, sep, val = (s.strip() for s in line.partition("="))
         if not sep:
-            raise ParseError(f"{path}:{lineno}: expected key = value")
+            raise ValidationError(f"{path}:{lineno}: expected key = value")
         if key not in SIDECAR_KEYS:
-            raise ParseError(f"{path}:{lineno}: unknown metadata key {key!r}")
+            raise ValidationError(f"{path}:{lineno}: unknown metadata key {key!r}")
         try:
             meta[key] = val if key == "label" else float(val)
         except ValueError:
-            raise ParseError(f"{path}:{lineno}: non-numeric value {val!r} for {key}") from None
+            raise ValidationError(f"{path}:{lineno}: non-numeric value {val!r} "
+                                  f"for {key}") from None
     return meta
 
 
 def load_spectrum(path) -> Spectrum:
-    """Load a (wavelength_nm, counts) file into a validated Spectrum at
-    SPECTRUM_TEMPERATURE_K.
+    """Load a (wavelength_nm, counts) file into a validated Spectrum with
+    no temperature.
 
     Rows are sorted by wavelength if needed; exact duplicate wavelengths
     are rejected.
@@ -146,11 +146,7 @@ def load_spectrum(path) -> Spectrum:
     if np.any(np.diff(wl) == 0):
         raise ValidationError(f"{path}: duplicate wavelength values")
     try:
-        return Spectrum(
-            wavelengths=wl,
-            intensities=it,
-            temperature=SPECTRUM_TEMPERATURE_K,
-        )
+        return Spectrum(wavelengths=wl, intensities=it)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
 

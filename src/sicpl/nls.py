@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFitError, DomainError, EvaluationError, ValidationError
+from .errors import DegenerateFitError, EvaluationError, ValidationError
 
 MAX_ITER = 200      # iterations before a fit ends unconverged
 COST_TOL = 1e-10    # converged: actual and predicted relative cost reduction below it
@@ -108,7 +108,7 @@ def finite_diff_jacobian(model, p, xs, h=FD_STEP) -> np.ndarray:
     calls it.
     """
     if not (0 < h <= 1e-2):
-        raise DomainError(f"finite-difference step h must be in (0, 1e-2], got {h}")
+        raise ValidationError(f"finite-difference step h must be in (0, 1e-2], got {h}")
     p = np.asarray(p, dtype=float)
     xs = np.asarray(xs, dtype=float)
     J = np.empty((xs.size, p.size))

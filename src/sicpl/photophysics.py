@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .constants import N_SIC_DEFAULT
-from .errors import ConfigurationError, DomainError, ValidationError
+from .errors import ValidationError
 from .synth import MAX_GRID_POINTS
 
 
@@ -47,17 +47,17 @@ def budget(tau_rad: float, tau_tot_exp: float, dw_exp: float, s_th: float,
     and any disagreement beyond 2 % is flagged in the notes.
     """
     if not (0 < tau_tot_exp <= tau_rad < math.inf):
-        raise DomainError(
+        raise ValidationError(
             f"measured lifetime {tau_tot_exp} ns must be in (0, tau_rad={tau_rad}], "
             "with tau_rad finite; a faster measured decay implies a finite "
             "non-radiative channel"
         )
     if not (0 < dw_exp <= 1):
-        raise DomainError("dw_exp must be in (0, 1]")
+        raise ValidationError("dw_exp must be in (0, 1]")
     if not (0 <= s_th < math.inf):
-        raise DomainError(f"s_th must be finite and >= 0, got {s_th}")
+        raise ValidationError(f"s_th must be finite and >= 0, got {s_th}")
     if tau_nr_reference is not None and not (0 < tau_nr_reference < math.inf):
-        raise DomainError(f"tau_nr_reference must be finite and > 0, got {tau_nr_reference}")
+        raise ValidationError(f"tau_nr_reference must be finite and > 0, got {tau_nr_reference}")
     eta_rad = tau_tot_exp / tau_rad
     if tau_tot_exp == tau_rad:
         tau_nr = None
@@ -128,7 +128,7 @@ def mode_field_radius(params: CavityParams) -> float:
     L = params.l_vac_um + params.l_sic_um
     rc = params.roc_mm * 1e3
     if L >= rc:
-        raise ConfigurationError(
+        raise ValidationError(
             f"geometric length {L} um not smaller than mirror radius {rc} um; "
             "cannot derive a stable Gaussian waist"
         )

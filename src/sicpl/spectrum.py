@@ -16,14 +16,7 @@ import numpy as np
 
 from .constants import EV_NM
 from .datatypes import Spectrum
-from .errors import (
-    DegenerateFitError,
-    DomainError,
-    InsufficientDataError,
-    LineNotFoundError,
-    ModelInconsistencyError,
-    ValidationError,
-)
+from .errors import DegenerateFitError, FitError, LineNotFoundError, ValidationError
 from .nls import FitProblem, FitResult, minimize
 
 EV_NM_MEV = EV_NM * 1000.0  # hc in meV*nm
@@ -206,10 +199,12 @@ def doublet_ratio_vs_T(spectra, expected_pair) -> DoubletThermometry:
 
     expected_pair: ((label_dominant, center, window), (label_other, center,
     window)); the ratio is area(dominant)/area(other). Needs at least 3
-    resolvable spectra below 100 K.
+    resolvable spectra below 100 K, and a temperature on every spectrum.
     """
     points = []
     for sp in spectra:
+        if sp.temperature is None:
+            raise ValidationError("every spectrum needs a temperature")
         try:
             zpls = find_zpls(sp, expected_pair)
         except LineNotFoundError:
@@ -221,9 +216,7 @@ def doublet_ratio_vs_T(spectra, expected_pair) -> DoubletThermometry:
         points.append((sp.temperature, a1 / a2))
     below = [p for p in points if p[0] < 100.0]
     if len(below) < 3:
-        raise InsufficientDataError(
-            f"need >= 3 resolvable doublets below 100 K, got {len(below)}"
-        )
+        raise FitError(f"need >= 3 resolvable doublets below 100 K, got {len(below)}")
     T = np.array([p[0] for p in points])
     r = np.array([p[1] for p in points])
 
@@ -391,8 +384,8 @@ def fit_psb(spectrum: Spectrum, zpls: ZplSet) -> PsbFit:
     up to the 'beta' ZPL offset (40 meV without one) plus BETA_PSB_MIN_MEV,
     skipping ZPL_EXCLUSION_SIGMAS line sigmas around each ZPL; the residual
     up to PSB_MAX_MEV, outside those ZPL neighborhoods, is assigned to beta.
-    Raises ModelInconsistencyError when over 5% of those bins lie below -3 sd,
-    the Poisson sd of the fitted alpha counts, sqrt(alpha * lambda^2 / hc).
+    Raises FitError when over 5% of those bins lie below -3 sd, the
+    Poisson sd of the fitted alpha counts, sqrt(alpha * lambda^2 / hc).
     """
     if "alpha3" not in zpls.lines:
         raise ValidationError("zpls must contain the 'alpha3' reference line")
@@ -440,9 +433,7 @@ def fit_psb(spectrum: Spectrum, zpls: ZplSet) -> PsbFit:
         sd = np.sqrt(alpha_curve[keep] * spectrum.wavelengths[keep] ** 2 / EV_NM_MEV)
         frac_neg = np.mean(check < -3.0 * sd)
         if frac_neg > 0.05:
-            raise ModelInconsistencyError(
-                f"negative residual beyond 3 Poisson sd over {frac_neg:.1%} of bins"
-            )
+            raise FitError(f"negative residual beyond 3 Poisson sd over {frac_neg:.1%} of bins")
     return PsbFit(model=psb, delta=delta, alpha_model=alpha_curve,
                   beta_residual=beta_residual, fit=fit)
 
@@ -573,7 +564,7 @@ def partition_dw(spectrum: Spectrum, zpls: ZplSet, partition_energy_mev: float,
     delta, density = to_phonon_axis(spectrum, e_ref)
     total = float(_trapezoid(density, delta))
     if total <= 0:
-        raise DomainError("zero total spectrum area")
+        raise ValidationError("zero total spectrum area")
     total_eff = total * area_correction
 
     # integrated areas (total counts) are coordinate-invariant, so the

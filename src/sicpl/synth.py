@@ -52,8 +52,14 @@ NOISE_KEYS = {"none": {}, "poisson": {}, "gaussian": {"sigma_frac": REQUIRED}}
 MAX_GRID_POINTS = 10**7
 
 
+# a JSON true or false is a Python bool, which numbers.Integral (and so
+# numbers.Real) accepts; neither form takes it
 def _real(value):
-    return isinstance(value, numbers.Real)
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _integer(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _reals(value, n=None):
@@ -83,7 +89,7 @@ FORMS = {
     "components": (_pairs, "a list of (A, tau) pairs"),
     "modes": (_pairs, "a list of (S, homega) pairs"),
     "doublet": (lambda v: _reals(v, 2), "a (splitting, ratio) pair"),
-    "j_max": (lambda v: isinstance(v, numbers.Integral), "an integer"),
+    "j_max": (_integer, "an integer"),
     "zpl": (_zpl_rows, "a list of [label, center, fwhm > 0, area >= 0] rows"),
     "psb": (lambda v: isinstance(v, (list, tuple)) and all(isinstance(e, dict) for e in v),
             "a list of objects"),
@@ -128,7 +134,7 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.kind not in RECIPES:
             raise ValidationError(f"unknown generator kind {self.kind!r}")
-        if not isinstance(self.seed, numbers.Integral) or not 0 <= self.seed < 2**64:
+        if not _integer(self.seed) or not 0 <= self.seed < 2**64:
             raise ValidationError(f"'seed' must be an integer in [0, 2**64), got {self.seed!r}")
         for name in ("truth", "sampling", "noise"):
             if not isinstance(getattr(self, name), dict):

@@ -33,8 +33,7 @@ def decay_files(tmp_path):
     spec = tmp_path / "recipe.json"
     spec.write_text(json.dumps(recipe))
     trace = tmp_path / "trace.txt"
-    assert run("simulate", "--spec", str(spec), "--outfile", str(trace),
-               "--out", str(tmp_path)) == 0
+    assert run("simulate", "--spec", str(spec), "--outfile", str(trace)) == 0
     return tmp_path, trace
 
 
@@ -75,9 +74,17 @@ def test_simulate_deterministic(decay_files, tmp_path):
     spec2 = tmp_path / "r2.json"
     spec2.write_text(json.dumps(recipe))
     t2 = tmp_path / "t2.txt"
-    assert run("simulate", "--spec", str(spec2), "--outfile", str(t2),
-               "--out", str(tmp_path)) == 0
+    assert run("simulate", "--spec", str(spec2), "--outfile", str(t2)) == 0
     assert t2.read_bytes() == trace.read_bytes()
+
+
+def test_simulate_takes_no_out(decay_files, capsys):
+    # simulate writes next to --outfile, and --out is no abbreviation of it
+    tmp_path, _ = decay_files
+    assert run("simulate", "--spec", str(tmp_path / "recipe.json"),
+               "--outfile", str(tmp_path / "t.txt"), "--out", str(tmp_path / "d")) == 1
+    assert "error: unrecognized arguments: --out" in capsys.readouterr().err
+    assert not (tmp_path / "t.txt").exists() and not (tmp_path / "d").exists()
 
 
 # kind: (truth, sampling, noise, the x column, the comment lines)
@@ -331,13 +338,38 @@ SPECTRUM = "".join(f"{1270 + 0.5 * i} {-3 if i == 7 else 10}\n" for i in range(4
 CAVITY = ["cavity", "--lambda-nm", "1280", "--finesse", "34000", "--roc-mm", "1.3",
           "--lvac-um", "5", "--lsic-um", "5", "--eta-tot", "0.089"]
 BUDGET = ["budget", "--tau-rad", "704", "--tau-tot", "163", "--dw", "0.39", "--s", "0.66"]
-# name: (files to write, argv with file names standing for their paths,
-#        text the error message must contain)
+# name: (files to write, None for one left missing; argv with file names
+#        standing for their paths; text the error message must contain, or,
+#        starting "error: ", the whole of stderr with {tmp} for the directory)
 MALFORMED = {
     "config-bad-json": ({"run.json": '{"command": '}, ["--config", "run.json"], "run.json"),
     "config-not-object": ({"run.json": "[1, 2]"}, ["--config", "run.json"], "run.json"),
     "report-bad-json": ({"b.json": "{'site': 'k'}"},
                         ["report", "--inputs", "b.json", "--out", "out"], "b.json"),
+    "report-s-th-bool": ({"b.json": '{"site": "k", "s_th": true}'},
+                         ["report", "--inputs", "b.json", "--out", "out"],
+                         "b.json: 's_th' must be a number or null, got True"),
+    "simulate-spec-bad-json": (
+        {"r.json": '{"seed": '}, ["simulate", "--spec", "r.json", "--outfile", "out"],
+        "error: {tmp}/r.json: invalid JSON (Expecting value: line 1 column 10 (char 9))\n"),
+    "simulate-spec-not-object": (
+        {"r.json": "[1, 2]"}, ["simulate", "--spec", "r.json", "--outfile", "out"],
+        "error: {tmp}/r.json: expected a JSON object\n"),
+    "simulate-spec-missing": (
+        {"r.json": None}, ["simulate", "--spec", "r.json", "--outfile", "out"],
+        "error: cannot read {tmp}/r.json: No such file or directory\n"),
+    "simulate-seed-bool": _recipe_case({"seed": True}, "'seed' must be an integer"),
+    "simulate-background-bool": _recipe_case(
+        {"truth": {**DECAY_TRUTH, "background": True}},
+        "'background' must be a real number, got True"),
+    "simulate-bin-bool": _recipe_case(
+        {"sampling": {"t_start": 0.0, "t_end": 60.0, "bin_ns": True}},
+        "'bin_ns' must be a real > 0, got True"),
+    "simulate-psb-j-max-bool": _recipe_case(
+        {"kind": "spectrum", "truth": {"psb": [{"i0": 90.0, "sigma": 6.0, "delta0": 35.0,
+                                                "e_ref_nm": 1280.0, "j_max": True}]},
+         "sampling": {"wl_start": 1255.0, "wl_end": 1300.0, "step_nm": 0.2}},
+        "'j_max' must be an integer, got True"),
     "thermal-non-numeric": ({"pts.txt": "# T tau sigma\n4 163 3\n25, fast, 3\n"},
                             ["fit-thermal", "--points", "pts.txt", "--out", "out"], "pts.txt:3"),
     "thermal-tau-nan": ({"pts.txt": "4 163 3\n25 160 3\n50 nan 3\n75 150 3\n"},
@@ -513,6 +545,11 @@ MALFORMED = {
         ["--config", "run.json"], "run.json: unknown budget parameters --colour=1"),
     "config-inputs-hash-number": ({"run.json": '{"command": "budget", "inputs": {"a": 1}}'},
                                   ["--config", "run.json"], "run.json"),
+    # a simulate manifest written while simulate took --out
+    "config-simulate-out": (
+        {"run.json": json.dumps({"command": "simulate", "parameters": {
+            "spec": "r.json", "outfile": "t.txt", "out": "."}})},
+        ["--config", "run.json"], "run.json: unknown simulate parameters --out=."),
     "config-parameter-refused": (
         {"run.json": json.dumps({"command": "budget", "parameters": {
             "tau_rad": "abc", "tau_tot": 163, "dw": 0.39, "s": 0.66}})},
@@ -523,11 +560,18 @@ MALFORMED = {
 @pytest.mark.parametrize("files, argv, named", MALFORMED.values(), ids=MALFORMED.keys())
 def test_malformed_input_exit_2(tmp_path, capsys, files, argv, named):
     for name, text in files.items():
-        (tmp_path / name).write_text(text)
+        if text is not None:
+            (tmp_path / name).write_text(text)
     argv = [str(tmp_path / a) if a in files or a == "out" else a for a in argv]
     assert run(*argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and named in err
+    if named.startswith("error: "):
+        assert err == named.replace("{tmp}", str(tmp_path))
+    else:
+        assert err.startswith("error: ") and named in err
+    # a message names each file once: no handler adds a path the error has
+    for name in files:
+        assert err.count(str(tmp_path / name)) <= 1, name
 
 
 def test_parser_keeps_no_state_between_runs(decay_files):
@@ -542,10 +586,8 @@ def test_parser_keeps_no_state_between_runs(decay_files):
 
 
 EXIT_CODES = {
-    "ValidationError": 2, "ParseError": 2, "DomainError": 2, "EvaluationError": 3,
-    "DegenerateFitError": 3, "InsufficientDataError": 3, "LineNotFoundError": 3,
-    "ModelInconsistencyError": 3, "ConfigurationError": 2, "AggregationError": 2,
-    "NoDataError": 3,
+    "SicplError": 2, "ValidationError": 2, "FitError": 3, "EvaluationError": 3,
+    "DegenerateFitError": 3, "LineNotFoundError": 3,
 }
 
 
@@ -559,7 +601,7 @@ def test_error_classes_map_to_exit_codes(monkeypatch, capsys, tmp_path):
     from sicpl import cli
     from sicpl.errors import SicplError
 
-    classes = {cls.__name__: cls for cls in _subclasses(SicplError)}
+    classes = {cls.__name__: cls for cls in (SicplError, *_subclasses(SicplError))}
     assert set(classes) == set(EXIT_CODES)
     for name, code in EXIT_CODES.items():
         def fail(args, inputs, cls=classes[name]):
@@ -891,7 +933,9 @@ def test_manifest_replays_its_run(replay_files, argv):
     from pathlib import Path
 
     out = Path(replay_files["out"])
-    assert run(*[a.format(**replay_files) for a in argv], "--out", str(out)) == 0
+    # simulate writes into {out} by its --outfile, and takes no --out
+    out_flag = [] if argv[0] == "simulate" else ["--out", str(out)]
+    assert run(*[a.format(**replay_files) for a in argv], *out_flag) == 0
     first = _outputs(out)
     manifest = out / f"{argv[0]}_manifest.json"
     assert manifest.name in first and len(first) > 1

@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sicpl.datatypes import DecayTrace, Spectrum
-from sicpl.errors import ParseError, ValidationError
-from sicpl.io import (SPECTRUM_TEMPERATURE_K, _column, load_sidecar, load_spectrum, load_trace,
-                      read_table, save_two_column)
+from sicpl.errors import ValidationError
+from sicpl.io import (_column, load_sidecar, load_spectrum, load_trace, read_table,
+                      save_two_column)
 
 
 def test_spectrum_validation():
@@ -72,7 +72,7 @@ def test_load_spectrum_delimiters(tmp_path):
     p = tmp_path / "s.csv"
     p.write_text("# header comment\n1300, 5\n1301\t6\n1302 7  # trailing\n")
     sp = load_spectrum(p)
-    assert sp.temperature == SPECTRUM_TEMPERATURE_K
+    assert sp.temperature is None  # a file carries no temperature
     assert list(sp.intensities) == [5.0, 6.0, 7.0]
 
 
@@ -89,13 +89,11 @@ def test_load_spectrum_sorts_and_rejects_duplicates(tmp_path):
 def test_parse_error_carries_location(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("1300 5\n1301 oops\n")
-    with pytest.raises(ParseError) as err:
+    with pytest.raises(ValidationError, match="bad.txt:2: non-numeric value"):
         load_spectrum(p)
-    assert "bad.txt:2" in str(err.value)
     p.write_text("1300 5 9\n")
-    with pytest.raises(ParseError) as err:
+    with pytest.raises(ValidationError, match="bad.txt:1: expected 2 columns"):
         load_spectrum(p)
-    assert ":1" in str(err.value)
 
 
 @settings(max_examples=30)
@@ -108,7 +106,7 @@ def test_corrupted_line_always_raises_parse_error(tmp_path_factory, row, junk):
     lines = [f"{1300 + i} {10 + i}" for i in range(10)]
     lines[row] = junk
     p.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ParseError):
+    with pytest.raises(ValidationError, match=rf"t\.txt:{row + 1}: "):
         load_spectrum(p)
 
 
@@ -122,15 +120,15 @@ def _reference_table(path, text, columns):
         if not fields:
             continue
         if len(fields) != len(names):
-            raise ParseError(f"{path}:{lineno}: expected {len(names)} columns "
-                             f"({columns}), got {len(fields)}")
+            raise ValidationError(f"{path}:{lineno}: expected {len(names)} columns "
+                                  f"({columns}), got {len(fields)}")
         try:
             rows.append([float(v) for v in fields])
         except ValueError:
-            raise ParseError(f"{path}:{lineno}: non-numeric value in "
-                             f"{' '.join(fields)!r}") from None
+            raise ValidationError(f"{path}:{lineno}: non-numeric value in "
+                                  f"{' '.join(fields)!r}") from None
     if not rows:
-        raise ParseError(f"{path}: no data rows")
+        raise ValidationError(f"{path}: no data rows")
     return np.array(rows)
 
 
@@ -141,13 +139,13 @@ def _check_table(path, text, columns="x_nm counts"):
         fh.write(text)
     try:
         want, error = _reference_table(path, text, columns), None
-    except ParseError as exc:
+    except ValidationError as exc:
         want, error = None, str(exc)
     for action in ("error", "ignore"):
         with warnings.catch_warnings():
             warnings.simplefilter(action)
             if error is not None:
-                with pytest.raises(ParseError) as err:
+                with pytest.raises(ValidationError) as err:
                     read_table(path, columns)
                 assert str(err.value) == error
                 continue
@@ -233,7 +231,7 @@ def test_sidecar_schema(tmp_path):
     meta = load_sidecar(p)
     assert meta == {"temperature_K": 4.0, "pulse_time_ns": 100.0, "label": "run7"}
     p.write_text("voltage = 3\n")
-    with pytest.raises(ParseError):
+    with pytest.raises(ValidationError, match="m.txt:1: unknown metadata key 'voltage'"):
         load_sidecar(p)
 
 
@@ -248,14 +246,14 @@ def test_save_round_trip(tmp_path):
 
 
 def test_missing_file():
-    with pytest.raises(ParseError):
+    with pytest.raises(ValidationError, match="cannot read /no/such/file.txt"):
         load_spectrum("/no/such/file.txt")
 
 
 def test_non_text_file(tmp_path):
     p = tmp_path / "bin.txt"
     p.write_bytes(b"1300 5\n\xff\xfe 6\n")
-    with pytest.raises(ParseError, match="bin.txt"):
+    with pytest.raises(ValidationError, match="bin.txt: not a text file"):
         load_spectrum(p)
 
 

@@ -17,7 +17,7 @@ from sicpl.decay import (
     pool_lifetimes,
     thermal_lifetime,
 )
-from sicpl.errors import DegenerateFitError, NoDataError, ValidationError
+from sicpl.errors import DegenerateFitError, FitError, ValidationError
 from sicpl.synth import GeneratorSpec, generate
 
 
@@ -327,7 +327,7 @@ def test_pool_separates_distinct_channels():
 
 
 def test_pool_guards():
-    with pytest.raises(NoDataError):
+    with pytest.raises(FitError, match="no lifetimes to pool"):
         pool_lifetimes([])
     # a non-positive or non-finite tau or sigma must not be pooled: (-5, 1)
     # once joined (100, 1) in one 47.5 ns channel

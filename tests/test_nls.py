@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sicpl import nls
-from sicpl.errors import DegenerateFitError, DomainError, EvaluationError, ValidationError
+from sicpl.errors import DegenerateFitError, EvaluationError, ValidationError
 from sicpl.nls import FitProblem, finite_diff_jacobian, minimize
 
 
@@ -297,9 +297,9 @@ def test_finite_diff_step_domain():
     def model(p, x):
         return p[0] * x
 
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError, match="step h must be in"):
         finite_diff_jacobian(model, np.array([1.0]), np.arange(3.0), h=0.5)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError, match="step h must be in"):
         finite_diff_jacobian(model, np.array([1.0]), np.arange(3.0), h=0.0)
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sicpl.errors import ConfigurationError, DomainError, ValidationError
+from sicpl.errors import ValidationError
 from sicpl.photophysics import (
     CavityParams,
     budget,
@@ -47,19 +47,22 @@ def test_budget_purely_radiative_limit():
 
 
 def test_budget_domain_guards():
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError, match="measured lifetime 150.0 ns"):
         budget(100.0, 150.0, 0.5, 0.7)  # measured slower than radiative
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError, match="dw_exp"):
         budget(100.0, 50.0, 1.5, 0.7)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError, match="s_th"):
         budget(100.0, 50.0, 0.5, -0.1)
     # NaN fails every comparison, so each check must be written to refuse it
-    for args, kwargs in (((math.inf, 50.0, 0.5, 0.7), {}), ((math.nan, 50.0, 0.5, 0.7), {}),
-                         ((100.0, 50.0, 0.5, math.nan), {}), ((100.0, 50.0, 0.5, math.inf), {}),
-                         ((100.0, 50.0, 0.5, 0.7), {"tau_nr_reference": 0.0}),
-                         ((100.0, 50.0, 0.5, 0.7), {"tau_nr_reference": -5.0}),
-                         ((100.0, 50.0, 0.5, 0.7), {"tau_nr_reference": math.nan})):
-        with pytest.raises(DomainError):
+    for args, kwargs, named in (
+            ((math.inf, 50.0, 0.5, 0.7), {}, "tau_rad=inf"),
+            ((math.nan, 50.0, 0.5, 0.7), {}, "tau_rad=nan"),
+            ((100.0, 50.0, 0.5, math.nan), {}, "s_th"),
+            ((100.0, 50.0, 0.5, math.inf), {}, "s_th"),
+            ((100.0, 50.0, 0.5, 0.7), {"tau_nr_reference": 0.0}, "tau_nr_reference"),
+            ((100.0, 50.0, 0.5, 0.7), {"tau_nr_reference": -5.0}, "tau_nr_reference"),
+            ((100.0, 50.0, 0.5, 0.7), {"tau_nr_reference": math.nan}, "tau_nr_reference")):
+        with pytest.raises(ValidationError, match=named):
             budget(*args, **kwargs)
 
 
@@ -97,7 +100,7 @@ def test_mode_field_radius_plano_concave():
 
 
 def test_unstable_geometry_rejected():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ValidationError, match="not smaller than mirror radius"):
         mode_field_radius(default_params(roc_mm=0.005, l_vac_um=4.0,
                                          l_sic_um=2.0))
 

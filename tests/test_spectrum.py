@@ -10,12 +10,7 @@ from hypothesis import strategies as st
 
 from sicpl import spectrum
 from sicpl.datatypes import Spectrum
-from sicpl.errors import (
-    InsufficientDataError,
-    LineNotFoundError,
-    ModelInconsistencyError,
-    ValidationError,
-)
+from sicpl.errors import FitError, LineNotFoundError, ValidationError
 from sicpl.nls import finite_diff_jacobian, minimize
 from sicpl.spectrum import (
     EV_NM_MEV,
@@ -272,7 +267,7 @@ def test_fit_psb_flags_oversubtraction():
     for noise in ("none", "poisson"):
         sp = _one_phonon_spectrum(1000.0, noise)
         zpls = find_zpls(sp, lines)
-        with pytest.raises(ModelInconsistencyError, match="beyond 3 Poisson sd"):
+        with pytest.raises(FitError, match="beyond 3 Poisson sd"):
             fit_psb(sp, zpls)
 
 
@@ -415,5 +410,16 @@ def test_partition_requires_reference_line():
 def test_thermometry_needs_cold_points():
     sp = spectrum_with_lines([("alpha3", 1280.0, 0.30, 700.0),
                               ("alpha2", C2, 0.30, 300.0)])
-    with pytest.raises(InsufficientDataError):
+    with pytest.raises(FitError, match="need >= 3 resolvable doublets below 100 K, got 1"):
         doublet_ratio_vs_T([sp], (("alpha3", 1280.0, 1.5), ("alpha2", C2, 1.5)))
+
+
+def test_thermometry_needs_a_temperature_on_every_spectrum():
+    # a spectrum read from a file carries no temperature
+    sp = spectrum_with_lines([("alpha3", 1280.0, 0.30, 700.0),
+                              ("alpha2", C2, 0.30, 300.0)])
+    bare = Spectrum(wavelengths=sp.wavelengths, intensities=sp.intensities)
+    assert bare.temperature is None
+    with pytest.raises(ValidationError, match="every spectrum needs a temperature"):
+        doublet_ratio_vs_T([sp, sp, sp, bare],
+                           (("alpha3", 1280.0, 1.5), ("alpha2", C2, 1.5)))
