@@ -9,7 +9,8 @@ its lines to `zpl_result.json` and the spectrum it parsed to
 `zpl_spectrum.npy`. `fit-psb` takes both or neither: both when the
 result records the spectrum and ZPL config it was given and the `.npy`
 has the SHA-256 the result records, so a spectrum is parsed and its ZPLs
-fitted once; otherwise it parses the spectrum and fits the ZPLs itself.
+fitted once (it reads the result's lines; the splitting and warnings are
+for readers); otherwise it parses the spectrum and fits the ZPLs itself.
 Exit codes: 0 success, 1 usage error, otherwise the `exit_code` of the
 error raised: 2 validation error (an unreadable or unwritable file too),
 3 fit failure.
@@ -152,10 +153,12 @@ def _zpl_rows(args):
     return list(zip(labels, *values.T.tolist()))
 
 
-def _find_zpls(args, spectrum, rows):
-    """find_zpls over the --zpl-config `rows`; a row it refuses names the file."""
+def _find_zpls(args):
+    """(spectrum, ZPLs) of --spectrum and --zpl-config; a row find_zpls refuses names the file."""
+    spectrum = load_spectrum(args.spectrum)
+    rows = _zpl_rows(args)
     try:
-        return find_zpls(spectrum, rows)
+        return spectrum, find_zpls(spectrum, rows)
     except ValidationError as exc:
         raise ValidationError(f"{args.zpl_config}: {exc}") from None
 
@@ -188,8 +191,8 @@ def _spectrum_npy(spectrum):
 def _stored(args, inputs):
     """The (spectrum, ZPLs) that `zpl` stored in --out as ZPL_RESULT and
     ZPL_SPECTRUM for this run's spectrum, ZPL config and tool version, or
-    None unless both files are there and pass every check. Both files
-    join `inputs` only when they are used."""
+    None unless both files are there and pass every check. Only the
+    result's lines are read; both files join `inputs` only when used."""
     result_path = os.path.join(args.out, ZPL_RESULT)
     npy_path = os.path.join(args.out, ZPL_SPECTRUM)
     try:
@@ -208,13 +211,9 @@ def _stored(args, inputs):
         return None
     # the stamp names a spectrum and ZPL config that zpl read without
     # error, so reading the config before the spectrum changes no error
-    rows = _zpl_rows(args)
-    lines, splitting, warnings = (stored["lines"], stored["doublet_splitting_mev"],
-                                  stored["warnings"])
+    lines, rows = stored["lines"], _zpl_rows(args)
     if not (isinstance(lines, list) and len(lines) == len(rows)
-            and all(map(_is_zpl_line, lines, rows))
-            and (splitting is None or type(splitting) is float and math.isfinite(splitting))
-            and isinstance(warnings, list) and all(type(w) is str for w in warnings)):
+            and all(map(_is_zpl_line, lines, rows))):
         return None
     digest = stored[ZPL_SPECTRUM_KEY]
     try:
@@ -232,8 +231,7 @@ def _stored(args, inputs):
         return None
     inputs[result_path] = hashlib.sha256(raw).hexdigest()
     inputs[npy_path] = digest
-    return spectrum, ZplSet(lines={entry["label"]: ZplLine(**entry) for entry in lines},
-                            doublet_splitting_mev=splitting, warnings=warnings)
+    return spectrum, ZplSet({entry["label"]: ZplLine(**entry) for entry in lines})
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +273,7 @@ def _cmd_fit_thermal(args, inputs):
 
 
 def _cmd_zpl(args, inputs):
-    spectrum = load_spectrum(args.spectrum)
-    zpls = _find_zpls(args, spectrum, _zpl_rows(args))
+    spectrum, zpls = _find_zpls(args)
     rows = []
     for label, line in sorted(zpls.lines.items()):
         bound = "<= " if line.fwhm_is_upper_bound else ""
@@ -298,12 +295,7 @@ def _cmd_zpl(args, inputs):
 
 
 def _cmd_fit_psb(args, inputs):
-    stored = _stored(args, inputs)
-    if stored is None:
-        spectrum = load_spectrum(args.spectrum)
-        zpls = _find_zpls(args, spectrum, _zpl_rows(args))
-    else:
-        spectrum, zpls = stored
+    spectrum, zpls = _stored(args, inputs) or _find_zpls(args)
     fit = fit_psb(spectrum, zpls)
     part = partition_dw(spectrum, zpls, args.partition_mev, psb_fit=fit,
                         area_correction=args.area_correction)
@@ -418,7 +410,7 @@ def _cmd_report(args, inputs):
             raise ValidationError(f"{path}: 'site' must be a string, got {site!r}")
         for key in REPORT_COLUMNS:
             value = data.get(key)
-            if isinstance(value, bool) or not isinstance(value, (int, float, type(None))):
+            if not (value is None or type(value) in (int, float) and math.isfinite(value)):
                 raise ValidationError(f"{path}: {key!r} must be a number or null, "
                                       f"got {value!r}")
         if site in rows and rows[site] != data:

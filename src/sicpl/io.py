@@ -103,12 +103,19 @@ def read_table(path, columns: str, labelled: bool = False):
     return ([fields[0] for fields in data], values) if labelled else values
 
 
+def _json_int(text):
+    """int(text); OverflowError when no float can hold it, a size no input takes."""
+    value = int(text)
+    float(value)
+    return value
+
+
 def read_json(path) -> dict:
-    """Read a JSON object; ValidationError names the file if it is missing or
-    is not a JSON object."""
+    """Read a JSON object; ValidationError names the file if it is missing,
+    is not a JSON object or holds an integer too large for a float."""
     try:
-        data = json.loads(_read_text(path))
-    except ValueError as exc:
+        data = json.loads(_read_text(path), parse_int=_json_int)
+    except (ValueError, OverflowError) as exc:
         raise ValidationError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: expected a JSON object")

@@ -56,9 +56,21 @@ class ZplLine:
 
 @dataclass
 class ZplSet:
+    """ZPLs by label, and the doublet splitting (meV) and warnings they give."""
+
     lines: dict
-    doublet_splitting_mev: float | None = None
-    warnings: list = field(default_factory=list)
+    doublet_splitting_mev: float | None = field(init=False, default=None)
+    warnings: list = field(init=False, default_factory=list)
+
+    def __post_init__(self):
+        if "alpha2" in self.lines and "alpha3" in self.lines:
+            splitting = self["alpha2"].energy_mev - self["alpha3"].energy_mev
+            self.doublet_splitting_mev = splitting
+            if splitting <= 0:
+                self.warnings.append("doublet energy ordering inconsistent (alpha2 <= alpha3)")
+            elif abs(splitting - DOUBLET_SPLITTING_MEV) > DOUBLET_SPLITTING_TOL:
+                self.warnings.append(f"doublet splitting {splitting:.3f} meV outside "
+                                     f"{DOUBLET_SPLITTING_MEV} +/- {DOUBLET_SPLITTING_TOL} meV")
 
     def __getitem__(self, label):
         return self.lines[label]
@@ -121,7 +133,6 @@ def find_zpls(spectrum: Spectrum, expected) -> ZplSet:
         if labels.count(label) > 1:
             raise ValidationError(f"ZPL label {label!r} appears more than once")
     zpls = {}
-    warnings = []
     wl_all = spectrum.wavelengths
     pixel = float(np.median(np.diff(wl_all)))
     for label, center, window in expected:
@@ -143,17 +154,7 @@ def find_zpls(spectrum: Spectrum, expected) -> ZplSet:
             fwhm_is_upper_bound=bool(limited),
             area=float(A * s * math.sqrt(2.0 * math.pi)),
         )
-    splitting = None
-    if "alpha2" in zpls and "alpha3" in zpls:
-        splitting = zpls["alpha2"].energy_mev - zpls["alpha3"].energy_mev
-        if splitting <= 0:
-            warnings.append("doublet energy ordering inconsistent (alpha2 <= alpha3)")
-        elif abs(splitting - DOUBLET_SPLITTING_MEV) > DOUBLET_SPLITTING_TOL:
-            warnings.append(
-                f"doublet splitting {splitting:.3f} meV outside "
-                f"{DOUBLET_SPLITTING_MEV} +/- {DOUBLET_SPLITTING_TOL} meV"
-            )
-    return ZplSet(lines=zpls, doublet_splitting_mev=splitting, warnings=warnings)
+    return ZplSet(zpls)
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +369,14 @@ class PsbFit:
     fit: FitResult             # the sideband fit in (i0, sigma, delta0)
 
 
+def _reference_axis(spectrum: Spectrum, zpls: ZplSet):
+    """(e_ref, delta, density): the 'alpha3' energy (meV) and its phonon axis."""
+    if "alpha3" not in zpls.lines:
+        raise ValidationError("zpls must contain the 'alpha3' reference line")
+    e_ref = zpls["alpha3"].energy_mev
+    return (e_ref, *to_phonon_axis(spectrum, e_ref))
+
+
 def _zpl_mask(delta, zpls, e_ref_mev):
     mask = np.zeros(delta.shape, dtype=bool)
     for line in zpls.lines.values():
@@ -387,10 +396,7 @@ def fit_psb(spectrum: Spectrum, zpls: ZplSet) -> PsbFit:
     Raises FitError when over 5% of those bins lie below -3 sd, the
     Poisson sd of the fitted alpha counts, sqrt(alpha * lambda^2 / hc).
     """
-    if "alpha3" not in zpls.lines:
-        raise ValidationError("zpls must contain the 'alpha3' reference line")
-    e_ref = zpls["alpha3"].energy_mev
-    delta, density = to_phonon_axis(spectrum, e_ref)
+    e_ref, delta, density = _reference_axis(spectrum, zpls)
 
     if "beta" in zpls.lines:
         beta_offset = e_ref - zpls["beta"].energy_mev
@@ -558,10 +564,7 @@ def partition_dw(spectrum: Spectrum, zpls: ZplSet, partition_energy_mev: float,
         raise ValidationError("area_correction must be finite and >= 1")
     if not math.isfinite(partition_energy_mev):
         raise ValidationError(f"partition energy must be finite, got {partition_energy_mev}")
-    if "alpha3" not in zpls.lines:
-        raise ValidationError("zpls must contain the 'alpha3' reference line")
-    e_ref = zpls["alpha3"].energy_mev
-    delta, density = to_phonon_axis(spectrum, e_ref)
+    e_ref, delta, density = _reference_axis(spectrum, zpls)
     total = float(_trapezoid(density, delta))
     if total <= 0:
         raise ValidationError("zero total spectrum area")

@@ -6,10 +6,10 @@ GeneratorSpec produces byte-identical output, and noiseless output fed to
 the corresponding fitter must return the truth parameters.
 
 Noise comes from one `numpy.random.default_rng(seed)` stream drawn in
-point order: exact Poisson draws (`Generator.poisson`) or normal draws
-(`Generator.standard_normal`). For a fixed recipe and numpy version the
-output is byte-identical, and a longer sampling reproduces the shared
-prefix.
+point order: exact Poisson draws (`Generator.poisson`) for the counts of
+a trace or spectrum, normal draws (`standard_normal`) for a thermal
+series. For a fixed recipe and numpy version the output is byte-identical,
+and a longer sampling reproduces the shared prefix.
 """
 
 from __future__ import annotations
@@ -35,10 +35,10 @@ RECIPES = {
     "decay": ({"components": REQUIRED, "pulse_time": REQUIRED, "background": 0.0,
                "temperature": 4.0},
               {"t_start": REQUIRED, "t_end": REQUIRED, "bin_ns": REQUIRED},
-              ("none", "poisson", "gaussian")),
+              ("none", "poisson")),
     "spectrum": ({"zpl": (), "psb": (), "hr": None, "temperature": 4.0},
                  {"wl_start": REQUIRED, "wl_end": REQUIRED, "step_nm": REQUIRED},
-                 ("none", "poisson", "gaussian")),
+                 ("none", "poisson")),
     "thermal_series": ({"tau": REQUIRED, "tau_p": REQUIRED, "e_p": REQUIRED},
                        {"temperatures": REQUIRED}, ("none", "gaussian")),
 }
@@ -119,8 +119,8 @@ class GeneratorSpec:
     construction: truth, sampling and noise hold every key their generator
     reads, defaults filled in, and no other.
 
-    noise: {'kind': 'none'} | {'kind': 'poisson'} |
-           {'kind': 'gaussian', 'sigma_frac': f}, as RECIPES allows per kind;
+    noise: {'kind': 'none'}, {'kind': 'poisson'} (decay, spectrum) or
+           {'kind': 'gaussian', 'sigma_frac': f} (thermal_series);
     truth parameter names match the corresponding fit-report names
     one-to-one.
     """
@@ -172,9 +172,7 @@ def _noise(spec, mean):
         except ValueError:  # numpy refuses rates above about 9.22e18
             raise ValidationError(f"a Poisson rate of {mean.max():.3g} is too large "
                                   "to draw") from None
-    draws = mean + spec.noise["sigma_frac"] * np.abs(mean) * rng.standard_normal(mean.shape)
-    # the kinds that take Poisson noise give counts: whole and non-negative
-    return np.round(np.clip(draws, 0.0, None)) if "poisson" in RECIPES[spec.kind][2] else draws
+    return mean + spec.noise["sigma_frac"] * np.abs(mean) * rng.standard_normal(mean.shape)
 
 
 def _grid(start, stop, step):

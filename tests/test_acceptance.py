@@ -335,7 +335,7 @@ def test_8_engine_properties():
         "alpha3": ZplLine("alpha3", 1280.0, 0.0, 0.3, False, 700.0),
         "alpha2": ZplLine("alpha2", C_ALPHA2, 0.0, 0.3, False, 280.0),
     }
-    f = fit_psb(generate(spec), ZplSet(lines=lines, doublet_splitting_mev=1.47))
+    f = fit_psb(generate(spec), ZplSet(lines=lines))
     closures += [abs(f.model.i0 - 90.0) / 90.0, abs(f.model.sigma - 6.0) / 6.0]
 
     worst_closure = max(closures)

@@ -349,6 +349,15 @@ MALFORMED = {
     "report-s-th-bool": ({"b.json": '{"site": "k", "s_th": true}'},
                          ["report", "--inputs", "b.json", "--out", "out"],
                          "b.json: 's_th' must be a number or null, got True"),
+    "report-nan": ({"b.json": '{"site": "k", "s_th": NaN}'},
+                   ["report", "--inputs", "b.json", "--out", "out"],
+                   "error: {tmp}/b.json: 's_th' must be a number or null, got nan\n"),
+    "report-infinite": ({"b.json": '{"site": "k", "dw_exp": 1e999}'},
+                        ["report", "--inputs", "b.json", "--out", "out"],
+                        "error: {tmp}/b.json: 'dw_exp' must be a number or null, got inf\n"),
+    "report-huge-int": ({"b.json": '{"site": "k", "s_th": 1%s}' % ("0" * 400)},
+                        ["report", "--inputs", "b.json", "--out", "out"],
+                        "error: {tmp}/b.json: invalid JSON (int too large to convert to float)\n"),
     "simulate-spec-bad-json": (
         {"r.json": '{"seed": '}, ["simulate", "--spec", "r.json", "--outfile", "out"],
         "error: {tmp}/r.json: invalid JSON (Expecting value: line 1 column 10 (char 9))\n"),
@@ -464,9 +473,19 @@ MALFORMED = {
     "simulate-bin-text": _recipe_case(
         {"sampling": {"t_start": 0.0, "t_end": 60.0, "bin_ns": "x"}}, "'bin_ns' must"),
     "simulate-sigma-frac-negative": _recipe_case(
-        {"noise": {"kind": "gaussian", "sigma_frac": -1}}, "'sigma_frac' must"),
+        {"kind": "thermal_series", "truth": {"tau": 163.0, "tau_p": 83.0, "e_p": 28.0},
+         "sampling": {"temperatures": [4.0, 50.0]},
+         "noise": {"kind": "gaussian", "sigma_frac": -1}}, "'sigma_frac' must"),
     "simulate-sigma-frac-text": _recipe_case(
-        {"noise": {"kind": "gaussian", "sigma_frac": "a"}}, "'sigma_frac' must"),
+        {"kind": "thermal_series", "truth": {"tau": 163.0, "tau_p": 83.0, "e_p": 28.0},
+         "sampling": {"temperatures": [4.0, 50.0]},
+         "noise": {"kind": "gaussian", "sigma_frac": "a"}}, "'sigma_frac' must"),
+    "simulate-huge-int": (
+        {"r.json": json.dumps({"seed": 1, "kind": "thermal_series",
+                               "truth": {"tau": 10**400, "tau_p": 83.0, "e_p": 28.0},
+                               "sampling": {"temperatures": [4.0, 50.0]}})},
+        ["simulate", "--spec", "r.json", "--outfile", "out"],
+        "error: {tmp}/r.json: invalid JSON (int too large to convert to float)\n"),
     "simulate-temperatures-text": _recipe_case(
         {"kind": "thermal_series", "truth": {"tau": 163.0, "tau_p": 83.0, "e_p": 28.0},
          "sampling": {"temperatures": "abc"}, "noise": {"kind": "none"}}, "'temperatures' must"),
@@ -847,6 +866,34 @@ def test_fit_psb_refits_beside_a_stale_zpl_result(tmp_path, monkeypatch, change)
     manifest = json.loads((shared / "fit-psb_manifest.json").read_text())
     for name in ("zpl_result.json", "zpl_spectrum.npy"):
         assert str(shared / name) not in manifest["inputs"]
+
+
+# name: an edit of the stored doublet splitting or warnings, which are for
+# readers: fit-psb reads the lines only, and ZplSet derives both from them
+READER_FIELDS = {
+    "splitting-edited": _edit_result(lambda data: data.update(doublet_splitting_mev=1.0)),
+    "splitting-text": _edit_result(lambda data: data.update(doublet_splitting_mev="1.47")),
+    "warnings-edited": _edit_result(lambda data: data.update(warnings=["edited", 1])),
+}
+
+
+@pytest.mark.parametrize("edit", READER_FIELDS.values(), ids=READER_FIELDS.keys())
+def test_fit_psb_reads_only_the_lines_of_the_zpl_result(tmp_path, monkeypatch, edit):
+    spectrum, lines = _spectrum_files(tmp_path)
+    common = ["--spectrum", str(spectrum), "--zpl-config", str(lines)]
+    psb = ["fit-psb", *common, "--partition-mev", "60", "--plot"]
+    fresh, shared = tmp_path / "fresh", tmp_path / "shared"
+    assert run(*psb, "--out", str(fresh)) == 0
+    assert run("zpl", *common, "--out", str(shared)) == 0
+    result = shared / "zpl_result.json"
+    edit(result, shared / "zpl_spectrum.npy", lines, None)
+    calls = _counting(monkeypatch, "find_zpls")
+    assert run(*psb, "--out", str(shared)) == 0
+    assert calls == []
+    manifest = json.loads((shared / "fit-psb_manifest.json").read_text())
+    assert manifest["inputs"][str(result)] == _sha256(result)
+    for name in PSB_OUTPUTS:
+        assert (shared / name).read_bytes() == (fresh / name).read_bytes()
 
 
 # name: (change to the spectrum after zpl stored its result, error text)

@@ -10,10 +10,14 @@ from hypothesis import strategies as st
 from sicpl.errors import ValidationError
 from sicpl.spectrum import EV_NM_MEV
 from sicpl.synth import (
+    FORMS,
+    HR_KEYS,
+    NOISE_KEYS,
+    PSB_KEYS,
+    RECIPES,
     GeneratorSpec,
     _noise,
     expected_decay,
-    expected_spectrum,
     generate,
 )
 
@@ -39,6 +43,17 @@ def test_spec_validation():
                       noise={"kind": "gaussian"})  # missing sigma_frac
 
 
+def test_every_recipe_key_has_one_form():
+    # FORMS is the one table of value forms: every key the recipe tables
+    # list has an entry (the noise 'kind' is in none of them and takes
+    # any value), each entry is for such a key, and each noise kind with
+    # keys of its own is one a generator takes
+    keys = {key for truth, sampling, _ in RECIPES.values() for key in (*truth, *sampling)}
+    keys |= {*PSB_KEYS, *HR_KEYS, *(key for kind in NOISE_KEYS.values() for key in kind)}
+    assert "kind" not in keys and keys == FORMS.keys()
+    assert {kind for *_, kinds in RECIPES.values() for kind in kinds} == NOISE_KEYS.keys()
+
+
 def test_determinism_byte_identical():
     a = generate(decay_spec())
     b = generate(decay_spec())
@@ -58,16 +73,22 @@ def test_point_independence():
     long_spec.sampling = dict(long_spec.sampling, t_end=1200.0)
     longer = generate(long_spec)
     assert np.array_equal(longer.counts[: short.counts.size], short.counts)
-    for noise, background in (({"kind": "poisson"}, 2.0),
-                              ({"kind": "gaussian", "sigma_frac": 0.1}, 15.0)):
-        spec = decay_spec(noise=noise)
-        spec.truth = dict(spec.truth, background=background)
-        traces = []
-        for t_end in (200.0, 900.0):
-            spec.sampling = dict(spec.sampling, t_end=t_end)
-            traces.append(generate(spec).counts)
-        assert traces[0].size == 201 and traces[1].size == 901
-        assert np.array_equal(traces[1][:201], traces[0])
+    spec = decay_spec()
+    spec.truth = dict(spec.truth, background=2.0)
+    traces = []
+    for t_end in (200.0, 900.0):
+        spec.sampling = dict(spec.sampling, t_end=t_end)
+        traces.append(generate(spec).counts)
+    assert traces[0].size == 201 and traces[1].size == 901
+    assert np.array_equal(traces[1][:201], traces[0])
+    # the normal draws of a thermal series: a longer temperature list
+    # reproduces the shared rows
+    temperatures = list(np.linspace(4.0, 300.0, 40))
+    series = [generate(GeneratorSpec(
+        seed=3, kind="thermal_series", truth={"tau": 163.0, "tau_p": 83.0, "e_p": 28.0},
+        sampling={"temperatures": temperatures[:n]},
+        noise={"kind": "gaussian", "sigma_frac": 0.1})) for n in (10, 40)]
+    assert len(series[1]) == 40 and series[1][:10] == series[0]
 
 
 def test_noiseless_decay_matches_expectation():
@@ -210,34 +231,6 @@ def test_hr_spectrum_area_and_zpl_share():
     near = np.abs(EV_NM_MEV / wl - 1e3 * e_zpl) < 0.3
     share = np.trapezoid(y[near], wl[near]) / np.trapezoid(y, wl)
     assert share == pytest.approx(np.exp(-sum(s for s, _ in HR_MODES)), rel=5e-3)
-
-
-def test_gaussian_counts_noise_on_decay():
-    spec = GeneratorSpec(
-        seed=5, kind="decay",
-        truth={"components": [(0.0, 1.0)], "background": 400.0, "pulse_time": 5000.0},
-        sampling={"t_start": 0.0, "t_end": 3999.0, "bin_ns": 1.0},
-        noise={"kind": "gaussian", "sigma_frac": 0.1})
-    counts = generate(spec).counts
-    assert counts.size == 4000
-    assert np.all(counts >= 0) and np.all(counts == np.round(counts))
-    assert abs(counts.mean() - 400.0) < 3.0 * 40.0 / np.sqrt(counts.size)
-    assert counts.std() == pytest.approx(40.0, rel=0.1)
-
-
-def test_gaussian_counts_noise_on_spectrum():
-    spec = GeneratorSpec(
-        seed=6, kind="spectrum",
-        truth={"zpl": [("wide", 1280.0, 50.0, 1e6)]},
-        sampling={"wl_start": 1270.0, "wl_end": 1290.0, "step_nm": 0.01},
-        noise={"kind": "gaussian", "sigma_frac": 0.01})
-    _, mean = expected_spectrum(spec)
-    counts = generate(spec).intensities
-    assert counts.size == mean.size == 2001
-    assert np.all(counts >= 0) and np.all(counts == np.round(counts))
-    z = (counts - mean) / (0.01 * mean)
-    assert abs(z.mean()) < 3.0 / np.sqrt(z.size)
-    assert z.std() == pytest.approx(1.0, rel=0.1)
 
 
 # ---------------------------------------------------------------------------
