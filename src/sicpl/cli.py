@@ -7,7 +7,8 @@ hash, hashes of every input file, tool and numpy versions);
 `--config <manifest>` replays that run identically. `zpl` also writes
 its lines to `zpl_result.json` and the spectrum it parsed to
 `zpl_spectrum.npy`. `fit-psb` takes both or neither: both when the
-result records the spectrum and ZPL config it was given and the `.npy`
+result records the spectrum and ZPL config it was given, each stored
+line is a valid ZplLine inside its config row's window, and the `.npy`
 has the SHA-256 the result records, so a spectrum is parsed and its ZPLs
 fitted once (it reads the result's lines; the splitting and warnings are
 for readers); otherwise it parses the spectrum and fits the ZPLs itself.
@@ -25,7 +26,6 @@ import json
 import math
 import os
 import sys
-import typing
 from dataclasses import asdict
 from io import BytesIO
 
@@ -56,8 +56,6 @@ ZPL_RESULT = "zpl_result.json"
 # (2, n) float64 array, whose SHA-256 the result records under this key
 ZPL_SPECTRUM = "zpl_spectrum.npy"
 ZPL_SPECTRUM_KEY = "spectrum_npy_sha256"
-# the type of each ZplLine field, which a stored line must match
-ZPL_LINE_TYPES = typing.get_type_hints(ZplLine)
 
 
 class _Refused(Exception):
@@ -170,15 +168,10 @@ def _zpl_stamp(args, inputs):
             "tool_version": __version__}
 
 
-def _is_zpl_line(entry, row):
-    """Whether `entry` is a ZplLine's fields, each of its type and finite,
-    for the line of config row `row` (label, center_nm, window_nm)."""
+def _is_zpl_line(line, row):
+    """Whether `line` is the line of config row `row` (label, center_nm, window_nm)."""
     label, center, window = row
-    return (isinstance(entry, dict) and entry.keys() == ZPL_LINE_TYPES.keys()
-            and all(type(entry[k]) is t and (t is not float or math.isfinite(entry[k]))
-                    for k, t in ZPL_LINE_TYPES.items())
-            and entry["label"] == label
-            and center - window / 2.0 <= entry["center"] <= center + window / 2.0)
+    return line.label == label and center - window / 2.0 <= line.center <= center + window / 2.0
 
 
 def _spectrum_npy(spectrum):
@@ -211,9 +204,12 @@ def _stored(args, inputs):
         return None
     # the stamp names a spectrum and ZPL config that zpl read without
     # error, so reading the config before the spectrum changes no error
-    lines, rows = stored["lines"], _zpl_rows(args)
-    if not (isinstance(lines, list) and len(lines) == len(rows)
-            and all(map(_is_zpl_line, lines, rows))):
+    rows = _zpl_rows(args)
+    try:
+        lines = [ZplLine(**entry) for entry in stored["lines"]]
+    except (TypeError, ValidationError):
+        return None
+    if not (len(lines) == len(rows) and all(map(_is_zpl_line, lines, rows))):
         return None
     digest = stored[ZPL_SPECTRUM_KEY]
     try:
@@ -231,7 +227,7 @@ def _stored(args, inputs):
         return None
     inputs[result_path] = hashlib.sha256(raw).hexdigest()
     inputs[npy_path] = digest
-    return spectrum, ZplSet({entry["label"]: ZplLine(**entry) for entry in lines})
+    return spectrum, ZplSet({line.label: line for line in lines})
 
 
 # ---------------------------------------------------------------------------

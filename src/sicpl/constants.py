@@ -12,3 +12,6 @@ KB_MEV_PER_K = 0.0861733
 
 # Ordinary refractive index of 4H SiC near 1.3 um (configurable downstream)
 N_SIC_DEFAULT = 2.56
+
+# The most points a sampling grid or finesse sweep may hold (80 MB a float column)
+MAX_GRID_POINTS = 10**7

@@ -221,12 +221,8 @@ def minimize(problem: FitProblem) -> FitResult:
                                           g[free] - A[np.ix_(free, crossed)] @ s_c)
                     p_new[free] = np.minimum(np.maximum(p[free] + s_f, problem.lower[free]),
                                              problem.upper[free])
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            try:
                 cost_new, r_new, jac_new = _evaluate(problem, p_new)
-            except EvaluationError:
+            except (np.linalg.LinAlgError, EvaluationError):
                 lam *= 10.0
                 continue
             if cost_new <= cost:

@@ -14,9 +14,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .constants import N_SIC_DEFAULT
+from .constants import MAX_GRID_POINTS, N_SIC_DEFAULT
 from .errors import ValidationError
-from .synth import MAX_GRID_POINTS
 
 
 @dataclass

@@ -42,12 +42,30 @@ PSB_J_MAX = 10
 
 @dataclass
 class ZplLine:
+    """One fitted ZPL: a str label, a bool bound flag and four finite floats
+    (np.float64 passes, an int or a bool does not), center and fwhm > 0 and
+    center_sigma3 and area >= 0; any other value raises ValidationError."""
+
     label: str
     center: float            # nm
     center_sigma3: float     # nm
     fwhm: float              # nm
     fwhm_is_upper_bound: bool
     area: float              # counts * nm
+
+    def __post_init__(self):
+        if not isinstance(self.label, str):
+            raise ValidationError(f"ZPL label must be a string, got {self.label!r}")
+        if not isinstance(self.fwhm_is_upper_bound, bool):
+            raise ValidationError(f"ZPL line {self.label!r}: fwhm_is_upper_bound must be "
+                                  f"a bool, got {self.fwhm_is_upper_bound!r}")
+        for name, positive in (("center", True), ("center_sigma3", False),
+                               ("fwhm", True), ("area", False)):
+            value = getattr(self, name)
+            if not (isinstance(value, float) and math.isfinite(value)
+                    and (value > 0 if positive else value >= 0)):
+                raise ValidationError(f"ZPL line {self.label!r}: {name} must be a finite "
+                                      f"float {'>' if positive else '>='} 0, got {value!r}")
 
     @property
     def energy_mev(self) -> float:
@@ -263,8 +281,8 @@ class PsbModel:
     doublet: tuple | None = None
 
     def __post_init__(self):
-        if self.i0 < 0:
-            raise ValidationError("i0 must be >= 0")
+        if not 0 <= self.i0 < math.inf:
+            raise ValidationError(f"i0 must be finite and >= 0, got {self.i0}")
         if self.sigma <= 0:
             raise ValidationError("sigma must be > 0")
         if self.j_max < 1:
@@ -529,19 +547,6 @@ class DwPartition:
     dw_beta_low: float
     dw_alpha_refined: float | None = None
     dw_beta_refined: float | None = None
-
-    def __post_init__(self):
-        lo, hi = self.dw_alpha_bounds
-        if not (0.0 <= lo <= hi <= 1.0 + 1e-9):
-            raise ValidationError("alpha DW bounds out of order")
-        if self.dw_alpha_refined is not None and not (
-            lo - 1e-9 <= self.dw_alpha_refined <= hi + 1e-9
-        ):
-            raise ValidationError("refined alpha DW outside its bounds")
-        if self.dw_beta_refined is not None and (
-            self.dw_beta_refined < self.dw_beta_low - 1e-9
-        ):
-            raise ValidationError("refined beta DW below its lower bound")
 
 
 ALPHA_ZPL_LABELS = ("alpha2", "alpha3")

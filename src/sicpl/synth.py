@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import EV_NM
+from .constants import EV_NM, MAX_GRID_POINTS
 from .datatypes import DecayTrace, Spectrum
 from .decay import decay_counts, thermal_lifetime
 from .errors import ValidationError
@@ -48,8 +48,6 @@ PSB_KEYS = {"i0": REQUIRED, "sigma": REQUIRED, "delta0": REQUIRED, "e_ref_nm": R
             "j_max": PSB_J_MAX, "doublet": None}
 HR_KEYS = {"modes": REQUIRED, "zpl_energy_ev": REQUIRED, "area_nm": 1.0}
 NOISE_KEYS = {"none": {}, "poisson": {}, "gaussian": {"sigma_frac": REQUIRED}}
-# the most points a sampling grid may hold (80 MB a float column)
-MAX_GRID_POINTS = 10**7
 
 
 # a JSON true or false is a Python bool, which numbers.Integral (and so

@@ -828,6 +828,12 @@ STALE_RESULTS = {
     "text-center": _edit_result(lambda data: data["lines"][0].update(center="1280.0")),
     "number-bound-flag": _edit_result(
         lambda data: data["lines"][1].update(fwhm_is_upper_bound=1)),
+    "negative-area": _edit_result(lambda data: data["lines"][0].update(area=-5.0)),
+    "zero-fwhm": _edit_result(lambda data: data["lines"][0].update(fwhm=0.0)),
+    "negative-center-margin": _edit_result(
+        lambda data: data["lines"][0].update(center_sigma3=-1.0)),
+    # a JSON int is no float, though its value is inside the window
+    "integer-center": _edit_result(lambda data: data["lines"][0].update(center=1280)),
     # a result from before zpl stored its spectrum
     "no-npy-digest-key": _edit_result(lambda data: data.pop("spectrum_npy_sha256")),
     "npy-missing": lambda result, npy, lines, other: npy.unlink(),

@@ -42,6 +42,18 @@ def test_sideband_items_list_each_pipeline_file():
         assert all(re.fullmatch("[0-9a-f]{64}", digest) for _, digest in files)
 
 
+def test_lifetime_items_list_their_decay_report():
+    # fit-decay: one call and one report per item
+    rows = _tool().digest_items("lifetime-study", 1, items=2)
+    assert [item_id for item_id, _, _, _ in rows] == ["single-0-4K", "single-0-25K"]
+    for item_id, rcs, text, files in rows:
+        assert rcs == [0] and re.fullmatch("[0-9a-f]{64}", text)
+        (path, digest), = files
+        assert path == f"out/{item_id}/fit-decay_report.txt"
+        assert re.fullmatch("[0-9a-f]{64}", digest)
+    assert rows[0][3] != rows[1][3]
+
+
 def test_each_written_file_has_its_line(monkeypatch, capsys):
     tool = _tool()
     rows = [("a", [0, 3], "1" * 64, [("out/a/r.txt", "2" * 64), ("out/a/x.json", "missing")])]

@@ -15,6 +15,7 @@ from sicpl.nls import finite_diff_jacobian, minimize
 from sicpl.spectrum import (
     EV_NM_MEV,
     HRModel,
+    PsbFit,
     PsbModel,
     ZplLine,
     ZplSet,
@@ -125,6 +126,30 @@ def test_repeated_label_is_refused():
                               ("alpha2", C2, 0.30, 300.0)])
     with pytest.raises(ValidationError, match="'alpha3' appears more than once"):
         find_zpls(sp, [("alpha3", 1280.0, 1.5), ("alpha3", C2, 1.5)])
+
+
+# field: values ZplLine refuses there; an int or a bool is no float, even
+# where its value is in the domain
+BAD_LINE_FIELDS = {
+    "label": [None, 3],
+    "center": [0.0, -1280.0, math.nan, math.inf, 1280, True, "1280.0"],
+    "center_sigma3": [-1.0, math.nan, math.inf, 0],
+    "fwhm": [0.0, -0.3, math.nan, math.inf, 1],
+    "fwhm_is_upper_bound": [1, 0.0, None, "false"],
+    "area": [-5.0, -math.inf, math.nan, 700],
+}
+
+
+def test_zpl_line_checks_its_fields():
+    good = {"label": "alpha3", "center": 1280.0, "center_sigma3": 0.0, "fwhm": 0.3,
+            "fwhm_is_upper_bound": False, "area": 0.0}
+    ZplLine(**good)  # a zero margin and a zero area are in the domain
+    line = ZplLine(**{**good, "center": np.float64(1280.0), "area": np.float64(700.0)})
+    assert line.energy_mev == E3
+    for name, values in BAD_LINE_FIELDS.items():
+        for value in values:
+            with pytest.raises(ValidationError, match=f"{name} must be a"):
+                ZplLine(**{**good, name: value})
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +395,33 @@ def test_partition_bound_ordering():
     lo, hi = part.dw_alpha_bounds
     assert 0.0 <= lo <= hi <= 1.0
     assert 0.0 <= part.dw_mean <= 1.0
+
+
+def test_partition_refined_fractions_stay_inside_their_bounds():
+    # line areas >= 0 keep both sideband regions >= 0, and the sideband
+    # fit's area is clamped between them, so the refined alpha DW lies
+    # inside its bounds and the refined beta DW at or above its low bound
+    rng = np.random.default_rng(11)
+    wl = np.linspace(1256.0, 1456.0, 240)
+    for _ in range(2000):
+        sp = Spectrum(wavelengths=wl, intensities=rng.uniform(0.0, 5.0, wl.size),
+                      temperature=4.0)
+        areas = rng.uniform(0.0, 40.0, 3) * rng.integers(0, 2, 3)  # some areas 0
+        psb = PsbFit(model=PsbModel(i0=rng.uniform(0.0, 100.0), sigma=6.0, delta0=35.0),
+                     delta=None, alpha_model=None, beta_residual=None, fit=None)
+        part = partition_dw(sp, _zset(*areas), rng.uniform(20.0, 120.0), psb_fit=psb,
+                            area_correction=rng.uniform(1.0, 1.5))
+        lo, hi = part.dw_alpha_bounds
+        assert 0.0 <= lo <= part.dw_alpha_refined <= hi <= 1.0
+        assert part.dw_beta_refined >= part.dw_beta_low - 1e-12
+
+
+def test_psb_model_refuses_a_non_finite_intensity():
+    # a NaN sideband area once gave partition_dw a refined alpha DW of 0.0,
+    # outside its bounds
+    for bad in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValidationError, match="i0 must be finite and >= 0"):
+            PsbModel(i0=bad, sigma=6.0, delta0=35.0)
 
 
 def test_partition_area_correction():

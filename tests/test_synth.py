@@ -33,14 +33,17 @@ def decay_spec(seed=3, noise=None):
 
 
 def test_spec_validation():
-    with pytest.raises(ValidationError):
+    # the noise is checked after the truth and sampling, so the last two
+    # recipes give both in full
+    with pytest.raises(ValidationError, match="unknown generator kind 'mystery'"):
         GeneratorSpec(seed=1, kind="mystery", truth={}, sampling={})
-    with pytest.raises(ValidationError):
-        GeneratorSpec(seed=1, kind="decay", truth={}, sampling={},
-                      noise={"kind": "salt"})
-    with pytest.raises(ValidationError):
-        GeneratorSpec(seed=1, kind="decay", truth={}, sampling={},
-                      noise={"kind": "gaussian"})  # missing sigma_frac
+    with pytest.raises(ValidationError,
+                       match="decay noise must be one of none, poisson, got 'salt'"):
+        decay_spec(noise={"kind": "salt"})
+    with pytest.raises(ValidationError, match="gaussian noise needs 'sigma_frac'"):
+        GeneratorSpec(seed=1, kind="thermal_series",
+                      truth={"tau": 163.0, "tau_p": 83.0, "e_p": 28.0},
+                      sampling={"temperatures": [4.0, 50.0]}, noise={"kind": "gaussian"})
 
 
 def test_every_recipe_key_has_one_form():
