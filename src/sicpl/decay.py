@@ -32,6 +32,14 @@ R_MAX = 0.98
 EXP_LOWER = (0.0, 1e-6, 0.0, 1e-12)
 EXP_UPPER = (np.inf, np.inf, np.inf, R_MAX)
 
+# Score screen of 'auto': the score statistic for a second component
+# A2 exp(-t/tau2) is maximised over SCORE_GRID_SIZE log-spaced tau2 in
+# [1 ns, 10 x window span]; S >= SCORE_THRESHOLD, half the deviance gain
+# AIC asks of a double, is evidence for one.
+SCORE_GRID_SIZE = 20
+SCORE_THRESHOLD = 7.0
+_SCORE_STEPS = np.linspace(0.0, 1.0, SCORE_GRID_SIZE)  # log tau2 / log(10 x span)
+
 
 @dataclass
 class BackgroundEstimate:
@@ -159,6 +167,11 @@ def _initial_tau(t, y):
     return max((t[-1] - t[0]) / 3.0, 1e-3)
 
 
+def _expected_weights(f, background):
+    """Poisson weights 1 / max(f + background, 1) from expected counts."""
+    return 1.0 / np.maximum(f + background, 1.0)
+
+
 def _fit_exponentials(t, y, w, p0, background=0.0):
     """Two-pass fit: observed-count weights first, then weights from the
     fitted expectation (removes the low-count bias of observed weighting)."""
@@ -166,9 +179,53 @@ def _fit_exponentials(t, y, w, p0, background=0.0):
     lower, upper = np.array(EXP_LOWER[:m]), np.array(EXP_UPPER[:m])
     fit = minimize(FitProblem(model=_exp_model, x=t, y=y, weights=w, p0=np.asarray(p0, float),
                               lower=lower, upper=upper))
-    w2 = 1.0 / np.maximum(_exp_model(fit.parameters, t)[0] + background, 1.0)
+    w2 = _expected_weights(_exp_model(fit.parameters, t)[0], background)
     return minimize(FitProblem(model=_exp_model, x=t, y=y, weights=w2,
                                p0=fit.parameters, lower=lower, upper=upper))
+
+
+def _needs_double(t, y, single: FitResult, background: float) -> bool:
+    """Whether the single fit leaves evidence of a second component.
+
+    Evidence is a misfit at 3 sigma (weighted chi2 above dof + 3 sqrt(2
+    dof)) or a one-sided score statistic S = U^2 / I >= SCORE_THRESHOLD
+    for A2 exp(-t/tau2) at A2 = 0 for some tau2 of the grid (Rao 1948;
+    Davies 1987 for a tau2 that exists only under the alternative):
+    U = sum w (y - f) e and I = e'We - e'WJ (J'WJ)^-1 J'We, with f and J
+    the single model at its fit and w = 1 / max(f + background, 1), the
+    fit's own weights. (J'WJ)^-1 enters through the LDL' factors of
+    J'WJ = [[a, b], [b, c]]: with g = J'We and s = c - b^2 / a,
+    I = e'We - g0^2 / a - (g1 - b g0 / a)^2 / s. A non-positive I, or a
+    J'WJ that is not positive definite, counts as evidence.
+
+    The cheapest evidence is tested first: chi2, then the tau2 nearest
+    the single tau, then the rest of the grid outwards, four at a time.
+    """
+    dof = t.size - 2
+    if single.cost > dof + 3.0 * np.sqrt(2.0 * dof):
+        return True
+    f, J = _exp_model(single.parameters, t)
+    w = _expected_weights(f, background)
+    B = np.empty((3, t.size))  # rows w (y - f) and (WJ)'
+    B[0] = w * (y - f)
+    np.multiply(J.T, w, out=B[1:])
+    (a, b), (_, c) = B[1:] @ J
+    s = c - b * b / a
+    if not (a > 0.0 and s > 0.0):
+        return True
+    rates = -np.exp(_SCORE_STEPS * -np.log(10.0 * (t[-1] - t[0])))  # -1 / tau2
+    order = np.argsort(np.abs(np.log(-rates * single.parameters[1])))
+    for k in range(-3, SCORE_GRID_SIZE, 4):  # k = -3 takes the nearest tau2 alone
+        # e >= exp(-350) keeps e and e^2 out of the slow subnormal range;
+        # a floored term is below 1e-150 of the same column's first one
+        E = np.maximum(rates[order[max(k, 0):k + 4], None] * t, -350.0)
+        np.exp(E, out=E)
+        U, g0, g1 = (E @ B.T).T
+        g1 = g1 - (b / a) * g0
+        I = (E * E) @ w - g0 * g0 / a - g1 * g1 / s
+        if (np.maximum(U, 0.0) ** 2 >= SCORE_THRESHOLD * I).any():
+            return True
+    return False
 
 
 def _as_lifetimes(fit: FitResult) -> FitResult:
@@ -187,8 +244,10 @@ def _as_lifetimes(fit: FitResult) -> FitResult:
 def fit_decay(trace: DecayTrace, kind: str = "auto", fit_window=None) -> DecayFitResult:
     """Fit exponential decay(s) to a background-subtracted trace.
 
-    kind is 'single', 'double' or 'auto'; 'auto' keeps the double model
-    only when it beats the single model by more than 10 AIC units.
+    kind is 'single', 'double' or 'auto'. 'auto' fits the double model only
+    when the single fit misfits at 3 sigma or the score finds a second
+    component (`_needs_double`), and keeps it only when it beats the single
+    model by more than 10 AIC units.
 
     The double model is fitted as (A1, tau1, A2, r) with tau2 = r tau1 and
     r <= R_MAX, so tau1 is the slow component. A double fit that ends with
@@ -229,7 +288,7 @@ def fit_decay(trace: DecayTrace, kind: str = "auto", fit_window=None) -> DecayFi
             warnings=list(warnings),
         )
 
-    if kind == "single":
+    if kind == "single" or (kind == "auto" and not _needs_double(t, y, single, bg.mean)):
         return as_result(single, "single")
 
     # the double starts around the single-fit tau: tau1 = 3 tau_s, tau2 = tau1 / 9

@@ -117,18 +117,54 @@ def test_double_fit_fallback(monkeypatch, kind, double_fit):
     assert res.warnings == (FALLBACK_WARNINGS[double_fit] if kind == "double" else [])
 
 
-def test_auto_keeps_the_single_fit_when_the_double_loses_on_aic():
+def _record_screen(monkeypatch, answer=None):
+    """Wrap the score screen; each call appends (args, decision). With an
+    answer, 'auto' goes on as if the screen had given it: answer=True fits
+    the double on every trace, as 'auto' did before the screen, so a test
+    of the double fit reaches it."""
+    calls = []
+    real = decay._needs_double
+
+    def recorded(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1] if answer is None else answer
+
+    monkeypatch.setattr(decay, "_needs_double", recorded)
+    return calls
+
+
+def test_auto_keeps_the_single_fit_when_the_double_loses_on_aic(monkeypatch):
     """A converged double that lowers the cost by less than AIC_THRESHOLD
     plus two per extra parameter (14) leaves 'auto' with the single fit.
     On this noiseless trace, a weak fast component (80 counts at 40 ns
-    under 1e4 at 164.2 ns), the double gains about 4.15."""
+    under 1e4 at 164.2 ns), the double gains about 4.15. The score screen
+    would skip this double fit, so it is bypassed."""
     tr = make_trace([(1e4, 164.2), (80.0, 40.0)], noise="none")
     single, double = fit_decay(tr, kind="single"), fit_decay(tr, kind="double")
     assert double.model_kind == "double" and not double.warnings and double.fit.converged
     assert 0 < single.fit.cost - double.fit.cost < decay.AIC_THRESHOLD + 2 * 2
+    _record_screen(monkeypatch, answer=True)
+    evaluations = _count_double_evaluations(monkeypatch)
     auto = fit_decay(tr, kind="auto")
+    assert evaluations  # the double fit ran and lost on AIC
     assert auto.model_kind == "single" and not auto.warnings
     assert auto.components == single.components
+
+
+def _bench_traces(kind, n):
+    """n seeded Poisson traces at the lifetime-study bench's counts (peaks
+    3e2-2e4), temperatures and lifetimes, of single or double truth."""
+    temps = (4, 25, 50, 75, 100, 125, 150, 175)
+    traces = []
+    for i, peak in enumerate(np.geomspace(3e2, 2e4, n)):
+        if kind == "single":
+            comps = [(float(peak), thermal_lifetime(temps[i % 8], 164.2, 83.0, 28.0))]
+            traces.append(make_trace(comps, seed=i))
+        else:
+            comps = [(peak / 2.0, thermal_lifetime(temps[i % 8], 158.5, 83.0, 28.0)),
+                     (peak / 2.0, 43.3)]
+            traces.append(make_trace(comps, pulse=1000.0, t_end=3000.0, seed=i))
+    return traces
 
 
 def _count_double_evaluations(monkeypatch):
@@ -157,25 +193,101 @@ def test_double_fit_of_single_traces_stops_at_ratio_bound(monkeypatch):
     traces at the bench's counts and lifetimes its model evaluations (one
     per point tried) stay under 1500. The fit in (A1, tau1, A2, tau2)
     without the ratio bound took 4346, and with it but without projected
-    steps at the bounds 1929."""
+    steps at the bounds 1929. The score screen is bypassed, so all 40
+    double fits run."""
+    sent = _record_screen(monkeypatch, answer=True)
     evaluations = _count_double_evaluations(monkeypatch)
-    temps = (4, 25, 50, 75, 100, 125, 150, 175)
-    kinds = []
-    for i, peak in enumerate(np.geomspace(3e2, 2e4, 40)):
-        tau = thermal_lifetime(temps[i % 8], 164.2, 83.0, 28.0)
-        kinds.append(fit_decay(make_trace([(float(peak), tau)], seed=i)).model_kind)
+    kinds = [fit_decay(tr).model_kind for tr in _bench_traces("single", 40)]
     assert kinds.count("single") >= 38
-    assert len(evaluations) < 1500
+    assert len(sent) == 40 and 40 * 2 <= len(evaluations) < 1500
 
 
 def test_double_fit_takes_a_projected_step_once_r_is_held(monkeypatch):
     """Once r is held at R_MAX, the step that takes A2 past 0 holds A2
     there and moves A1 to take its counts, instead of walking A2 down in
-    short clipped steps (67 model evaluations)."""
+    short clipped steps (67 model evaluations). The score screen, which
+    would skip this double fit, is bypassed."""
+    _record_screen(monkeypatch, answer=True)
     evaluations = _count_double_evaluations(monkeypatch)
     res = fit_decay(make_trace([(300.0, 164.2)], seed=0))
     assert res.model_kind == "single"
-    assert len(evaluations) <= 15
+    assert 2 <= len(evaluations) <= 15
+
+
+@pytest.mark.parametrize("truth", ["single", "double"])
+def test_score_screen_changes_no_auto_result(monkeypatch, truth):
+    """Skipping the double fit where the screen finds no second component
+    returns what the double fit's fallback or AIC returned: model kind,
+    parameters, covariance and warnings are the same as with every double
+    fit made, and most single-truth double fits are skipped."""
+    skipped = 0
+    for tr in _bench_traces(truth, 24):
+        with monkeypatch.context() as m:
+            calls = _record_screen(m)
+            screened = fit_decay(tr, kind="auto")
+            skipped += not calls[0][1]
+        with monkeypatch.context() as m:
+            _record_screen(m, answer=True)
+            full = fit_decay(tr, kind="auto")
+        assert screened.model_kind == full.model_kind
+        assert screened.warnings == full.warnings
+        assert np.array_equal(screened.fit.parameters, full.fit.parameters)
+        assert np.array_equal(screened.fit.covariance, full.fit.covariance)
+    if truth == "single":
+        assert skipped >= 12
+    else:
+        assert skipped == 0
+
+
+def _score_oracle(t, y, single, background):
+    """(chi2 misfit at 3 sigma, max over the tau2 grid of the one-sided
+    U^2 / I), with I = 1 / [(J_aug' W J_aug)^-1]_mm for J_aug = [J, e]."""
+    A1, tau = single.parameters
+    e1 = np.exp(-t / tau)
+    f = A1 * e1
+    J = np.column_stack([e1, A1 * t * e1 / tau**2])
+    w = 1.0 / np.maximum(f + background, 1.0)
+    dof = t.size - 2
+    misfit = single.cost > dof + 3.0 * np.sqrt(2.0 * dof)
+    s_max = 0.0
+    for tau2 in np.geomspace(1.0, 10.0 * (t[-1] - t[0]), decay.SCORE_GRID_SIZE):
+        e = np.exp(-t / tau2)
+        J_aug = np.column_stack([J, e])
+        info = 1.0 / np.linalg.inv(J_aug.T @ (w[:, None] * J_aug))[2, 2]
+        u = np.sum(w * (y - f) * e)
+        if not info > 0:
+            s_max = np.inf  # a non-positive I counts as evidence
+        elif u > 0:
+            s_max = max(s_max, u * u / info)
+    return misfit, s_max
+
+
+def test_score_screen_matches_the_augmented_information_oracle(monkeypatch):
+    """The screen's decision is (3-sigma chi2 misfit or max S >= 7), with
+    I computed independently from the inverse of the augmented normal
+    matrix; on these traces both answers occur, and the score alone
+    decides some of them."""
+    calls = _record_screen(monkeypatch)
+    for truth in ("single", "double"):
+        for tr in _bench_traces(truth, 16):
+            fit_decay(tr, kind="auto")
+    decisions, by_score = [], 0
+    for args, decision in calls:
+        misfit, s_max = _score_oracle(*args)
+        assert decision == (misfit or s_max >= decay.SCORE_THRESHOLD)
+        decisions.append(decision)
+        by_score += (not misfit) and decision
+    assert decisions.count(False) >= 8 and decisions.count(True) >= 16
+    assert by_score >= 1
+
+
+@pytest.mark.parametrize("kind", ["single", "double"])
+def test_forced_kinds_never_consult_the_screen(monkeypatch, kind):
+    calls = _record_screen(monkeypatch)
+    fit_decay(make_trace([(1e4, 164.2)], seed=9), kind=kind)
+    fit_decay(make_trace([(2e4, 158.5), (2e4, 43.3)], pulse=1000.0, t_end=3000.0, seed=7),
+              kind=kind)
+    assert calls == []
 
 
 def test_fit_window_validation():
