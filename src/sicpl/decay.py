@@ -167,24 +167,21 @@ def _initial_tau(t, y):
     return max((t[-1] - t[0]) / 3.0, 1e-3)
 
 
-def _expected_weights(f, background):
-    """Poisson weights 1 / max(f + background, 1) from expected counts."""
-    return 1.0 / np.maximum(f + background, 1.0)
-
-
-def _fit_exponentials(t, y, w, p0, background=0.0):
-    """Two-pass fit: observed-count weights first, then weights from the
-    fitted expectation (removes the low-count bias of observed weighting)."""
+def _fit_exponentials(t, y, w, p0, background):
+    """Two-pass fit: observed-count weights first, then Poisson weights
+    1 / max(f + background, 1) from the fitted expectation f (removes the
+    low-count bias of observed weighting). Returns the second pass's fit
+    and the weights it minimised with."""
     m = len(p0)
     lower, upper = np.array(EXP_LOWER[:m]), np.array(EXP_UPPER[:m])
     fit = minimize(FitProblem(model=_exp_model, x=t, y=y, weights=w, p0=np.asarray(p0, float),
                               lower=lower, upper=upper))
-    w2 = _expected_weights(_exp_model(fit.parameters, t)[0], background)
+    w2 = 1.0 / np.maximum(_exp_model(fit.parameters, t)[0] + background, 1.0)
     return minimize(FitProblem(model=_exp_model, x=t, y=y, weights=w2,
-                               p0=fit.parameters, lower=lower, upper=upper))
+                               p0=fit.parameters, lower=lower, upper=upper)), w2
 
 
-def _needs_double(t, y, single: FitResult, background: float) -> bool:
+def _needs_double(t, y, single: FitResult, w) -> bool:
     """Whether the single fit leaves evidence of a second component.
 
     Evidence is a misfit at 3 sigma (weighted chi2 above dof + 3 sqrt(2
@@ -192,20 +189,18 @@ def _needs_double(t, y, single: FitResult, background: float) -> bool:
     for A2 exp(-t/tau2) at A2 = 0 for some tau2 of the grid (Rao 1948;
     Davies 1987 for a tau2 that exists only under the alternative):
     U = sum w (y - f) e and I = e'We - e'WJ (J'WJ)^-1 J'We, with f and J
-    the single model at its fit and w = 1 / max(f + background, 1), the
-    fit's own weights. (J'WJ)^-1 enters through the LDL' factors of
-    J'WJ = [[a, b], [b, c]]: with g = J'We and s = c - b^2 / a,
-    I = e'We - g0^2 / a - (g1 - b g0 / a)^2 / s. A non-positive I, or a
-    J'WJ that is not positive definite, counts as evidence.
-
-    The cheapest evidence is tested first: chi2, then the tau2 nearest
-    the single tau, then the rest of the grid outwards, four at a time.
+    the single model at its fit and w the weights its second pass
+    minimised with, so that U is orthogonal to J. (J'WJ)^-1 enters through
+    the LDL' factors of J'WJ = [[a, b], [b, c]]: with g = J'We and
+    s = c - b^2 / a, I = e'We - g0^2 / a - (g1 - b g0 / a)^2 / s. A
+    non-positive I, or a J'WJ that is not positive definite, counts as
+    evidence. The chi2 test comes first; S is then taken over the whole
+    grid at once.
     """
     dof = t.size - 2
     if single.cost > dof + 3.0 * np.sqrt(2.0 * dof):
         return True
     f, J = _exp_model(single.parameters, t)
-    w = _expected_weights(f, background)
     B = np.empty((3, t.size))  # rows w (y - f) and (WJ)'
     B[0] = w * (y - f)
     np.multiply(J.T, w, out=B[1:])
@@ -213,19 +208,17 @@ def _needs_double(t, y, single: FitResult, background: float) -> bool:
     s = c - b * b / a
     if not (a > 0.0 and s > 0.0):
         return True
-    rates = -np.exp(_SCORE_STEPS * -np.log(10.0 * (t[-1] - t[0])))  # -1 / tau2
-    order = np.argsort(np.abs(np.log(-rates * single.parameters[1])))
-    for k in range(-3, SCORE_GRID_SIZE, 4):  # k = -3 takes the nearest tau2 alone
-        # e >= exp(-350) keeps e and e^2 out of the slow subnormal range;
-        # a floored term is below 1e-150 of the same column's first one
-        E = np.maximum(rates[order[max(k, 0):k + 4], None] * t, -350.0)
-        np.exp(E, out=E)
-        U, g0, g1 = (E @ B.T).T
-        g1 = g1 - (b / a) * g0
-        I = (E * E) @ w - g0 * g0 / a - g1 * g1 / s
-        if (np.maximum(U, 0.0) ** 2 >= SCORE_THRESHOLD * I).any():
-            return True
-    return False
+    # rows e = exp(-t / tau2) over the grid; e >= exp(-350) keeps e and e^2
+    # out of the slow subnormal range, and a floored term is below 1e-150
+    # of the same row's first one
+    E = np.multiply.outer(-np.exp(_SCORE_STEPS * -np.log(10.0 * (t[-1] - t[0]))), t)
+    np.maximum(E, -350.0, out=E)
+    np.exp(E, out=E)
+    U, g0, g1 = B @ E.T
+    g1 -= (b / a) * g0
+    np.square(E, out=E)
+    I = E @ w - g0 * g0 / a - g1 * g1 / s
+    return bool((np.maximum(U, 0.0) ** 2 >= SCORE_THRESHOLD * I).any())
 
 
 def _as_lifetimes(fit: FitResult) -> FitResult:
@@ -274,7 +267,7 @@ def fit_decay(trace: DecayTrace, kind: str = "auto", fit_window=None) -> DecayFi
 
     tau0 = _initial_tau(t, y)
     a0 = max(float(np.max(y)), 1.0)
-    single = _fit_exponentials(t, y, w, [a0, tau0], bg.mean)
+    single, w_single = _fit_exponentials(t, y, w, [a0, tau0], bg.mean)
 
     def as_result(fit, kind_name, warnings=()):
         p = fit.parameters
@@ -288,7 +281,7 @@ def fit_decay(trace: DecayTrace, kind: str = "auto", fit_window=None) -> DecayFi
             warnings=list(warnings),
         )
 
-    if kind == "single" or (kind == "auto" and not _needs_double(t, y, single, bg.mean)):
+    if kind == "single" or (kind == "auto" and not _needs_double(t, y, single, w_single)):
         return as_result(single, "single")
 
     # the double starts around the single-fit tau: tau1 = 3 tau_s, tau2 = tau1 / 9
@@ -296,8 +289,7 @@ def fit_decay(trace: DecayTrace, kind: str = "auto", fit_window=None) -> DecayFi
     amp = single.parameters[0] / 2.0
     fallback = None
     try:
-        double = _fit_exponentials(t, y, w, [amp, 3.0 * tau_s, amp, 1.0 / 9.0],
-                                   bg.mean)
+        double, _ = _fit_exponentials(t, y, w, [amp, 3.0 * tau_s, amp, 1.0 / 9.0], bg.mean)
     except DegenerateFitError:
         fallback = "double fit degenerate; collapsed to single"
     else:

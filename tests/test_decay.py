@@ -104,10 +104,10 @@ def test_double_fit_fallback(monkeypatch, kind, double_fit):
             return real(t, y, w, p0, *args)
         if double_fit == "degenerate":
             raise DegenerateFitError("singular normal matrix")
-        fit = real(t, y, w, p0, *args)
+        fit, weights = real(t, y, w, p0, *args)
         p = fit.parameters.copy()
         p[3] = decay.R_MAX
-        return dataclasses.replace(fit, parameters=p)
+        return dataclasses.replace(fit, parameters=p), weights
 
     monkeypatch.setattr(decay, "_fit_exponentials", fit_exponentials)
     tr = make_trace([(2e4, 158.5), (2e4, 43.3)], pulse=1000.0,
@@ -239,14 +239,14 @@ def test_score_screen_changes_no_auto_result(monkeypatch, truth):
         assert skipped == 0
 
 
-def _score_oracle(t, y, single, background):
+def _score_oracle(t, y, single, w):
     """(chi2 misfit at 3 sigma, max over the tau2 grid of the one-sided
-    U^2 / I), with I = 1 / [(J_aug' W J_aug)^-1]_mm for J_aug = [J, e]."""
+    U^2 / I), with I = 1 / [(J_aug' W J_aug)^-1]_mm for J_aug = [J, e] at
+    the weights w the screen was given."""
     A1, tau = single.parameters
     e1 = np.exp(-t / tau)
     f = A1 * e1
     J = np.column_stack([e1, A1 * t * e1 / tau**2])
-    w = 1.0 / np.maximum(f + background, 1.0)
     dof = t.size - 2
     misfit = single.cost > dof + 3.0 * np.sqrt(2.0 * dof)
     s_max = 0.0
@@ -279,6 +279,25 @@ def test_score_screen_matches_the_augmented_information_oracle(monkeypatch):
         by_score += (not misfit) and decision
     assert decisions.count(False) >= 8 and decisions.count(True) >= 16
     assert by_score >= 1
+
+
+def test_score_screen_weights_are_the_single_fits_own(monkeypatch):
+    """The screen receives the weights the single fit minimised with: at
+    them the relative gradient |sum w (y - f) J_k| / sqrt(sum w J_k^2 *
+    sum w (y - f)^2), the score of a component with the single tau itself,
+    is below 1e-5 for both parameters. Weights 1 / max(f + B, 1) at the
+    final parameters gave up to 4.5e-4 on these traces."""
+    calls = _record_screen(monkeypatch)
+    for tr in _bench_traces("single", 24):
+        fit_decay(tr, kind="auto")
+    assert len(calls) == 24
+    worst = 0.0
+    for (t, y, single, w), _ in calls:
+        f, J = decay._exp_model(single.parameters, t)
+        r = y - f
+        grad = np.abs((w * r) @ J)
+        worst = max(worst, float(np.max(grad / np.sqrt((w @ J**2) * (w @ r**2)))))
+    assert worst < 1e-5
 
 
 @pytest.mark.parametrize("kind", ["single", "double"])
