@@ -34,7 +34,6 @@ from .spectrum import (
     PsbModel,
     ZplLine,
     ZplSet,
-    doublet_ratio_vs_T,
     find_zpls,
     fit_psb,
     hr_lineshape,

@@ -36,30 +36,21 @@ def _record(x, y, x_name, y_name):
     return x, y
 
 
-def _check_temperature(temperature):
-    if not (0 < temperature < np.inf):
-        raise ValidationError(f"temperature must be > 0 K, got {temperature}")
-
-
 @dataclass(frozen=True)
 class Spectrum:
-    """A wavelength-indexed intensity record and its temperature in K.
+    """A wavelength-indexed intensity record.
 
     wavelengths are strictly increasing, positive vacuum values in nm;
-    intensities are finite, non-negative counts; the temperature is None
-    (a spectrum read from a file carries none) or finite and > 0 K.
+    intensities are finite, non-negative counts.
     """
 
     wavelengths: np.ndarray
     intensities: np.ndarray
-    temperature: float | None = None
 
     def __post_init__(self):
         wl, it = _record(self.wavelengths, self.intensities, "wavelength", "intensity")
         if wl[0] <= 0:
             raise ValidationError(f"wavelengths must be > 0 nm, got {wl[0]}")
-        if self.temperature is not None:
-            _check_temperature(self.temperature)
         object.__setattr__(self, "wavelengths", wl)
         object.__setattr__(self, "intensities", it)
 
@@ -88,8 +79,8 @@ class DecayTrace:
             raise ValidationError("counts must be integer-valued")
         if not np.isfinite(self.pulse_time):
             raise ValidationError(f"pulse_time must be finite, got {self.pulse_time}")
-        if self.temperature is not None:
-            _check_temperature(self.temperature)
+        if self.temperature is not None and not 0 < self.temperature < np.inf:
+            raise ValidationError(f"temperature must be > 0 K, got {self.temperature}")
         if np.count_nonzero(t < self.pulse_time) < 10:
             raise ValidationError("need at least 10 bins before pulse_time")
         object.__setattr__(self, "times", t)

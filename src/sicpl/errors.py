@@ -3,8 +3,8 @@
 Each class carries the command line's exit code for it, and there is one
 class per code: ValidationError (2) for bad input, whatever its kind (a
 malformed file, a value out of range, conflicting entries), and FitError
-(3) for a fit that failed on valid input. The three subclasses of
-FitError are the failures a caller catches to try something else.
+(3) for a fit that failed on valid input. The two subclasses of FitError
+are the failures a caller catches to try something else.
 """
 
 
@@ -29,7 +29,3 @@ class EvaluationError(FitError):
 
 class DegenerateFitError(FitError):
     """Normal matrix is singular; message names the unidentifiable direction."""
-
-
-class LineNotFoundError(FitError):
-    """No emission line found inside a search window."""

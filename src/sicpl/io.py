@@ -142,8 +142,7 @@ def load_sidecar(path) -> dict:
 
 
 def load_spectrum(path) -> Spectrum:
-    """Load a (wavelength_nm, counts) file into a validated Spectrum with
-    no temperature.
+    """Load a (wavelength_nm, counts) file into a validated Spectrum.
 
     Rows are sorted by wavelength if needed; exact duplicate wavelengths
     are rejected.

@@ -1,6 +1,5 @@
-"""Spectral analysis: ZPL identification, doublet thermometry, Gaussian
-phonon-sideband series, Huang-Rhys forward lineshape, and Debye-Waller
-partitioning.
+"""Spectral analysis: ZPL identification, Gaussian phonon-sideband series,
+Huang-Rhys forward lineshape, and Debye-Waller partitioning.
 
 Phonon energies delta are measured in meV below a reference ZPL energy;
 spectra are converted to this axis with the proper Jacobian so that areas
@@ -16,7 +15,7 @@ import numpy as np
 
 from .constants import EV_NM
 from .datatypes import Spectrum
-from .errors import DegenerateFitError, FitError, LineNotFoundError, ValidationError
+from .errors import FitError, ValidationError
 from .nls import FitProblem, FitResult, minimize
 
 EV_NM_MEV = EV_NM * 1000.0  # hc in meV*nm
@@ -111,17 +110,18 @@ def _gaussian_model(p, x):
 
 
 def fit_gaussian_line(wl, it):
-    """Constant + Gaussian fit of one emission line; raises if no peak.
+    """Constant + Gaussian fit of one emission line; raises FitError if the
+    window has no interior peak.
 
     The start is read off the data: B from the median of the window's
     outer eighths, A as the peak above it, and sigma from the width of
     the samples above half maximum.
     """
     if np.ptp(it) <= 0:
-        raise LineNotFoundError("no local maximum: window is flat")
+        raise FitError("no local maximum: window is flat")
     i_max = int(np.argmax(it))
     if i_max in (0, it.size - 1):
-        raise LineNotFoundError("maximum at window edge; no interior peak")
+        raise FitError("maximum at window edge; no interior peak")
     span = wl[-1] - wl[0]
     k = max(it.size // 8, 1)
     b0 = max(float(np.median(np.concatenate((it[:k], it[-k:])))), 0.0)
@@ -173,91 +173,6 @@ def find_zpls(spectrum: Spectrum, expected) -> ZplSet:
             area=float(A * s * math.sqrt(2.0 * math.pi)),
         )
     return ZplSet(zpls)
-
-
-# ---------------------------------------------------------------------------
-# Doublet thermometry
-
-
-def _doublet_terms(r0, t0, temperature):
-    """(exp(-T / T0), ratio 1 + (r0 - 1) exp(-T / T0))."""
-    e = np.exp(-np.asarray(temperature) / t0)
-    return e, 1.0 + (r0 - 1.0) * e
-
-
-def _doublet_ratio(r0, t0, temperature):
-    return _doublet_terms(r0, t0, temperature)[1]
-
-
-def _doublet_ratio_model(p, temperature):
-    """(values, Jacobian) of _doublet_ratio in p = (r0, T0)."""
-    r0, t0 = p
-    e, ratio = _doublet_terms(r0, t0, temperature)
-    return ratio, np.column_stack([e, (r0 - 1.0) * e * temperature / t0**2])
-
-
-@dataclass
-class DoubletThermometry:
-    """Phenomenological ratio model r(T) = 1 + (r0 - 1) exp(-T / T0)."""
-
-    r0: float
-    t0: float
-    sigma3: np.ndarray
-    warnings: list = field(default_factory=list)
-
-    def ratio(self, temperature):
-        return _doublet_ratio(self.r0, self.t0, temperature)
-
-    def dominant_share(self, temperature):
-        r = self.ratio(temperature)
-        return r / (1.0 + r)
-
-
-def doublet_ratio_vs_T(spectra, expected_pair) -> DoubletThermometry:
-    """Fit the doublet intensity ratio versus temperature.
-
-    expected_pair: ((label_dominant, center, window), (label_other, center,
-    window)); the ratio is area(dominant)/area(other). Needs at least 3
-    resolvable spectra below 100 K, and a temperature on every spectrum.
-    """
-    points = []
-    for sp in spectra:
-        if sp.temperature is None:
-            raise ValidationError("every spectrum needs a temperature")
-        try:
-            zpls = find_zpls(sp, expected_pair)
-        except LineNotFoundError:
-            continue
-        lab1, lab2 = expected_pair[0][0], expected_pair[1][0]
-        a1, a2 = zpls[lab1].area, zpls[lab2].area
-        if a2 <= 0:
-            continue
-        points.append((sp.temperature, a1 / a2))
-    below = [p for p in points if p[0] < 100.0]
-    if len(below) < 3:
-        raise FitError(f"need >= 3 resolvable doublets below 100 K, got {len(below)}")
-    T = np.array([p[0] for p in points])
-    r = np.array([p[1] for p in points])
-
-    r0_init = float(r[np.argmin(T)])
-    problem = FitProblem(
-        model=_doublet_ratio_model, x=T, y=r,
-        p0=np.array([r0_init, 30.0]),
-        lower=np.array([0.0, 1e-3]),
-        upper=np.array([np.inf, 1e4]),
-    )
-    fit = minimize(problem)
-    out = DoubletThermometry(
-        r0=float(fit.parameters[0]),
-        t0=float(fit.parameters[1]),
-        sigma3=fit.sigma3,
-    )
-    share4 = out.dominant_share(4.0)
-    if abs(share4 - 0.70) > 0.05:
-        out.warnings.append(
-            f"4 K dominant-line share {share4:.3f} deviates from ~0.70"
-        )
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -489,16 +404,6 @@ class HRModel:
     def debye_waller(self) -> float:
         """ZPL fraction exp(-S_total)."""
         return math.exp(-self.s_total)
-
-
-def default_hr_grid(model: HRModel, step_mev: float = 0.5, n_max: int = 8):
-    """Energy grid (eV) from zpl - n_max * max(homega) up to zpl."""
-    if model.modes:
-        span_mev = n_max * max(hw for _, hw in model.modes)
-    else:
-        span_mev = 10.0
-    n = int(math.ceil(span_mev / step_mev)) + 1
-    return model.zpl_energy - 1e-3 * step_mev * np.arange(n)[::-1]
 
 
 def hr_lineshape(model: HRModel, grid_ev):

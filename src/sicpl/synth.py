@@ -30,7 +30,9 @@ from .spectrum import (EV_NM_MEV, FWHM_PER_SIGMA, PSB_J_MAX, HRModel, PsbModel, 
 # a key with no default: a recipe must give it
 REQUIRED = object()
 # per generator kind: every truth key and every sampling key it reads, each
-# with its default, and the noise kinds it takes
+# with its default, and the noise kinds it takes. A spectrum's 'temperature'
+# is range-checked and read by nothing; it stays because the benchmark's
+# spectrum recipes give it
 RECIPES = {
     "decay": ({"components": REQUIRED, "pulse_time": REQUIRED, "background": 0.0,
                "temperature": 4.0},
@@ -77,11 +79,12 @@ def _zpl_rows(value):
 
 # the form of every recipe value; the noise 'kind' takes any
 FORMS = {
-    **dict.fromkeys(("pulse_time", "background", "temperature", "t_start", "t_end",
+    **dict.fromkeys(("pulse_time", "background", "t_start", "t_end",
                      "wl_start", "wl_end", "tau", "tau_p", "e_p", "i0", "sigma", "delta0"),
                     (_real, "a real number")),
     **dict.fromkeys(("bin_ns", "step_nm", "e_ref_nm", "zpl_energy_ev"),
                     (lambda v: _real(v) and v > 0, "a real > 0")),
+    "temperature": (lambda v: _real(v) and 0 < v < math.inf, "a finite real > 0"),
     "temperatures": (lambda v: _reals(v) and all(0 < t < math.inf for t in v),
                      "a list of finite reals > 0"),
     "components": (_pairs, "a list of (A, tau) pairs"),
@@ -238,8 +241,7 @@ def expected_spectrum(spec: GeneratorSpec):
 
 def _spectrum(spec):
     wl, y = expected_spectrum(spec)
-    return Spectrum(wavelengths=wl, intensities=_noise(spec, y),
-                    temperature=float(spec.truth["temperature"]))
+    return Spectrum(wavelengths=wl, intensities=_noise(spec, y))
 
 
 def _thermal_series(spec):

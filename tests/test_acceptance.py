@@ -21,8 +21,6 @@ from sicpl.spectrum import (
     PsbModel,
     ZplLine,
     ZplSet,
-    default_hr_grid,
-    doublet_ratio_vs_T,
     find_zpls,
     fit_psb,
     hr_lineshape,
@@ -30,6 +28,7 @@ from sicpl.spectrum import (
     psb_eval,
 )
 from sicpl.synth import GeneratorSpec, generate
+from test_spectrum import default_hr_grid
 
 E3_MEV = EV_NM_MEV / 1280.0
 C_ALPHA2 = EV_NM_MEV / (E3_MEV + 1.47)
@@ -199,8 +198,7 @@ def test_7_psb_dw_partitioning():
             "beta": ZplLine("beta", C_BETA, 0.0, 0.3, False, ab),
         }
         zset = ZplSet(lines=lines)
-        p = partition_dw(Spectrum(wavelengths=wl, intensities=dens,
-                                  temperature=4.0), zset,
+        p = partition_dw(Spectrum(wavelengths=wl, intensities=dens), zset,
                          float(rng.uniform(45.0, 80.0)))
         lo, hi = p.dw_alpha_bounds
         assert 0.0 <= lo <= hi <= 1.0 + 1e-9
@@ -222,8 +220,6 @@ def test_8_engine_properties():
     from sicpl.nls import FitProblem, minimize
     from sicpl.spectrum import (
         PSB_J_MAX,
-        _doublet_ratio,
-        _doublet_ratio_model,
         _gaussian_model,
         _psb_model,
     )
@@ -271,15 +267,10 @@ def test_8_engine_properties():
           lambda r: np.array([r.uniform(1.0, 3e3), r.uniform(2.0, 12.0),
                               r.uniform(10.0, 60.0)]),
           np.linspace(0.1, 70.0, 1500))
-    check(_doublet_ratio_model,
-          lambda r: np.array([r.uniform(0.5, 5.0), r.uniform(5.0, 100.0)]),
-          np.linspace(4.0, 100.0, 7))
     ok = worst <= 1e-5
     # the values a fit model returns are its value function's, bit for bit
     q = np.array([163.0, 83.0, 28.0])
     ok &= np.array_equal(_thermal_model(q, temps)[0], thermal_lifetime(temps, *q))
-    ok &= np.array_equal(_doublet_ratio_model(q[:2] / 50.0, temps)[0],
-                         _doublet_ratio(*(q[:2] / 50.0), temps))
 
     # weight rescaling must not move the optimum
     y = _exp_model(np.array([5e3, 150.0]), t)[0] + rng.normal(0.0, 5.0, t.size)
@@ -343,30 +334,6 @@ def test_8_engine_properties():
     _verdict(8, "engine properties", ok,
              f"jac err {worst:.2e}, rescale {rescale:.2e}, "
              f"closure {worst_closure:.2e}")
-
-
-def test_9_doublet_thermometry():
-    r0, t0 = 2.5648, 25.0  # share(4 K) = r/(1+r) = 0.70 with this pair
-
-    def ratio(T):
-        return 1.0 + (r0 - 1.0) * math.exp(-T / t0)
-
-    spectra = []
-    for T in (4, 10, 20, 30, 50, 75, 100):
-        r = ratio(T)
-        truth = {"zpl": [("alpha3", 1280.0, 0.30, 1400.0 * r / (1 + r)),
-                         ("alpha2", C_ALPHA2, 0.30, 1400.0 / (1 + r))],
-                 "temperature": float(T)}
-        spectra.append(generate(GeneratorSpec(
-            seed=100 + T, kind="spectrum", truth=truth,
-            sampling={"wl_start": 1270.0, "wl_end": 1290.0, "step_nm": 0.05},
-            noise={"kind": "none"},
-        )))
-    model = doublet_ratio_vs_T(
-        spectra, (("alpha3", 1280.0, 1.5), ("alpha2", C_ALPHA2, 1.5)))
-    share = model.dominant_share(4.0)
-    ok = abs(share - 0.70) <= 0.02
-    _verdict(9, "doublet thermometry", ok, f"4 K dominant share {share:.4f}")
 
 
 def test_10_psb_dw_poisson_round_trip():

@@ -497,6 +497,14 @@ MALFORMED = {
         {"kind": "thermal_series", "truth": {"tau": 163.0, "tau_p": 83.0, "e_p": 28.0},
          "sampling": {"temperatures": [0.0, 50.0]}, "noise": {"kind": "none"}},
         "'temperatures' must be a list of finite reals > 0"),
+    **{f"simulate-{kind}-temperature-{bad}": _recipe_case(
+        {"kind": kind, "truth": {**truth, "temperature": bad}, **sampling},
+        f"'temperature' must be a finite real > 0, got {bad}")
+       for kind, truth, sampling in (
+           ("decay", DECAY_TRUTH, {}),
+           ("spectrum", {"zpl": [["a", 1280.0, 0.3, 10.0]]},
+            {"sampling": {"wl_start": 1270.0, "wl_end": 1290.0, "step_nm": 0.5}}))
+       for bad in (0.0, -5.0, math.nan, math.inf)},
     "simulate-psb-no-sigma": _recipe_case(
         {"kind": "spectrum", "truth": {"psb": [{"i0": 90.0, "delta0": 35.0, "e_ref_nm": 1280.0}]},
          "sampling": {"wl_start": 1255.0, "wl_end": 1300.0, "step_nm": 0.2}},
@@ -606,7 +614,7 @@ def test_parser_keeps_no_state_between_runs(decay_files):
 
 EXIT_CODES = {
     "SicplError": 2, "ValidationError": 2, "FitError": 3, "EvaluationError": 3,
-    "DegenerateFitError": 3, "LineNotFoundError": 3,
+    "DegenerateFitError": 3,
 }
 
 

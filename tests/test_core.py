@@ -19,34 +19,26 @@ from sicpl.io import (_column, load_sidecar, load_spectrum, load_trace, read_tab
 def test_spectrum_validation():
     wl = np.linspace(1250.0, 1350.0, 50)
     it = np.ones(50)
-    sp = Spectrum(wavelengths=wl, intensities=it, temperature=4.0)
+    sp = Spectrum(wavelengths=wl, intensities=it)
     assert not sp.wavelengths.flags.writeable
     with pytest.raises(ValidationError):
-        Spectrum(wavelengths=wl[::-1], intensities=it, temperature=4.0)
+        Spectrum(wavelengths=wl[::-1], intensities=it)
     with pytest.raises(ValidationError, match="> 0 nm"):
-        Spectrum(wavelengths=wl - 1300.0, intensities=it, temperature=4.0)
+        Spectrum(wavelengths=wl - 1300.0, intensities=it)
     with pytest.raises(ValidationError):
-        Spectrum(wavelengths=wl, intensities=-it, temperature=4.0)
-    with pytest.raises(ValidationError):
-        Spectrum(wavelengths=wl, intensities=it, temperature=0.0)
+        Spectrum(wavelengths=wl, intensities=-it)
     bad = it.copy()
     bad[3] = np.nan
     with pytest.raises(ValidationError):
-        Spectrum(wavelengths=wl, intensities=bad, temperature=4.0)
+        Spectrum(wavelengths=wl, intensities=bad)
 
 
-def test_spectrum_temperature_follows_the_trace_rule():
-    # one temperature rule, 0 < T < inf, with one message for both records
-    wl = np.linspace(1250.0, 1350.0, 50)
-    it = np.ones(50)
+def test_trace_temperature_must_be_finite_and_positive():
     t = np.arange(0.0, 20.0)
-    for bad in (np.inf, np.nan):
-        with pytest.raises(ValidationError) as trace_err:
+    for bad in (0.0, -5.0, np.inf, np.nan):
+        with pytest.raises(ValidationError) as err:
             DecayTrace(times=t, counts=np.ones(20), pulse_time=15.0, temperature=bad)
-        with pytest.raises(ValidationError) as spectrum_err:
-            Spectrum(wavelengths=wl, intensities=it, temperature=bad)
-        assert str(spectrum_err.value) == str(trace_err.value)
-        assert str(spectrum_err.value) == f"temperature must be > 0 K, got {bad}"
+        assert str(err.value) == f"temperature must be > 0 K, got {bad}"
 
 
 def test_trace_validation():
@@ -72,7 +64,6 @@ def test_load_spectrum_delimiters(tmp_path):
     p = tmp_path / "s.csv"
     p.write_text("# header comment\n1300, 5\n1301\t6\n1302 7  # trailing\n")
     sp = load_spectrum(p)
-    assert sp.temperature is None  # a file carries no temperature
     assert list(sp.intensities) == [5.0, 6.0, 7.0]
 
 

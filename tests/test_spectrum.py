@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from sicpl import spectrum
 from sicpl.datatypes import Spectrum
-from sicpl.errors import FitError, LineNotFoundError, ValidationError
+from sicpl.errors import FitError, ValidationError
 from sicpl.nls import finite_diff_jacobian, minimize
 from sicpl.spectrum import (
     EV_NM_MEV,
@@ -19,8 +19,6 @@ from sicpl.spectrum import (
     PsbModel,
     ZplLine,
     ZplSet,
-    default_hr_grid,
-    doublet_ratio_vs_T,
     find_zpls,
     fit_psb,
     hr_lineshape,
@@ -112,10 +110,12 @@ def test_zpl_fits_with_background_on_its_bound(monkeypatch):
 
 def test_line_not_found():
     wl = np.linspace(1270.0, 1290.0, 200)
-    flat = Spectrum(wavelengths=wl, intensities=np.full(wl.size, 5.0),
-                    temperature=4.0)
-    with pytest.raises(LineNotFoundError):
+    flat = Spectrum(wavelengths=wl, intensities=np.full(wl.size, 5.0))
+    with pytest.raises(FitError, match="no local maximum: window is flat"):
         find_zpls(flat, [("alpha3", 1280.0, 2.0)])
+    ramp = Spectrum(wavelengths=wl, intensities=wl - 1260.0)
+    with pytest.raises(FitError, match="maximum at window edge; no interior peak"):
+        find_zpls(ramp, [("alpha3", 1280.0, 2.0)])
     with pytest.raises(ValidationError):
         find_zpls(flat, [("alpha3", 1269.0, 4.0)])  # window leaves the data
 
@@ -318,6 +318,13 @@ def test_fit_psb_alpha_model_is_the_fitted_series():
 # Huang-Rhys lineshape
 
 
+def default_hr_grid(model, step_mev, n_max):
+    """Energy grid (eV) in steps of step_mev from n_max times the largest
+    mode energy below the ZPL up to the ZPL."""
+    n = int(math.ceil(n_max * max(hw for _, hw in model.modes) / step_mev)) + 1
+    return model.zpl_energy - 1e-3 * step_mev * np.arange(n)[::-1]
+
+
 def test_hr_zero_coupling_is_pure_zpl():
     model = HRModel(modes=(), zpl_energy=0.97)
     grid = np.linspace(0.90, 0.97, 200)
@@ -389,8 +396,7 @@ def _zset(a3, a2, ab):
 
 def test_partition_bound_ordering():
     wl = np.linspace(1256.0, 1456.0, 300)
-    sp = Spectrum(wavelengths=wl, intensities=np.full(wl.size, 2.0),
-                  temperature=4.0)
+    sp = Spectrum(wavelengths=wl, intensities=np.full(wl.size, 2.0))
     part = partition_dw(sp, _zset(7.0, 3.0, 4.0), 60.0)
     lo, hi = part.dw_alpha_bounds
     assert 0.0 <= lo <= hi <= 1.0
@@ -404,8 +410,7 @@ def test_partition_refined_fractions_stay_inside_their_bounds():
     rng = np.random.default_rng(11)
     wl = np.linspace(1256.0, 1456.0, 240)
     for _ in range(2000):
-        sp = Spectrum(wavelengths=wl, intensities=rng.uniform(0.0, 5.0, wl.size),
-                      temperature=4.0)
+        sp = Spectrum(wavelengths=wl, intensities=rng.uniform(0.0, 5.0, wl.size))
         areas = rng.uniform(0.0, 40.0, 3) * rng.integers(0, 2, 3)  # some areas 0
         psb = PsbFit(model=PsbModel(i0=rng.uniform(0.0, 100.0), sigma=6.0, delta0=35.0),
                      delta=None, alpha_model=None, beta_residual=None, fit=None)
@@ -426,8 +431,7 @@ def test_psb_model_refuses_a_non_finite_intensity():
 
 def test_partition_area_correction():
     wl = np.linspace(1256.0, 1456.0, 300)
-    sp = Spectrum(wavelengths=wl, intensities=np.full(wl.size, 2.0),
-                  temperature=4.0)
+    sp = Spectrum(wavelengths=wl, intensities=np.full(wl.size, 2.0))
     z = _zset(7.0, 3.0, 4.0)
     base = partition_dw(sp, z, 60.0)
     corr = partition_dw(sp, z, 60.0, area_correction=1.2)
@@ -440,8 +444,7 @@ def test_partition_area_correction():
 def test_partition_refuses_a_non_finite_energy():
     # a NaN partition energy once selected no bins and gave alpha-high DW 1.0
     wl = np.linspace(1256.0, 1456.0, 300)
-    sp = Spectrum(wavelengths=wl, intensities=np.full(wl.size, 2.0),
-                  temperature=4.0)
+    sp = Spectrum(wavelengths=wl, intensities=np.full(wl.size, 2.0))
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValidationError):
             partition_dw(sp, _zset(7.0, 3.0, 4.0), bad)
@@ -449,29 +452,6 @@ def test_partition_refuses_a_non_finite_energy():
 
 def test_partition_requires_reference_line():
     wl = np.linspace(1256.0, 1456.0, 300)
-    sp = Spectrum(wavelengths=wl, intensities=np.full(wl.size, 2.0),
-                  temperature=4.0)
+    sp = Spectrum(wavelengths=wl, intensities=np.full(wl.size, 2.0))
     with pytest.raises(ValidationError):
         partition_dw(sp, ZplSet(lines={}), 60.0)
-
-
-# ---------------------------------------------------------------------------
-# thermometry
-
-
-def test_thermometry_needs_cold_points():
-    sp = spectrum_with_lines([("alpha3", 1280.0, 0.30, 700.0),
-                              ("alpha2", C2, 0.30, 300.0)])
-    with pytest.raises(FitError, match="need >= 3 resolvable doublets below 100 K, got 1"):
-        doublet_ratio_vs_T([sp], (("alpha3", 1280.0, 1.5), ("alpha2", C2, 1.5)))
-
-
-def test_thermometry_needs_a_temperature_on_every_spectrum():
-    # a spectrum read from a file carries no temperature
-    sp = spectrum_with_lines([("alpha3", 1280.0, 0.30, 700.0),
-                              ("alpha2", C2, 0.30, 300.0)])
-    bare = Spectrum(wavelengths=sp.wavelengths, intensities=sp.intensities)
-    assert bare.temperature is None
-    with pytest.raises(ValidationError, match="every spectrum needs a temperature"):
-        doublet_ratio_vs_T([sp, sp, sp, bare],
-                           (("alpha3", 1280.0, 1.5), ("alpha2", C2, 1.5)))
