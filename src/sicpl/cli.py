@@ -7,11 +7,11 @@ hash, hashes of every input file, tool and numpy versions);
 `--config <manifest>` replays that run identically. `zpl` also writes
 its lines to `zpl_result.json` and the spectrum it parsed to
 `zpl_spectrum.npy`. `fit-psb` takes both or neither: both when the
-result records the spectrum and ZPL config it was given, each stored
-line is a valid ZplLine inside its config row's window, and the `.npy`
-has the SHA-256 the result records, so a spectrum is parsed and its ZPLs
-fitted once (it reads the result's lines; the splitting and warnings are
-for readers); otherwise it parses the spectrum and fits the ZPLs itself.
+result records the spectrum and ZPL config it was given, and its lines
+and the `.npy` have the SHA-256s it records, so a spectrum is parsed and
+its ZPLs fitted once (it reads the result's lines; the splitting and
+warnings are for readers); otherwise it parses the spectrum and fits the
+ZPLs itself.
 Exit codes: 0 success, 1 usage error, otherwise the `exit_code` of the
 error raised: 2 validation error (an unreadable or unwritable file too),
 3 fit failure.
@@ -56,6 +56,8 @@ ZPL_RESULT = "zpl_result.json"
 # (2, n) float64 array, whose SHA-256 the result records under this key
 ZPL_SPECTRUM = "zpl_spectrum.npy"
 ZPL_SPECTRUM_KEY = "spectrum_npy_sha256"
+# and of its lines: the `lines` list dumped as JSON with sorted keys
+ZPL_LINES_KEY = "lines_sha256"
 
 
 class _Refused(Exception):
@@ -144,17 +146,11 @@ def _json_object(path, key, value):
     return value
 
 
-def _zpl_rows(args):
-    """The (label, center_nm, window_nm) rows of --zpl-config."""
-    labels, values = read_table(args.zpl_config, "label center_nm window_nm",
-                                labelled=True)
-    return list(zip(labels, *values.T.tolist()))
-
-
 def _find_zpls(args):
     """(spectrum, ZPLs) of --spectrum and --zpl-config; a row find_zpls refuses names the file."""
     spectrum = load_spectrum(args.spectrum)
-    rows = _zpl_rows(args)
+    labels, values = read_table(args.zpl_config, "label center_nm window_nm", labelled=True)
+    rows = list(zip(labels, *values.T.tolist()))
     try:
         return spectrum, find_zpls(spectrum, rows)
     except ValidationError as exc:
@@ -168,10 +164,9 @@ def _zpl_stamp(args, inputs):
             "tool_version": __version__}
 
 
-def _is_zpl_line(line, row):
-    """Whether `line` is the line of config row `row` (label, center_nm, window_nm)."""
-    label, center, window = row
-    return line.label == label and center - window / 2.0 <= line.center <= center + window / 2.0
+def _lines_sha256(lines):
+    """The SHA-256 a zpl result records for its `lines` list."""
+    return hashlib.sha256(json.dumps(lines, sort_keys=True).encode()).hexdigest()
 
 
 def _spectrum_npy(spectrum):
@@ -192,24 +187,21 @@ def _stored(args, inputs):
         with open(result_path, "rb") as fh:
             raw = fh.read()
         stored = json.loads(raw)
+        if not isinstance(stored, dict):
+            return None
         # hashing fails on a missing --spectrum or --zpl-config; the reads
-        # that follow report it as a run without a result does
-        stamp = _zpl_stamp(args, inputs)
+        # that follow report it as a run without a result does. Dumping
+        # deeply nested lines may recurse too deep, as loading them may
+        stamp = {**_zpl_stamp(args, inputs), ZPL_LINES_KEY: _lines_sha256(stored.get("lines"))}
     except (OSError, ValueError, RecursionError):
         return None
-    if (not isinstance(stored, dict)
-            or stored.keys() != {*stamp, "lines", "doublet_splitting_mev", "warnings",
-                                 ZPL_SPECTRUM_KEY}
+    if (stored.keys() != {*stamp, "lines", "doublet_splitting_mev", "warnings",
+                          ZPL_SPECTRUM_KEY}
             or any(stored[k] != v for k, v in stamp.items())):
         return None
-    # the stamp names a spectrum and ZPL config that zpl read without
-    # error, so reading the config before the spectrum changes no error
-    rows = _zpl_rows(args)
     try:
         lines = [ZplLine(**entry) for entry in stored["lines"]]
     except (TypeError, ValidationError):
-        return None
-    if not (len(lines) == len(rows) and all(map(_is_zpl_line, lines, rows))):
         return None
     digest = stored[ZPL_SPECTRUM_KEY]
     try:
@@ -281,8 +273,8 @@ def _cmd_zpl(args, inputs):
         rows.append(("doublet splitting [meV]", zpls.doublet_splitting_mev))
     npy = _spectrum_npy(spectrum)
     # the lines in config order: partition_dw subtracts their areas in it
-    result = {**_zpl_stamp(args, inputs),
-              "lines": [asdict(line) for line in zpls.lines.values()],
+    lines = [asdict(line) for line in zpls.lines.values()]
+    result = {**_zpl_stamp(args, inputs), "lines": lines, ZPL_LINES_KEY: _lines_sha256(lines),
               "doublet_splitting_mev": zpls.doublet_splitting_mev,
               "warnings": zpls.warnings,
               ZPL_SPECTRUM_KEY: hashlib.sha256(npy).hexdigest()}

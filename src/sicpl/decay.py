@@ -35,9 +35,9 @@ EXP_UPPER = (np.inf, np.inf, np.inf, R_MAX)
 # Score screen of 'auto': the score statistic for a second component
 # A2 exp(-t/tau2) is maximised over SCORE_GRID_SIZE log-spaced tau2 in
 # [1 ns, 10 x window span]; S >= SCORE_THRESHOLD, half the deviance gain
-# AIC asks of a double, is evidence for one.
+# AIC asks of a double (2 more parameters), is evidence for one.
 SCORE_GRID_SIZE = 20
-SCORE_THRESHOLD = 7.0
+SCORE_THRESHOLD = (AIC_THRESHOLD + 2 * 2) / 2
 _SCORE_STEPS = np.linspace(0.0, 1.0, SCORE_GRID_SIZE)  # log tau2 / log(10 x span)
 
 

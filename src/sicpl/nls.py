@@ -16,10 +16,10 @@ half-widths.
 
 Every fit's model returns its values and its analytic Jacobian
 together, from one computation: the exponential decays and tau(T)
-(`decay`), the ZPL Gaussian, the doublet ratio r(T) and the Gaussian
-sideband series (`spectrum`). `minimize` evaluates the model once per
-point it tries and keeps the Jacobian of the point it accepted for the
-next step and for the covariance. The central-difference
+(`decay`), the ZPL Gaussian and the Gaussian sideband series
+(`spectrum`). `minimize` evaluates the model once per point it tries and
+keeps the Jacobian of the point it accepted for the next step and for
+the covariance. The central-difference
 `finite_diff_jacobian` of the values is the test oracle for all of them.
 """
 

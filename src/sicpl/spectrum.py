@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import EV_NM
+from .constants import EV_NM, MAX_GRID_POINTS
 from .datatypes import Spectrum
 from .errors import FitError, ValidationError
 from .nls import FitProblem, FitResult, minimize
@@ -413,10 +413,11 @@ def hr_lineshape(model: HRModel, grid_ev):
     shifting the line by the mode's energy rounded to whole bins. The
     mass f[k] at k bins below the ZPL follows exactly from the
     compound-Poisson recursion f[0] = exp(-S), k f[k] = sum_i S_i off_i
-    f[k - off_i], with no truncation in phonon number. Mass below the
-    grid bottom is dropped and the returned masses are renormalized to
-    sum to 1, so the ZPL bin carries exp(-S_total) up to that off-grid
-    share.
+    f[k - off_i], with no truncation in phonon number. Mass off the grid
+    is dropped and the returned masses are renormalized to sum to 1, so
+    the ZPL bin carries exp(-S_total) up to that off-grid share. A grid
+    with no mass, or with the ZPL below it or over MAX_GRID_POINTS bins
+    above it, is refused.
     """
     grid = np.asarray(grid_ev, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
@@ -425,7 +426,11 @@ def hr_lineshape(model: HRModel, grid_ev):
         raise ValidationError("grid must be strictly increasing")
 
     de = float(np.median(np.diff(grid))) * 1e3  # meV per bin
-    i_zpl = int(np.argmin(np.abs(grid - model.zpl_energy)))
+    # bins from the grid's end to the ZPL's bin, for a ZPL off the grid
+    past = (model.zpl_energy - np.clip(model.zpl_energy, grid[0], grid[-1])) * 1e3 / de
+    if not -0.5 <= past <= MAX_GRID_POINTS:
+        raise ValidationError("the ZPL lies below the grid or too far above it")
+    i_zpl = int(np.argmin(np.abs(grid - model.zpl_energy))) + round(past)
     s_at = {}  # S summed per bin offset
     for s, hw in model.modes:
         off = int(round(hw / de))
@@ -434,8 +439,11 @@ def hr_lineshape(model: HRModel, grid_ev):
     f = [math.exp(s_at.pop(0, 0.0) - model.s_total)]
     for k in range(1, i_zpl + 1):
         f.append(sum(s * off * f[k - off] for off, s in s_at.items() if off <= k) / k)
+    top = min(i_zpl, grid.size - 1)
     out = np.zeros(grid.size)
-    out[: i_zpl + 1] = f[::-1]
+    out[: top + 1] = f[i_zpl - top:][::-1]
+    if not out.any():
+        raise ValidationError("no emission falls on the grid")
     return out / out.sum()
 
 

@@ -535,6 +535,10 @@ MALFORMED = {
                                               "area_nm": -500.0}},
          "sampling": {"wl_start": 1255.0, "wl_end": 1300.0, "step_nm": 0.2}},
         "'area_nm' must be a real >= 0"),
+    "simulate-hr-zpl-below-grid": _recipe_case(
+        {"kind": "spectrum", "truth": {"hr": {"modes": [[0.3, 20.0]], "zpl_energy_ev": 0.9686}},
+         "sampling": {"wl_start": 1200.0, "wl_end": 1250.0, "step_nm": 0.2}},
+        "the ZPL lies below the grid"),
     "simulate-bin-zero": _recipe_case(
         {"sampling": {"t_start": 0.0, "t_end": 60.0, "bin_ns": 0}}, "'bin_ns' must be a real > 0"),
     "simulate-step-zero": _recipe_case(
@@ -740,9 +744,9 @@ def _counting(monkeypatch, name):
     calls = []
     original = getattr(cli, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(cli, name, counted)
     return calls
@@ -775,8 +779,9 @@ def test_fit_psb_reuses_the_zpl_result(tmp_path, monkeypatch, capsys, splitting,
     assert stored["spectrum_npy_sha256"] == _sha256(npy)
     calls = _counting(monkeypatch, "find_zpls")
     loads = _counting(monkeypatch, "load_spectrum")
+    tables = _counting(monkeypatch, "read_table")
     assert run(*psb, "--out", str(shared)) == 0
-    assert calls == [] and loads == []
+    assert calls == [] and loads == [] and tables == []
     for name in PSB_OUTPUTS:
         assert (shared / name).read_bytes() == (fresh / name).read_bytes()
     # the manifest lists the result and the spectrum, so a replay checks both
@@ -842,6 +847,15 @@ STALE_RESULTS = {
         lambda data: data["lines"][0].update(center_sigma3=-1.0)),
     # a JSON int is no float, though its value is inside the window
     "integer-center": _edit_result(lambda data: data["lines"][0].update(center=1280)),
+    # edits that keep each line inside its config row's window
+    "area-edited-in-window": _edit_result(lambda data: data["lines"][0].update(
+        area=data["lines"][0]["area"] * 1.5)),
+    "center-moved-in-window": _edit_result(lambda data: data["lines"][0].update(
+        center=data["lines"][0]["center"] + 0.2)),
+    "lines-digest-edited": _edit_result(lambda data: data.update(
+        lines_sha256=data["lines_sha256"][::-1])),
+    # a result from before zpl stored the digest of its lines
+    "no-lines-digest-key": _edit_result(lambda data: data.pop("lines_sha256")),
     # a result from before zpl stored its spectrum
     "no-npy-digest-key": _edit_result(lambda data: data.pop("spectrum_npy_sha256")),
     "npy-missing": lambda result, npy, lines, other: npy.unlink(),

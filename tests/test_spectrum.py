@@ -371,6 +371,29 @@ def test_hr_multi_mode_compound_poisson_moments():
     assert shape[i_zpl - 120] == pytest.approx(w120, rel=1e-12)
 
 
+def test_hr_grid_ending_below_the_zpl_is_the_full_shape_cut_and_renormalized():
+    # the cut grid ends 8.6 meV, 34.4 bins, below the ZPL; the full grid
+    # goes on to the ZPL's bin
+    model = HRModel(modes=((0.30, 20.0), (0.25, 35.0)), zpl_energy=0.9686)
+    full = model.zpl_energy - 1e-4 - 0.25e-3 * np.arange(2000)[::-1]
+    cut = full[:-34]
+    assert (model.zpl_energy - cut[-1]) * 1e3 == pytest.approx(8.6)
+    whole = hr_lineshape(model, full)[: cut.size]
+    assert np.allclose(hr_lineshape(model, cut), whole / whole.sum(), rtol=0, atol=1e-15)
+
+
+def test_hr_grid_without_emission_is_refused():
+    model = HRModel(modes=((0.30, 20.0),), zpl_energy=0.9686)
+    grid = np.linspace(0.97, 1.0, 200)
+    with pytest.raises(ValidationError, match="the ZPL lies below the grid"):
+        hr_lineshape(model, grid)
+    with pytest.raises(ValidationError, match="too far above it"):
+        hr_lineshape(HRModel(modes=model.modes, zpl_energy=1e6), grid)
+    # no phonons: all the mass is in the ZPL bin, above the grid
+    with pytest.raises(ValidationError, match="no emission falls on the grid"):
+        hr_lineshape(HRModel(modes=(), zpl_energy=1.01), grid)
+
+
 def test_hr_validation():
     with pytest.raises(ValidationError):
         HRModel(modes=((-0.1, 30.0),), zpl_energy=0.97)
