@@ -22,7 +22,7 @@ spec = GeneratorSpec(
 trace = generate(spec)
 res = fit_decay(trace)
 A, tau = res.components[0]
-print(f"fast channel: model={res.model_kind}  tau = {tau:.2f} +/- {res.sigma3[1]:.2f} ns"
+print(f"fast channel: model={res.model_kind}  tau = {tau:.2f} +/- {res.fit.sigma3[1]:.2f} ns"
       f"  (truth 164.2, background {res.background:.1f})")
 
 # ---------------------------------------------------------------------
@@ -38,17 +38,17 @@ spec = GeneratorSpec(
 res2 = fit_decay(generate(spec), kind="auto")
 print(f"mixed band:  model={res2.model_kind}")
 for i, (amp, t) in enumerate(res2.components, 1):
-    print(f"  component {i}: tau = {t:7.2f} +/- {res2.sigma3[2 * i - 1]:.2f} ns"
+    print(f"  component {i}: tau = {t:7.2f} +/- {res2.fit.sigma3[2 * i - 1]:.2f} ns"
           f"   A = {amp:9.1f}")
 
 # pool the slow channel from both fits (inverse-variance weighting)
 pooled = pool_lifetimes([
-    (tau, res.sigma3[1] / 3.0),
-    (res2.components[0][1], res2.sigma3[1] / 3.0),
+    (tau, res.fit.sigma3[1] / 3.0),
+    (res2.components[0][1], res2.fit.sigma3[1] / 3.0),
 ])
 for ch in pooled:
     print(f"pooled channel: tau = {ch.tau:.2f} +/- {ch.sigma:.2f} ns"
-          f" ({ch.n_members} members)")
+          f" ({len(ch.members)} members)")
 
 # ---------------------------------------------------------------------
 # 3. temperature dependence -> activation energy
@@ -62,7 +62,7 @@ spec = GeneratorSpec(
 points = generate(spec)
 model = fit_thermal(points)
 print(f"\nthermal model: tau = {model.tau:.1f} ns, tau_p = {model.tau_p:.1f} ns,"
-      f" E_p = {model.e_p:.1f} +/- {model.sigma3[2]:.1f} meV  (truth 28)")
+      f" E_p = {model.e_p:.1f} +/- {model.fit.sigma3[2]:.1f} meV  (truth 28)")
 
 print("\n   T (K)   measured   model")
 for T, v, s in points:

@@ -51,7 +51,7 @@ psb = fit_psb(sp, zpls)
 print(f"\nsideband series: I0 = {psb.model.i0:.1f}, sigma = {psb.model.sigma:.2f} meV,"
       f" Delta0 = {psb.model.delta0:.2f} meV  (area {psb.model.area:.0f})")
 
-part = partition_dw(sp, zpls, 60.0, psb_fit=psb)
+part = partition_dw(sp, zpls, 60.0, psb.model.area)
 lo, hi = part.dw_alpha_bounds
 print(f"DW mean = {part.dw_mean:.3f}")
 print(f"DW alpha in [{lo:.3f}, {hi:.3f}], refined {part.dw_alpha_refined:.3f}")

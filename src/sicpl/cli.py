@@ -239,8 +239,8 @@ def _cmd_fit_decay(args, inputs):
     rows = [("model", res.model_kind),
             ("background [counts/bin]", res.background, 3 * res.background_error)]
     for i, (amp, tau) in enumerate(res.components, start=1):
-        rows.append((f"A{i} [counts]", amp, res.sigma3[2 * (i - 1)]))
-        rows.append((f"tau{i} [ns]", tau, res.sigma3[2 * (i - 1) + 1]))
+        rows.append((f"A{i} [counts]", amp, res.fit.sigma3[2 * (i - 1)]))
+        rows.append((f"tau{i} [ns]", tau, res.fit.sigma3[2 * (i - 1) + 1]))
     rows.append(("reduced chi2", res.fit.reduced_chi2))
     files = {}
     if args.plot:
@@ -252,9 +252,9 @@ def _cmd_fit_decay(args, inputs):
 def _cmd_fit_thermal(args, inputs):
     model = fit_thermal(read_table(args.points, "T_K tau_ns sigma_ns"))
     text = _report_lines("Thermally activated decay fit", [
-        ("tau [ns]", model.tau, model.sigma3[0]),
-        ("tau_p [ns]", model.tau_p, model.sigma3[1]),
-        ("E_p [meV]", model.e_p, model.sigma3[2]),
+        ("tau [ns]", model.tau, model.fit.sigma3[0]),
+        ("tau_p [ns]", model.tau_p, model.fit.sigma3[1]),
+        ("E_p [meV]", model.e_p, model.fit.sigma3[2]),
         ("reduced chi2", model.fit.reduced_chi2),
     ], fit=model.fit)
     return "fit-thermal_report.txt", text, {}
@@ -285,7 +285,7 @@ def _cmd_zpl(args, inputs):
 def _cmd_fit_psb(args, inputs):
     spectrum, zpls = _stored(args, inputs) or _find_zpls(args)
     fit = fit_psb(spectrum, zpls)
-    part = partition_dw(spectrum, zpls, args.partition_mev, psb_fit=fit,
+    part = partition_dw(spectrum, zpls, args.partition_mev, fit.model.area,
                         area_correction=args.area_correction)
     rows = [
         ("I0 [counts]", fit.model.i0, fit.fit.sigma3[0]),
@@ -309,6 +309,8 @@ def _cmd_fit_psb(args, inputs):
 
 
 def _cmd_budget(args, inputs):
+    if any(sep and sep in args.site for sep in ("/", os.sep, os.altsep)):
+        raise ValidationError(f"--site {args.site!r} must not contain a path separator")
     b = budget(args.tau_rad, args.tau_tot, args.dw, args.s,
                site_label=args.site, tau_nr_reference=args.tau_nr_ref)
     rows = [
@@ -541,6 +543,8 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         if args.config:
+            if args.command:
+                parser.error(f"--config replays a manifest's command, got {args.command!r} too")
             args = _args_from_config(parser, args.config)
         if not getattr(args, "command", None):
             parser.print_usage(sys.stderr)

@@ -50,16 +50,15 @@ class BackgroundEstimate:
 
 @dataclass
 class DecayFitResult:
-    """Fitted exponential-decay parameters with 3-sigma margins.
+    """Fitted exponential-decay parameters.
 
     components are (amplitude, tau_ns) pairs, tau descending for the
-    double model. sigma3 follows the same ordering: (A1, tau1[, A2, tau2]).
+    double model; fit.sigma3 holds their 3-sigma margins as (A1, tau1[, A2, tau2]).
     """
 
     background: float
     background_error: float
     components: list
-    sigma3: list
     model_kind: str  # "single" | "double"
     fit: FitResult
     warnings: list = field(default_factory=list)
@@ -72,8 +71,7 @@ class ThermalModel:
     tau: float       # ns, low-T intrinsic lifetime
     tau_p: float     # ns, thermally-assisted lifetime
     e_p: float       # meV, activation energy
-    sigma3: np.ndarray
-    fit: FitResult
+    fit: FitResult   # in (tau, tau_p, e_p)
 
     def __call__(self, temperature):
         return thermal_lifetime(temperature, self.tau, self.tau_p, self.e_p)
@@ -275,7 +273,6 @@ def fit_decay(trace: DecayTrace, kind: str = "auto", fit_window=None) -> DecayFi
             background=bg.mean,
             background_error=bg.std_error,
             components=[(p[k], p[k + 1]) for k in range(0, p.size, 2)],
-            sigma3=list(fit.sigma3),
             model_kind=kind_name,
             fit=fit,
             warnings=list(warnings),
@@ -360,7 +357,6 @@ def fit_thermal(points) -> ThermalModel:
         tau=float(fit.parameters[0]),
         tau_p=float(fit.parameters[1]),
         e_p=float(fit.parameters[2]),
-        sigma3=fit.sigma3,
         fit=fit,
     )
 
@@ -369,7 +365,6 @@ def fit_thermal(points) -> ThermalModel:
 class PooledLifetime:
     tau: float
     sigma: float
-    n_members: int
     members: list
 
 
@@ -404,7 +399,6 @@ def pool_lifetimes(entries) -> list[PooledLifetime]:
         out.append(PooledLifetime(
             tau=pooled,
             sigma=float(1.0 / np.sqrt(np.sum(wts))),
-            n_members=len(ch),
             members=ch,
         ))
     return out

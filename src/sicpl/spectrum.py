@@ -24,7 +24,7 @@ FWHM_PER_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))  # Gaussian FWHM / sigma
 # np.trapz was renamed in numpy 2.0
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
-# Doublet splitting consistent with the measured alpha doublet (meV)
+# The measured alpha doublet splitting (meV); ZplSet warns outside the tolerance
 DOUBLET_SPLITTING_MEV = 1.47
 DOUBLET_SPLITTING_TOL = 0.30
 
@@ -322,7 +322,9 @@ def _zpl_mask(delta, zpls, e_ref_mev):
 def fit_psb(spectrum: Spectrum, zpls: ZplSet) -> PsbFit:
     """Fit the alpha Gaussian sideband series and split off the beta residual.
 
-    Requires 'alpha3' (reference ZPL) in zpls. The alpha series is fitted
+    Requires 'alpha3' (reference ZPL), 'alpha2' above it in energy and an
+    'alpha3' area > 0 in zpls: each term is the doublet of their fitted
+    splitting and area ratio (clamped to [1e-3, 1]). The alpha series is fitted
     up to the 'beta' ZPL offset (40 meV without one) plus BETA_PSB_MIN_MEV,
     skipping ZPL_EXCLUSION_SIGMAS line sigmas around each ZPL; the residual
     up to PSB_MAX_MEV, outside those ZPL neighborhoods, is assigned to beta.
@@ -330,6 +332,14 @@ def fit_psb(spectrum: Spectrum, zpls: ZplSet) -> PsbFit:
     Poisson sd of the fitted alpha counts, sqrt(alpha * lambda^2 / hc).
     """
     e_ref, delta, density = _reference_axis(spectrum, zpls)
+    splitting = zpls.doublet_splitting_mev
+    if splitting is None:
+        raise ValidationError("zpls must contain the 'alpha2' line of the alpha doublet")
+    if splitting <= 0:
+        raise ValidationError(f"'alpha2' must lie above 'alpha3', splitting {splitting:.3f} meV")
+    if zpls["alpha3"].area <= 0:
+        raise ValidationError("the 'alpha2'/'alpha3' doublet ratio needs an 'alpha3' area > 0")
+    ratio = min(max(zpls["alpha2"].area / zpls["alpha3"].area, 1e-3), 1.0)
 
     if "beta" in zpls.lines:
         beta_offset = e_ref - zpls["beta"].energy_mev
@@ -342,12 +352,6 @@ def fit_psb(spectrum: Spectrum, zpls: ZplSet) -> PsbFit:
     if np.count_nonzero(fit_sel) < 10:
         raise ValidationError("too few sideband samples in the alpha-only region")
     d_fit, y_fit = delta[fit_sel], density[fit_sel]
-
-    splitting = zpls.doublet_splitting_mev or DOUBLET_SPLITTING_MEV
-    if "alpha2" in zpls.lines and zpls["alpha3"].area > 0:
-        ratio = min(max(zpls["alpha2"].area / zpls["alpha3"].area, 1e-3), 1.0)
-    else:
-        ratio = 30.0 / 70.0
 
     d0_init = float(d_fit[np.argmax(y_fit)])
     peak = float(np.max(y_fit))
@@ -399,11 +403,6 @@ class HRModel:
     @property
     def s_total(self) -> float:
         return float(sum(s for s, _ in self.modes))
-
-    @property
-    def debye_waller(self) -> float:
-        """ZPL fraction exp(-S_total)."""
-        return math.exp(-self.s_total)
 
 
 def hr_lineshape(model: HRModel, grid_ev):
@@ -458,8 +457,8 @@ class DwPartition:
     dw_mean: float
     dw_alpha_bounds: tuple      # (low, high)
     dw_beta_low: float
-    dw_alpha_refined: float | None = None
-    dw_beta_refined: float | None = None
+    dw_alpha_refined: float
+    dw_beta_refined: float
 
 
 ALPHA_ZPL_LABELS = ("alpha2", "alpha3")
@@ -467,17 +466,20 @@ BETA_ZPL_LABELS = ("beta",)
 
 
 def partition_dw(spectrum: Spectrum, zpls: ZplSet, partition_energy_mev: float,
-                 psb_fit: PsbFit | None = None,
-                 area_correction: float = 1.0) -> DwPartition:
+                 psb_area: float, area_correction: float = 1.0) -> DwPartition:
     """Debye-Waller accounting by partitioning at the beta sideband onset.
 
     The region below partition_energy_mev (phonon energies relative to
     the alpha ZPL, excluding ZPL areas) can only be alpha sideband; the
     region above is ambiguous and is assigned wholly to alpha (lower
     alpha bound) or wholly to beta (upper alpha bound, beta lower bound).
+    The refined fractions give alpha fit_psb's sideband area psb_area
+    (finite, >= 0), clamped between those two assignments, and beta the rest.
     area_correction >= 1 scales the total emission area to account for
     sideband beyond the recorded window (default: no correction).
     """
+    if not (0.0 <= psb_area < math.inf):
+        raise ValidationError(f"sideband area must be finite and >= 0, got {psb_area}")
     if not (1.0 <= area_correction < math.inf):
         raise ValidationError("area_correction must be finite and >= 1")
     if not math.isfinite(partition_energy_mev):
@@ -512,15 +514,11 @@ def partition_dw(spectrum: Spectrum, zpls: ZplSet, partition_energy_mev: float,
     alpha_high = frac(zpl_alpha, p1)
     beta_low = frac(zpl_beta, p2)
 
-    alpha_ref = beta_ref = None
-    if psb_fit is not None:
-        psb_alpha = min(max(psb_fit.model.area, p1), p1 + p2)
-        alpha_ref = frac(zpl_alpha, psb_alpha)
-        beta_ref = frac(zpl_beta, p1 + p2 - psb_alpha)
+    psb_alpha = min(max(psb_area, p1), p1 + p2)
     return DwPartition(
         dw_mean=dw_mean,
         dw_alpha_bounds=(alpha_low, alpha_high),
         dw_beta_low=beta_low,
-        dw_alpha_refined=alpha_ref,
-        dw_beta_refined=beta_ref,
+        dw_alpha_refined=frac(zpl_alpha, psb_alpha),
+        dw_beta_refined=frac(zpl_beta, p1 + p2 - psb_alpha),
     )

@@ -50,7 +50,7 @@ def test_1_decay_round_trip_fast_emitter():
     )
     res = fit_decay(generate(spec))
     elapsed = time.time() - t0
-    tau, s3 = res.components[0][1], res.sigma3[1]
+    tau, s3 = res.components[0][1], res.fit.sigma3[1]
     ok = (abs(tau - 164.2) <= s3 and abs(tau - 164.2) <= 1.5
           and res.model_kind == "single" and elapsed < 1.0)
     _verdict(1, "single-exp round trip",
@@ -70,8 +70,8 @@ def test_2_decay_round_trip_two_channels():
     elapsed = time.time() - t0
     taus = [c[1] for c in res.components]
     ok = (res.model_kind == "double"
-          and abs(taus[0] - 158.5) <= res.sigma3[1]
-          and abs(taus[1] - 43.3) <= res.sigma3[3]
+          and abs(taus[0] - 158.5) <= res.fit.sigma3[1]
+          and abs(taus[1] - 43.3) <= res.fit.sigma3[3]
           and elapsed < 1.0)
     _verdict(2, "double-exp round trip",
              ok, f"taus={taus[0]:.2f}/{taus[1]:.2f} ns in {elapsed:.2f} s")
@@ -95,7 +95,7 @@ def test_3_thermal_activation_recovery():
             noise={"kind": "gaussian", "sigma_frac": 0.02},
         ))) for seed in range(1000, 1150)]
         fitted = np.array([m.e_p for m in fits])
-        margin = np.array([m.sigma3[2] for m in fits])
+        margin = np.array([m.fit.sigma3[2] for m in fits])
         covered = np.mean(np.abs(fitted - e_p) <= margin)
         ok &= (covered >= 0.88
                and abs(np.median(fitted) - e_p) <= 0.5 * np.median(margin) / 3.0)
@@ -116,7 +116,7 @@ def test_4_huang_rhys_dw_identity():
         grid = default_hr_grid(model, step_mev=0.5, n_max=40)
         shape = hr_lineshape(model, grid)
         i_zpl = int(np.argmin(np.abs(grid - model.zpl_energy)))
-        worst = max(worst, abs(shape[i_zpl] - model.debye_waller))
+        worst = max(worst, abs(shape[i_zpl] - math.exp(-model.s_total)))
     ok &= worst < 1e-8
     _verdict(4, "DW = exp(-S) identity", ok, f"max ZPL-weight error {worst:.2e}")
 
@@ -179,7 +179,7 @@ def test_7_psb_dw_partitioning():
     spectrum = _composite_spectrum(5, {"kind": "none"})
     zpls = find_zpls(spectrum, ZPL_LINES)
     psb = fit_psb(spectrum, zpls)
-    part = partition_dw(spectrum, zpls, 60.0, psb_fit=psb)
+    part = partition_dw(spectrum, zpls, 60.0, psb.model.area)
     dw_true = 1400.0 / (1400.0 + 900.0 + 690.0)
     ok = abs(part.dw_mean - dw_true) <= 0.02
 
@@ -199,7 +199,7 @@ def test_7_psb_dw_partitioning():
         }
         zset = ZplSet(lines=lines)
         p = partition_dw(Spectrum(wavelengths=wl, intensities=dens), zset,
-                         float(rng.uniform(45.0, 80.0)))
+                         float(rng.uniform(45.0, 80.0)), 0.0)
         lo, hi = p.dw_alpha_bounds
         assert 0.0 <= lo <= hi <= 1.0 + 1e-9
         assert 0.0 <= p.dw_mean <= 1.0 + 1e-9
@@ -344,7 +344,7 @@ def test_10_psb_dw_poisson_round_trip():
     for seed, scale in enumerate(np.geomspace(0.3, 10.0, 20)):
         spectrum = _composite_spectrum(seed, {"kind": "poisson"}, float(scale), step_nm=0.05)
         zpls = find_zpls(spectrum, ZPL_LINES)
-        part = partition_dw(spectrum, zpls, 60.0, psb_fit=fit_psb(spectrum, zpls))
+        part = partition_dw(spectrum, zpls, 60.0, fit_psb(spectrum, zpls).model.area)
         dws.append(part.dw_alpha_refined)
     ok = max(abs(dw - dw_true) for dw in dws) <= 0.01
     _verdict(10, "sideband DW on Poisson spectra", ok,

@@ -1,5 +1,6 @@
 """Command-line pipeline: exit codes, reports, manifests, determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -249,6 +250,19 @@ def test_config_file_drives_run(decay_files, tmp_path):
     assert run("--config", str(bad)) == 2
 
 
+def test_config_with_a_command_is_a_usage_error(tmp_path, capsys):
+    # the command and its options would otherwise be dropped unread
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run(*BUDGET, "--out", str(a)) == 0
+    (a / "budget_report.txt").unlink()
+    capsys.readouterr()
+    assert run("--config", str(a / "budget_manifest.json"), *BUDGET, "--out", str(b)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: sicpl")
+    assert err.endswith("error: --config replays a manifest's command, got 'budget' too\n")
+    assert not (a / "budget_report.txt").exists() and not b.exists()
+
+
 def test_fit_thermal_cli(tmp_path):
     from sicpl.decay import thermal_lifetime
     pts = tmp_path / "pts.txt"
@@ -434,6 +448,20 @@ MALFORMED = {
     "budget-s-nan": ({}, BUDGET[:-2] + ["--s", "nan", "--out", "out"], "s_th"),
     "budget-tau-rad-inf": ({}, ["budget", "--tau-rad", "inf", *BUDGET[3:], "--out", "out"],
                            "tau_rad"),
+    # the site names the budget JSON, which would land outside --out
+    "budget-site-path": ({}, BUDGET + ["--site", "a/b", "--out", "out"],
+                         "error: --site 'a/b' must not contain a path separator\n"),
+    "sweep-other-name": ({}, CAVITY + ["--sweep", "roc=1:2:3", "--out", "out"],
+                         "--sweep must look like finesse=start:stop:n, got 'roc=1:2:3'"),
+    "report-site-number": ({"b.json": '{"site": 5}'},
+                           ["report", "--inputs", "b.json", "--out", "out"],
+                           "b.json: 'site' must be a string, got 5"),
+    "window-too-few-bins": ({"t.txt": TRACE}, ["fit-decay", "--trace", "t.txt", "--pulse-ns",
+                                               "20", "--window", "22,24", "--out", "out"],
+                            "fit window contains fewer than 5 bins"),
+    "sidecar-no-equals": ({"t.txt": TRACE, "m.meta": "pulse_time_ns 20\n"},
+                          ["fit-decay", "--trace", "t.txt", "--meta", "m.meta", "--out", "out"],
+                          "m.meta:1: expected key = value"),
     "config-inputs-list": ({"run.json": '{"command": "budget", "inputs": ["a"]}'},
                            ["--config", "run.json"], "run.json"),
     "config-input-is-a-directory": (
@@ -603,6 +631,9 @@ def test_malformed_input_exit_2(tmp_path, capsys, files, argv, named):
     # a message names each file once: no handler adds a path the error has
     for name in files:
         assert err.count(str(tmp_path / name)) <= 1, name
+    # and a refused run writes no file
+    out = tmp_path / "out"
+    assert not out.is_dir() or not any(out.iterdir())
 
 
 def test_parser_keeps_no_state_between_runs(decay_files):
@@ -858,6 +889,7 @@ STALE_RESULTS = {
     "no-lines-digest-key": _edit_result(lambda data: data.pop("lines_sha256")),
     # a result from before zpl stored its spectrum
     "no-npy-digest-key": _edit_result(lambda data: data.pop("spectrum_npy_sha256")),
+    "not-an-object": lambda result, npy, lines, other: result.write_text("[1, 2]"),
     "npy-missing": lambda result, npy, lines, other: npy.unlink(),
     "npy-edited-byte": lambda result, npy, lines, other: npy.write_bytes(
         npy.read_bytes()[:-1] + bytes([npy.read_bytes()[-1] ^ 1])),
@@ -894,6 +926,48 @@ def test_fit_psb_refits_beside_a_stale_zpl_result(tmp_path, monkeypatch, change)
     manifest = json.loads((shared / "fit-psb_manifest.json").read_text())
     for name in ("zpl_result.json", "zpl_spectrum.npy"):
         assert str(shared / name) not in manifest["inputs"]
+
+
+def _swap_alpha_labels(lines, out):
+    text = lines.read_text().replace("alpha3,", "@,").replace("alpha2,", "alpha3,")
+    lines.write_text(text.replace("@,", "alpha2,"))
+
+
+def _alpha3_area_zero(lines, out):
+    """zpl's stored result for `lines`, with an alpha3 area of 0 that
+    fit-psb takes as stored: a line may hold no counts."""
+    assert run("zpl", "--spectrum", str(lines.parent / "spec.txt"), "--zpl-config",
+               str(lines), "--out", str(out)) == 0
+    data = json.loads((out / "zpl_result.json").read_text())
+    data["lines"][0].update(area=0.0)
+    data["lines_sha256"] = hashlib.sha256(
+        json.dumps(data["lines"], sort_keys=True).encode()).hexdigest()
+    (out / "zpl_result.json").write_text(json.dumps(data))
+
+
+# name: (change(ZPL config, --out) made before fit-psb runs, its error);
+# the sideband doublet comes from the fitted alpha2 and alpha3 lines alone
+DOUBLET_REFUSED = {
+    "alpha3-only": (lambda lines, out: lines.write_text("alpha3, 1280.0, 3.0\n"),
+                    "zpls must contain the 'alpha2' line of the alpha doublet"),
+    "alpha2-below-alpha3": (_swap_alpha_labels,
+                            "'alpha2' must lie above 'alpha3', splitting -1.470 meV"),
+    "alpha3-area-zero": (_alpha3_area_zero,
+                         "the 'alpha2'/'alpha3' doublet ratio needs an 'alpha3' area > 0"),
+}
+
+
+@pytest.mark.parametrize("change, message", DOUBLET_REFUSED.values(),
+                         ids=DOUBLET_REFUSED.keys())
+def test_fit_psb_refuses_a_set_without_the_alpha_doublet(tmp_path, capsys, change, message):
+    spectrum, lines = _spectrum_files(tmp_path)
+    out = tmp_path / "out"
+    change(lines, out)
+    capsys.readouterr()
+    assert run("fit-psb", "--spectrum", str(spectrum), "--zpl-config", str(lines),
+               "--partition-mev", "60", "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (out / "fit-psb_report.txt").exists()
 
 
 # name: an edit of the stored doublet splitting or warnings, which are for

@@ -31,6 +31,14 @@ def test_spectrum_validation():
     bad[3] = np.nan
     with pytest.raises(ValidationError):
         Spectrum(wavelengths=wl, intensities=bad)
+    for x, y in ((wl.reshape(5, 10), it.reshape(5, 10)), (wl, it[:-1])):
+        with pytest.raises(ValidationError, match="must be 1-D and equal length"):
+            Spectrum(wavelengths=x, intensities=y)
+    with pytest.raises(ValidationError, match="need at least 2 points"):
+        Spectrum(wavelengths=wl[:1], intensities=it[:1])
+    for end in (np.nan, np.inf):
+        with pytest.raises(ValidationError, match="non-finite wavelength"):
+            Spectrum(wavelengths=np.append(wl[:-1], end), intensities=it)
 
 
 def test_trace_temperature_must_be_finite_and_positive():

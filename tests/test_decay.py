@@ -18,6 +18,7 @@ from sicpl.decay import (
     thermal_lifetime,
 )
 from sicpl.errors import DegenerateFitError, FitError, ValidationError
+from sicpl.nls import FitResult
 from sicpl.synth import GeneratorSpec, generate
 
 
@@ -53,7 +54,7 @@ def test_single_fit_recovers_truth():
     tr = make_trace([(1e4, 164.2)], seed=42)
     res = fit_decay(tr, kind="single")
     A, tau = res.components[0]
-    assert abs(tau - 164.2) <= res.sigma3[1]
+    assert abs(tau - 164.2) <= res.fit.sigma3[1]
     assert res.fit.converged
     assert res.model_kind == "single"
 
@@ -70,8 +71,8 @@ def test_auto_selects_double_on_double_data():
     assert res.model_kind == "double"
     taus = [tau for _, tau in res.components]
     assert taus[0] > taus[1]  # reported slow-first
-    assert abs(taus[0] - 158.5) <= res.sigma3[1]
-    assert abs(taus[1] - 43.3) <= res.sigma3[3]
+    assert abs(taus[0] - 158.5) <= res.fit.sigma3[1]
+    assert abs(taus[1] - 43.3) <= res.fit.sigma3[3]
 
 
 def test_forced_double_on_single_data_collapses():
@@ -300,6 +301,15 @@ def test_score_screen_weights_are_the_single_fits_own(monkeypatch):
     assert worst < 1e-5
 
 
+def test_score_screen_takes_a_singular_normal_matrix_as_evidence():
+    # a single fit with A1 = 0 has no tau column: J'WJ is singular, and the
+    # screen asks for the double fit instead of dividing by zero
+    t = np.arange(2.0, 200.0)
+    single = FitResult(parameters=np.array([0.0, 50.0]), covariance=np.zeros((2, 2)),
+                       reduced_chi2=0.0, n_iterations=1, converged=True, cost=0.0)
+    assert decay._needs_double(t, np.zeros(t.size), single, np.ones(t.size)) is True
+
+
 @pytest.mark.parametrize("kind", ["single", "double"])
 def test_forced_kinds_never_consult_the_screen(monkeypatch, kind):
     calls = _record_screen(monkeypatch)
@@ -361,7 +371,7 @@ def test_fit_thermal_recovery():
     # (coverage ~0.81) or an E_p biased by its own sd fail it.
     fits = [fit_thermal(generate(thermal_spec(seed))) for seed in range(150)]
     e_p = np.array([m.e_p for m in fits])
-    margin = np.array([m.sigma3[2] for m in fits])
+    margin = np.array([m.fit.sigma3[2] for m in fits])
     assert np.mean(np.abs(e_p - 28.0) <= margin) >= 0.88
     assert abs(np.median(e_p) - 28.0) <= 0.5 * np.median(margin) / 3.0
     m = fit_thermal(generate(thermal_spec(11)))
@@ -383,8 +393,8 @@ ZERO_WEIGHT_COLDEST = [
 
 def test_fit_thermal_zero_weight_coldest_point():
     m = fit_thermal(ZERO_WEIGHT_COLDEST)
-    assert abs(m.e_p - 28.0) <= m.sigma3[2]
-    assert abs(m.tau - 164.2) <= m.sigma3[0]
+    assert abs(m.e_p - 28.0) <= m.fit.sigma3[2]
+    assert abs(m.tau - 164.2) <= m.fit.sigma3[0]
 
 
 THERMAL_TEMPS = np.array([4.0, 25.0, 50.0, 75.0, 100.0, 125.0, 150.0, 175.0])
@@ -419,6 +429,13 @@ def test_fit_thermal_minimizes_once(monkeypatch):
 def test_fit_thermal_input_guards():
     with pytest.raises(ValidationError):
         fit_thermal([(4.0, 160.0, 1.0)] * 3)  # too few points
+    for pairs in ([(4.0, 160.0)] * 4, [4.0, 25.0, 50.0, 75.0]):
+        with pytest.raises(ValidationError, match=r"\(T, tau_tot, sigma\) triples"):
+            fit_thermal(pairs)
+    for cold in (0.0, -4.0):
+        with pytest.raises(ValidationError, match="temperatures must be positive"):
+            fit_thermal([(cold, 160.0, 1.0), (25.0, 159.0, 1.0),
+                         (50.0, 150.0, 1.0), (75.0, 140.0, 1.0)])
     with pytest.raises(DegenerateFitError):
         fit_thermal([(4.0, 160.0, 1.0), (4.0, 161.0, 1.0),
                      (50.0, 150.0, 1.0), (50.0, 149.0, 1.0)])  # 2 temps
@@ -439,7 +456,7 @@ def test_pool_single_channel():
     pooled = pool_lifetimes([(160.0, 2.0), (164.0, 4.0), (162.0, 3.0)])
     assert len(pooled) == 1
     ch = pooled[0]
-    assert ch.n_members == 3
+    assert len(ch.members) == 3
     # inverse-variance mean and its error
     w = np.array([1 / 4.0, 1 / 16.0, 1 / 9.0])
     t = np.array([160.0, 164.0, 162.0])

@@ -270,6 +270,23 @@ def test_non_finite_trial_jacobian_raises_the_damping():
     assert bad_trials
 
 
+def test_damping_that_stalls_ends_the_fit_at_the_start():
+    # the model is finite at the start point only: every trial is rejected,
+    # the damping passes 1e14, and the fit returns the start after 1 iteration
+    x = np.linspace(0.0, 50.0, 40)
+    y = exp_decay(np.array([100.0, 12.0]), x)
+    p0 = np.array([5.0, 60.0])
+
+    def model(p, t):
+        if np.array_equal(p, p0):
+            return EXP_DECAY(p, t)
+        return np.full(t.shape, np.nan), np.full((t.size, 2), np.nan)
+
+    fit = minimize(FitProblem(model=model, x=x, y=y, p0=p0))
+    assert fit.n_iterations == 1
+    assert np.array_equal(fit.parameters, p0)
+
+
 def test_non_finite_jacobian_rejected():
     x = np.linspace(0.0, 5.0, 10)
 

@@ -15,7 +15,6 @@ from sicpl.nls import finite_diff_jacobian, minimize
 from sicpl.spectrum import (
     EV_NM_MEV,
     HRModel,
-    PsbFit,
     PsbModel,
     ZplLine,
     ZplSet,
@@ -61,6 +60,13 @@ def test_splitting_warning_when_off():
                               ("alpha2", c2_off, 0.30, 300.0)])
     zpls = find_zpls(sp, [("alpha3", 1280.0, 1.5), ("alpha2", c2_off, 1.5)])
     assert any("splitting" in w for w in zpls.warnings)
+
+
+def test_ordering_warning_when_alpha2_is_not_above_alpha3():
+    swapped = ZplSet(lines={"alpha3": ZplLine("alpha3", C2, 0.0, 0.3, False, 300.0),
+                            "alpha2": ZplLine("alpha2", 1280.0, 0.0, 0.3, False, 700.0)})
+    assert swapped.doublet_splitting_mev == pytest.approx(-1.47)
+    assert swapped.warnings == ["doublet energy ordering inconsistent (alpha2 <= alpha3)"]
 
 
 def test_resolution_limited_fwhm_is_upper_bound():
@@ -259,6 +265,8 @@ def test_psb_validation():
         PsbModel(i0=1.0, sigma=0.0, delta0=10.0)
     with pytest.raises(ValidationError):
         PsbModel(i0=1.0, sigma=1.0, delta0=10.0, doublet=(1.47, 1.5))
+    with pytest.raises(ValidationError, match="j_max must be >= 1"):
+        PsbModel(i0=1.0, sigma=1.0, delta0=10.0, j_max=0)
 
 
 def test_phonon_axis_preserves_area():
@@ -331,7 +339,7 @@ def test_hr_zero_coupling_is_pure_zpl():
     shape = hr_lineshape(model, grid)
     assert shape.sum() == pytest.approx(1.0)
     assert shape.max() == pytest.approx(1.0)
-    assert model.debye_waller == 1.0
+    assert math.exp(-model.s_total) == 1.0
 
 
 def test_hr_single_mode_poisson_weights():
@@ -420,7 +428,7 @@ def _zset(a3, a2, ab):
 def test_partition_bound_ordering():
     wl = np.linspace(1256.0, 1456.0, 300)
     sp = Spectrum(wavelengths=wl, intensities=np.full(wl.size, 2.0))
-    part = partition_dw(sp, _zset(7.0, 3.0, 4.0), 60.0)
+    part = partition_dw(sp, _zset(7.0, 3.0, 4.0), 60.0, 0.0)
     lo, hi = part.dw_alpha_bounds
     assert 0.0 <= lo <= hi <= 1.0
     assert 0.0 <= part.dw_mean <= 1.0
@@ -435,9 +443,8 @@ def test_partition_refined_fractions_stay_inside_their_bounds():
     for _ in range(2000):
         sp = Spectrum(wavelengths=wl, intensities=rng.uniform(0.0, 5.0, wl.size))
         areas = rng.uniform(0.0, 40.0, 3) * rng.integers(0, 2, 3)  # some areas 0
-        psb = PsbFit(model=PsbModel(i0=rng.uniform(0.0, 100.0), sigma=6.0, delta0=35.0),
-                     delta=None, alpha_model=None, beta_residual=None, fit=None)
-        part = partition_dw(sp, _zset(*areas), rng.uniform(20.0, 120.0), psb_fit=psb,
+        psb_area = PsbModel(i0=rng.uniform(0.0, 100.0), sigma=6.0, delta0=35.0).area
+        part = partition_dw(sp, _zset(*areas), rng.uniform(20.0, 120.0), psb_area,
                             area_correction=rng.uniform(1.0, 1.5))
         lo, hi = part.dw_alpha_bounds
         assert 0.0 <= lo <= part.dw_alpha_refined <= hi <= 1.0
@@ -456,12 +463,12 @@ def test_partition_area_correction():
     wl = np.linspace(1256.0, 1456.0, 300)
     sp = Spectrum(wavelengths=wl, intensities=np.full(wl.size, 2.0))
     z = _zset(7.0, 3.0, 4.0)
-    base = partition_dw(sp, z, 60.0)
-    corr = partition_dw(sp, z, 60.0, area_correction=1.2)
+    base = partition_dw(sp, z, 60.0, 0.0)
+    corr = partition_dw(sp, z, 60.0, 0.0, area_correction=1.2)
     assert corr.dw_mean < base.dw_mean  # more assumed sideband, smaller DW
     for bad in (0.9, math.nan, math.inf):
         with pytest.raises(ValidationError):
-            partition_dw(sp, z, 60.0, area_correction=bad)
+            partition_dw(sp, z, 60.0, 0.0, area_correction=bad)
 
 
 def test_partition_refuses_a_non_finite_energy():
@@ -470,11 +477,34 @@ def test_partition_refuses_a_non_finite_energy():
     sp = Spectrum(wavelengths=wl, intensities=np.full(wl.size, 2.0))
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValidationError):
-            partition_dw(sp, _zset(7.0, 3.0, 4.0), bad)
+            partition_dw(sp, _zset(7.0, 3.0, 4.0), bad, 0.0)
 
 
 def test_partition_requires_reference_line():
     wl = np.linspace(1256.0, 1456.0, 300)
     sp = Spectrum(wavelengths=wl, intensities=np.full(wl.size, 2.0))
     with pytest.raises(ValidationError):
-        partition_dw(sp, ZplSet(lines={}), 60.0)
+        partition_dw(sp, ZplSet(lines={}), 60.0, 0.0)
+
+
+def test_partition_refuses_a_bad_sideband_area():
+    wl = np.linspace(1256.0, 1456.0, 300)
+    sp = Spectrum(wavelengths=wl, intensities=np.full(wl.size, 2.0))
+    for bad in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValidationError, match="sideband area must be finite and >= 0"):
+            partition_dw(sp, _zset(7.0, 3.0, 4.0), 60.0, bad)
+
+
+def test_partition_refuses_a_spectrum_of_no_counts():
+    wl = np.linspace(1256.0, 1456.0, 300)
+    sp = Spectrum(wavelengths=wl, intensities=np.zeros(wl.size))
+    with pytest.raises(ValidationError, match="zero total spectrum area"):
+        partition_dw(sp, _zset(7.0, 3.0, 4.0), 60.0, 0.0)
+
+
+def test_fit_psb_refuses_too_few_sideband_samples():
+    # the spectrum ends 5 nm past alpha3: fewer than 10 bins of sideband
+    wl = np.linspace(1200.0, 1285.0, 100)
+    sp = Spectrum(wavelengths=wl, intensities=np.full(wl.size, 2.0))
+    with pytest.raises(ValidationError, match="too few sideband samples"):
+        fit_psb(sp, _zset(7.0, 3.0, 4.0))
