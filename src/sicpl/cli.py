@@ -549,12 +549,13 @@ def main(argv=None):
         if not getattr(args, "command", None):
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
-        # simulate writes next to --outfile, and its manifest goes with it
+        inputs = _Inputs()
+        report, text, files = HANDLERS[args.command](args, inputs)
+        # simulate writes next to --outfile, and its manifest goes with it;
+        # made only now, so a refused run leaves no directory behind
         out_dir = (os.path.dirname(os.path.abspath(args.outfile))
                    if args.command == "simulate" else args.out)
         os.makedirs(out_dir, exist_ok=True)
-        inputs = _Inputs()
-        report, text, files = HANDLERS[args.command](args, inputs)
         if report is not None:
             files = {report: text, **files}
             print(text, end="")

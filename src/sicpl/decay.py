@@ -137,21 +137,31 @@ def _default_window(trace, bg):
 def _exp_model(p, t):
     """(values, Jacobian) of sum_k A_k exp(-t / tau_k) in p = (A1, tau1) or,
     for two components, p = (A1, tau1, A2, r) with tau2 = r * tau1."""
+    # in place, each product in the order of the formula: t / -tau is -t / tau
     A1, tau1 = p[0], p[1]
-    e1 = np.exp(-t / tau1)
+    e1 = np.divide(t, -tau1)
+    np.exp(e1, out=e1)
     J = np.empty((t.size, p.size))
     J[:, 0] = e1
-    J[:, 1] = A1 * e1 * t / tau1**2
+    f = A1 * e1
+    d1 = f * t
+    d1 /= tau1**2
+    J[:, 1] = d1
     if p.size == 2:
-        return A1 * e1, J
+        return f, J
     A2, r = p[2], p[3]
-    e2 = np.exp(-t / (r * tau1))
-    # d/d tau1 and d/dr of A2 exp(-t / (r tau1)) share A2 e2 t / tau2
-    g2 = A2 * e2 * t / (r * tau1)
-    J[:, 1] += g2 / tau1
+    tau2 = r * tau1
+    e2 = np.divide(t, -tau2)
+    np.exp(e2, out=e2)
     J[:, 2] = e2
-    J[:, 3] = g2 / r
-    return A1 * e1 + A2 * e2, J
+    e2 *= A2
+    f += e2
+    # d/d tau1 and d/dr of A2 exp(-t / tau2) share A2 e2 t / tau2
+    g2 = e2 * t
+    g2 /= tau2
+    J[:, 1] += g2 / tau1
+    np.divide(g2, r, out=J[:, 3])
+    return f, J
 
 
 def _initial_tau(t, y):

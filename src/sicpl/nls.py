@@ -17,8 +17,12 @@ half-widths.
 Every fit's model returns its values and its analytic Jacobian
 together, from one computation: the exponential decays and tau(T)
 (`decay`), the ZPL Gaussian and the Gaussian sideband series
-(`spectrum`). `minimize` evaluates the model once per point it tries and
-keeps the Jacobian of the point it accepted for the next step and for
+(`spectrum`). `minimize` evaluates the model once per point it tries.
+The cost sum (W r) r and the gradient J^T (W r) share W r. A point is
+checked through them: its cost must be finite, and so must the gradient
+of the start and of a downhill trial, which a non-finite Jacobian entry
+reaches even where W r is 0 (NaN * 0 is NaN). An uphill trial's
+Jacobian is never read; an accepted point's serves the next step and
 the covariance. The central-difference
 `finite_diff_jacobian` of the values is the test oracle for all of them.
 """
@@ -126,11 +130,10 @@ def finite_diff_jacobian(model, p, xs, h=FD_STEP) -> np.ndarray:
 
 
 def _evaluate(problem, p):
-    """(cost, residuals, Jacobian) at p, from one model call.
-
-    Raises ValidationError if the model does not return (n,) values and an
-    (n, m) Jacobian, and EvaluationError if either is not finite.
-    """
+    """(cost, W r, Jacobian) at p from one model call, with r = y - f(p)
+    and the cost sum (W r) r. Raises ValidationError if the model does
+    not return (n,) values and an (n, m) Jacobian; finiteness is the
+    caller's check."""
     out = problem.model(p, problem.x)
     n, m = problem.y.size, p.size
     if not (isinstance(out, tuple) and len(out) == 2):
@@ -139,40 +142,35 @@ def _evaluate(problem, p):
     if f.shape != (n,) or J.shape != (n, m):
         raise ValidationError(f"model must return values of shape ({n},) and a jacobian "
                               f"of shape ({n}, {m}), got {f.shape} and {J.shape}")
-    if not np.isfinite(f).all():
-        raise EvaluationError("model returned non-finite values")
-    if not np.isfinite(J).all():
-        raise EvaluationError("model returned a non-finite Jacobian")
     r = problem.y - f
-    return float((problem.weights * r * r).sum()), r, J
+    Wr = problem.weights * r
+    return float((Wr * r).sum()), Wr, J
 
 
-def _covariance(problem, p, cost, J):
+def _covariance(problem, p, cost, J, Wc):
     """reduced_chi2 * (J^T W J)^-1 over the free parameters, from the
-    Jacobian J at p, symmetrized; equal-bound parameters get zero rows and
-    columns. Raises on rank deficiency."""
+    Jacobian J at p and the weights as a column Wc, symmetrized;
+    equal-bound parameters get zero rows and columns. Raises on rank
+    deficiency."""
     free = np.flatnonzero(problem.lower != problem.upper)
-    A = (J.T @ (problem.weights[:, None] * J))[np.ix_(free, free)]
+    block = np.ix_(free, free) if free.size < p.size else np.s_[:, :]
+    A = (J.T @ (Wc * J))[block]
     d = np.sqrt(np.diag(A))
     if np.any(d == 0):
-        names = [f"p[{i}]" for i in free[d == 0]]
-        raise DegenerateFitError(
-            "singular normal matrix; zero sensitivity to " + ", ".join(names)
-        )
+        raise DegenerateFitError("singular normal matrix; zero sensitivity to "
+                                 + ", ".join(f"p[{i}]" for i in free[d == 0]))
     # test rank on the correlation-scaled matrix so parameter units cancel
     As = A / np.outer(d, d)
     u, s, vt = np.linalg.svd(As)
     if s[-1] < 1e-10 * s[0]:
-        names = [f"p[{i}]" for i in free[np.abs(vt[-1]) > 0.1]]
-        raise DegenerateFitError(
-            "singular normal matrix; unidentifiable parameter direction involves "
-            + ", ".join(names)
-        )
+        names = ", ".join(f"p[{i}]" for i in free[np.abs(vt[-1]) > 0.1])
+        raise DegenerateFitError(f"singular normal matrix; unidentifiable parameter direction "
+                                 f"involves {names}")
     dof = problem.y.size - free.size
     red_chi2 = cost / dof if dof > 0 else 0.0
     As_inv = vt.T @ np.diag(1.0 / s) @ u.T
     cov = np.zeros((p.size, p.size))
-    cov[np.ix_(free, free)] = red_chi2 * (As_inv / np.outer(d, d))
+    cov[block] = red_chi2 * (As_inv / np.outer(d, d))
     cov = 0.5 * (cov + cov.T)
     return cov, red_chi2
 
@@ -184,34 +182,35 @@ def minimize(problem: FitProblem) -> FitResult:
     COST_TOL relative and its predicted reduction (2 s.g - s.A.s) / cost,
     with g and A the active-set gradient J^T W r and normal matrix
     J^T W J, is below COST_TOL too; converged is False when MAX_ITER is
-    hit first. A parameter that a step takes past a bound stops there,
-    and the damped system is solved again for the free parameters with
-    that move included. The model is evaluated once per point tried; a
-    trial point where it is not finite is rejected like an uphill one,
-    while at the start point that raises EvaluationError.
+    hit first. A trial point that fails the finiteness checks is rejected
+    like an uphill one; at the start point they raise EvaluationError.
     """
     p = problem.p0.copy()
-    cost, r, jac_p = _evaluate(problem, p)
+    lower, upper = problem.lower, problem.upper
+    Wc = problem.weights[:, None]
+    diagonal = slice(None, None, p.size + 1)
+    cost, Wr, jac_p = _evaluate(problem, p)
+    if not np.isfinite(cost):
+        raise EvaluationError("model returned non-finite values, or values whose cost overflows")
+    g_p = jac_p.T @ Wr
+    if not np.isfinite(g_p).all():
+        raise EvaluationError("model returned a non-finite Jacobian")
     lam = 1e-3
-    converged = False
-    n_iter = 0
     for n_iter in range(1, MAX_ITER + 1):
-        W, J = problem.weights, jac_p
-        g = J.T @ (W * r)
+        J, g = jac_p, g_p
         # active set: a zero column and gradient give a held parameter a zero step
-        held = ((p <= problem.lower) & (g <= 0)) | ((p >= problem.upper) & (g >= 0))
+        held = ((p <= lower) & (g <= 0)) | ((p >= upper) & (g >= 0))
         if held.any():
             J, g = np.where(held, 0.0, J), np.where(held, 0.0, g)
-        A = J.T @ (W[:, None] * J)
-        diag = A.diagonal()
-        diag = np.maximum(diag, 1e-14 * max(diag.max(), 1e-300))
-        accepted = False
+        A = J.T @ (Wc * J)
+        a_diag = A.diagonal()
+        diag = np.maximum(a_diag, 1e-14 * max(a_diag.max(), 1e-300))
+        damped = A.copy()
         while lam < 1e14:
-            damped = A.copy()
-            damped.flat[::p.size + 1] += lam * diag
+            np.add(a_diag, lam * diag, out=damped.reshape(-1)[diagonal])
             try:
                 trial = p + np.linalg.solve(damped, g)
-                p_new = np.minimum(np.maximum(trial, problem.lower), problem.upper)
+                p_new = np.minimum(np.maximum(trial, lower), upper)
                 crossed = p_new != trial
                 if crossed.any():
                     # hold what crossed at its bound; the free parameters absorb that move
@@ -219,28 +218,29 @@ def minimize(problem: FitProblem) -> FitResult:
                     s_c = p_new[crossed] - p[crossed]
                     s_f = np.linalg.solve(damped[np.ix_(free, free)],
                                           g[free] - A[np.ix_(free, crossed)] @ s_c)
-                    p_new[free] = np.minimum(np.maximum(p[free] + s_f, problem.lower[free]),
-                                             problem.upper[free])
-                cost_new, r_new, jac_new = _evaluate(problem, p_new)
+                    p_new[free] = np.minimum(np.maximum(p[free] + s_f, lower[free]), upper[free])
+                cost_new, Wr_new, jac_new = _evaluate(problem, p_new)
             except (np.linalg.LinAlgError, EvaluationError):
                 lam *= 10.0
                 continue
+            # a non-finite cost compares False; a non-finite Jacobian entry
+            # makes g non-finite even where W r is 0, as NaN * 0 is NaN
             if cost_new <= cost:
-                s = p_new - p
-                scale = max(cost, 1e-300)
-                actual = (cost - cost_new) / scale
-                predicted = (2.0 * (s @ g) - s @ A @ s) / scale
-                p, cost, r, jac_p = p_new, cost_new, r_new, jac_new
-                lam = max(lam / 10.0, 1e-12)
-                accepted = True
-                if (actual < COST_TOL and predicted < COST_TOL) or cost == 0.0:
-                    converged = True
-                break
+                g_new = jac_new.T @ Wr_new
+                if np.isfinite(g_new).all():
+                    s, scale = p_new - p, max(cost, 1e-300)
+                    # the predicted reduction is formed only when the actual one is small
+                    converged = ((cost - cost_new) / scale < COST_TOL and
+                                 (2.0 * (s @ g) - s @ A @ s) / scale < COST_TOL) or cost_new == 0.0
+                    p, cost, jac_p, g_p = p_new, cost_new, jac_new, g_new
+                    lam = max(lam / 10.0, 1e-12)
+                    break
             lam *= 10.0
-        if not accepted or converged:
-            converged = converged or not accepted  # stalled damping: local minimum
+        else:
+            converged = True   # stalled damping: a local minimum
+        if converged:
             break
-    cov, red_chi2 = _covariance(problem, p, cost, jac_p)
+    cov, red_chi2 = _covariance(problem, p, cost, jac_p, Wc)
     return FitResult(
         parameters=p,
         covariance=cov,

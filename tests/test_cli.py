@@ -451,6 +451,8 @@ MALFORMED = {
     # the site names the budget JSON, which would land outside --out
     "budget-site-path": ({}, BUDGET + ["--site", "a/b", "--out", "out"],
                          "error: --site 'a/b' must not contain a path separator\n"),
+    "budget-site-path-deep-out": ({}, BUDGET + ["--site", "a/b", "--out", "deep/new/out"],
+                                  "error: --site 'a/b' must not contain a path separator\n"),
     "sweep-other-name": ({}, CAVITY + ["--sweep", "roc=1:2:3", "--out", "out"],
                          "--sweep must look like finesse=start:stop:n, got 'roc=1:2:3'"),
     "report-site-number": ({"b.json": '{"site": 5}'},
@@ -621,7 +623,8 @@ def test_malformed_input_exit_2(tmp_path, capsys, files, argv, named):
     for name, text in files.items():
         if text is not None:
             (tmp_path / name).write_text(text)
-    argv = [str(tmp_path / a) if a in files or a == "out" else a for a in argv]
+    argv = [str(tmp_path / a) if a in files or a in ("out", "deep/new/out") else a
+            for a in argv]
     assert run(*argv) == 2
     err = capsys.readouterr().err
     if named.startswith("error: "):
@@ -631,9 +634,9 @@ def test_malformed_input_exit_2(tmp_path, capsys, files, argv, named):
     # a message names each file once: no handler adds a path the error has
     for name in files:
         assert err.count(str(tmp_path / name)) <= 1, name
-    # and a refused run writes no file
-    out = tmp_path / "out"
-    assert not out.is_dir() or not any(out.iterdir())
+    # and a refused run makes no --out directory, nor any parent of one
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "deep").exists()
 
 
 def test_parser_keeps_no_state_between_runs(decay_files):

@@ -251,17 +251,26 @@ def test_non_finite_trial_point_raises_the_damping():
     assert nan_trials
 
 
-def test_non_finite_trial_jacobian_raises_the_damping():
-    # where tau <= 0 the values match the data exactly but the Jacobian is
-    # NaN: such a trial is rejected, not accepted for its zero cost
-    x = np.linspace(0.0, 50.0, 40)
+@pytest.mark.parametrize("n", [10, 40, 67, 1600])
+@pytest.mark.parametrize("bad", ["every-bin", "one-bin-where-Wr-is-0"])
+def test_non_finite_trial_jacobian_raises_the_damping(n, bad):
+    # where tau <= 0 the values lie on or just beside the data and the
+    # Jacobian is NaN at some bins: such a trial is rejected, not accepted
+    # for its low cost. At one bin only, W r is exactly 0 there, so the NaN
+    # reaches the gradient J^T W r only as NaN * 0
+    x = np.linspace(0.0, 50.0, n)
     y = exp_decay(np.array([100.0, 12.0]), x)
+    k = n // 2
     bad_trials = []
 
     def model(p, t):
         if p[1] <= 0:
             bad_trials.append(p.copy())
-            return y.copy(), np.full((t.size, 2), np.nan)
+            if bad == "every-bin":
+                return y.copy(), np.full((t.size, 2), np.nan)
+            values, jac = y + 1e-3, np.ones((t.size, 2))
+            values[k], jac[k, 1] = y[k], np.nan
+            return values, jac
         return EXP_DECAY(p, t)
 
     fit = minimize(FitProblem(model=model, x=x, y=y, p0=np.array([5.0, 60.0])))
@@ -287,14 +296,35 @@ def test_damping_that_stalls_ends_the_fit_at_the_start():
     assert np.array_equal(fit.parameters, p0)
 
 
-def test_non_finite_jacobian_rejected():
-    x = np.linspace(0.0, 5.0, 10)
+@pytest.mark.parametrize("n", [10, 67, 1600])
+def test_non_finite_jacobian_rejected(n):
+    x = np.linspace(0.0, 5.0, n)
 
     def jac(p, xx):
         return np.full((xx.size, 2), np.nan)
 
     with pytest.raises(EvaluationError, match="Jacobian"):
         minimize(FitProblem(model=with_jacobian(linear, jac), x=x, y=x, p0=np.ones(2)))
+
+    # one NaN entry, at the one bin where W r is 0
+    def one_nan(p, xx):
+        J = linear_jac(p, xx)
+        J[n // 2, 1] = np.nan
+        return J
+
+    y = x.copy()
+    y[n // 2] = linear(np.ones(2), x[n // 2])
+    with pytest.raises(EvaluationError, match="Jacobian"):
+        minimize(FitProblem(model=with_jacobian(linear, one_nan), x=x, y=y, p0=np.ones(2)))
+
+
+def test_start_whose_finite_values_overflow_the_cost_raises():
+    # every value and weight is finite but sum W r^2 is not: a fit cannot
+    # start from an infinite cost, since any finite one would then be
+    # accepted as a reduction
+    x = np.linspace(0.0, 5.0, 10)
+    with np.errstate(over="ignore"), pytest.raises(EvaluationError, match="values"):
+        minimize(FitProblem(model=LINEAR, x=x, y=np.full(x.size, 1e200), p0=np.ones(2)))
 
 
 # ---------------------------------------------------------------------------
