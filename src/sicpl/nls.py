@@ -18,13 +18,12 @@ Every fit's model returns its values and its analytic Jacobian
 together, from one computation: the exponential decays and tau(T)
 (`decay`), the ZPL Gaussian and the Gaussian sideband series
 (`spectrum`). `minimize` evaluates the model once per point it tries.
-The cost sum (W r) r and the gradient J^T (W r) share W r. A point is
-checked through them: its cost must be finite, and so must the gradient
-of the start and of a downhill trial, which a non-finite Jacobian entry
-reaches even where W r is 0 (NaN * 0 is NaN). An uphill trial's
-Jacobian is never read; an accepted point's serves the next step and
-the covariance. The central-difference
-`finite_diff_jacobian` of the values is the test oracle for all of them.
+The cost (W r) r and the gradient J^T (W r) share W r and carry the
+finiteness checks: a point's cost must be finite, and so must the
+gradient of the start and of a downhill trial, which any non-finite
+Jacobian entry reaches, even where W r is 0 (NaN * 0 is NaN). The
+central-difference `finite_diff_jacobian` of the values is the test
+oracle for all of them.
 """
 
 from __future__ import annotations
@@ -130,10 +129,9 @@ def finite_diff_jacobian(model, p, xs, h=FD_STEP) -> np.ndarray:
 
 
 def _evaluate(problem, p):
-    """(cost, W r, Jacobian) at p from one model call, with r = y - f(p)
-    and the cost sum (W r) r. Raises ValidationError if the model does
-    not return (n,) values and an (n, m) Jacobian; finiteness is the
-    caller's check."""
+    """(sum (W r) r, W r, Jacobian) at p from one model call, r = y - f(p).
+    Raises ValidationError unless the model returns (n,) values and an
+    (n, m) Jacobian; finiteness is the caller's check."""
     out = problem.model(p, problem.x)
     n, m = problem.y.size, p.size
     if not (isinstance(out, tuple) and len(out) == 2):
@@ -149,23 +147,26 @@ def _evaluate(problem, p):
 
 def _covariance(problem, p, cost, J, Wc):
     """reduced_chi2 * (J^T W J)^-1 over the free parameters, from the
-    Jacobian J at p and the weights as a column Wc, symmetrized;
-    equal-bound parameters get zero rows and columns. Raises on rank
-    deficiency."""
+    Jacobian J at p and the weight column Wc, symmetrized; equal-bound
+    parameters get zero rows and columns. Raises on rank deficiency."""
     free = np.flatnonzero(problem.lower != problem.upper)
     block = np.ix_(free, free) if free.size < p.size else np.s_[:, :]
     A = (J.T @ (Wc * J))[block]
     d = np.sqrt(np.diag(A))
     if np.any(d == 0):
-        raise DegenerateFitError("singular normal matrix; zero sensitivity to "
-                                 + ", ".join(f"p[{i}]" for i in free[d == 0]))
+        names = [f"p[{i}]" for i in free[d == 0]]
+        raise DegenerateFitError(
+            "singular normal matrix; zero sensitivity to " + ", ".join(names)
+        )
     # test rank on the correlation-scaled matrix so parameter units cancel
     As = A / np.outer(d, d)
     u, s, vt = np.linalg.svd(As)
     if s[-1] < 1e-10 * s[0]:
-        names = ", ".join(f"p[{i}]" for i in free[np.abs(vt[-1]) > 0.1])
-        raise DegenerateFitError(f"singular normal matrix; unidentifiable parameter direction "
-                                 f"involves {names}")
+        names = [f"p[{i}]" for i in free[np.abs(vt[-1]) > 0.1]]
+        raise DegenerateFitError(
+            "singular normal matrix; unidentifiable parameter direction involves "
+            + ", ".join(names)
+        )
     dof = problem.y.size - free.size
     red_chi2 = cost / dof if dof > 0 else 0.0
     As_inv = vt.T @ np.diag(1.0 / s) @ u.T
@@ -223,8 +224,7 @@ def minimize(problem: FitProblem) -> FitResult:
             except (np.linalg.LinAlgError, EvaluationError):
                 lam *= 10.0
                 continue
-            # a non-finite cost compares False; a non-finite Jacobian entry
-            # makes g non-finite even where W r is 0, as NaN * 0 is NaN
+            # a non-finite cost compares False; a non-finite J makes g non-finite
             if cost_new <= cost:
                 g_new = jac_new.T @ Wr_new
                 if np.isfinite(g_new).all():
