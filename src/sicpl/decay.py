@@ -94,7 +94,7 @@ def _thermal_model(p, T):
     """(values, Jacobian) of thermal_lifetime in p = (tau, tau_p, E_p)."""
     tau, tau_p, e_p = p
     boltz, rate = _thermal_rate(T, tau, tau_p, e_p)
-    J = np.empty((T.size, 3))
+    J = np.empty((T.size, 3), order="F")
     J[:, 0] = 1.0 / (rate * tau) ** 2
     J[:, 1] = boltz / (rate * tau_p) ** 2
     J[:, 2] = boltz / (tau_p * rate**2 * KB_MEV_PER_K * T)
@@ -137,30 +137,29 @@ def _default_window(trace, bg):
 def _exp_model(p, t):
     """(values, Jacobian) of sum_k A_k exp(-t / tau_k) in p = (A1, tau1) or,
     for two components, p = (A1, tau1, A2, r) with tau2 = r * tau1."""
-    # in place, each product in the order of the formula: t / -tau is -t / tau
+    # in place, into J's columns, each product in the order of the formula:
+    # t / -tau is -t / tau
     A1, tau1 = p[0], p[1]
-    e1 = np.divide(t, -tau1)
+    J = np.empty((t.size, p.size), order="F")
+    e1 = np.divide(t, -tau1, out=J[:, 0])
     np.exp(e1, out=e1)
-    J = np.empty((t.size, p.size))
-    J[:, 0] = e1
     f = A1 * e1
-    d1 = f * t
+    d1 = np.multiply(f, t, out=J[:, 1])
     d1 /= tau1**2
-    J[:, 1] = d1
     if p.size == 2:
         return f, J
     A2, r = p[2], p[3]
     tau2 = r * tau1
-    e2 = np.divide(t, -tau2)
+    e2 = np.divide(t, -tau2, out=J[:, 2])
     np.exp(e2, out=e2)
-    J[:, 2] = e2
-    e2 *= A2
-    f += e2
+    g2 = e2 * A2
+    f += g2
     # d/d tau1 and d/dr of A2 exp(-t / tau2) share A2 e2 t / tau2
-    g2 = e2 * t
+    g2 *= t
     g2 /= tau2
-    J[:, 1] += g2 / tau1
     np.divide(g2, r, out=J[:, 3])
+    g2 /= tau1
+    d1 += g2
     return f, J
 
 

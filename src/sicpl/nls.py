@@ -71,12 +71,19 @@ class FitProblem:
         if n < m:
             raise ValidationError(f"need >= {m} data points, got {n}")
         if self.weights is None:
-            self.weights = np.ones(n)
+            self.weights = np.ones_like(self.y)
         self.weights = np.asarray(self.weights, dtype=float)
+        if self.weights.shape != self.y.shape:
+            raise ValidationError(f"weights must have the shape of y {self.y.shape}, "
+                                  f"got {self.weights.shape}")
         if np.any(~np.isfinite(self.weights)) or np.any(self.weights <= 0):
             raise ValidationError("weights must be positive and finite")
         self.lower = np.full(m, -np.inf) if self.lower is None else np.asarray(self.lower, float)
         self.upper = np.full(m, np.inf) if self.upper is None else np.asarray(self.upper, float)
+        for name in ("lower", "upper"):
+            if getattr(self, name).shape != self.p0.shape:
+                raise ValidationError(f"{name} must have the shape of p0 {self.p0.shape}, "
+                                      f"got {getattr(self, name).shape}")
         if np.any(self.p0 < self.lower) or np.any(self.p0 > self.upper):
             raise ValidationError("initial guess outside bounds")
         if np.all(self.lower == self.upper):
@@ -114,7 +121,7 @@ def finite_diff_jacobian(model, p, xs, h=FD_STEP) -> np.ndarray:
         raise ValidationError(f"finite-difference step h must be in (0, 1e-2], got {h}")
     p = np.asarray(p, dtype=float)
     xs = np.asarray(xs, dtype=float)
-    J = np.empty((xs.size, p.size))
+    J = np.empty((xs.size, p.size), order="F")
     for j in range(p.size):
         step = h * max(abs(p[j]), 1.0)
         pp, pm = p.copy(), p.copy()

@@ -101,7 +101,7 @@ def _gaussian_model(p, x):
     B, A, c, s = p
     e = np.exp(-((x - c) ** 2) / (2.0 * s**2))
     u = (x - c) / s
-    J = np.empty((x.size, 4))
+    J = np.empty((x.size, 4), order="F")
     J[:, 0] = 1.0
     J[:, 1] = e
     J[:, 2] = A * e * u / s
@@ -260,7 +260,7 @@ def _psb_model(j_max, doublet):
 
     def model(p, d):
         i0, sigma, delta0 = max(p[0], 0.0), p[1], p[2]
-        J = np.zeros((d.size, 3))
+        J = np.zeros((d.size, 3), order="F")
         for centre, w, g, gs in _psb_series(d, sigma, delta0, j_max, doublet):
             x = d - centre
             J[:, 0] += w * g
