@@ -17,7 +17,11 @@ half-widths.
 Every fit's model returns its values and its analytic Jacobian
 together, from one computation: the exponential decays and tau(T)
 (`decay`), the ZPL Gaussian and the Gaussian sideband series
-(`spectrum`). `minimize` evaluates the model once per point it tries.
+(`spectrum`). Each builds its Jacobian column-major (order="F"), as
+`minimize` reads it by columns: J^T W J, J^T (W r) and the active set's
+zeroed columns then run along contiguous memory. A row-major Jacobian
+gives the same fits, slower and different in their last bits only.
+`minimize` evaluates the model once per point it tries.
 The cost (W r) r and the gradient J^T (W r) share W r and carry the
 finiteness checks: a point's cost must be finite, and so must the
 gradient of the start and of a downhill trial, which any non-finite
@@ -46,6 +50,9 @@ class FitProblem:
     model(p, x) takes a parameter vector and an abscissa array and returns
     (values, jacobian): the (n,) predicted values and the (n, m) matrix of
     d values / d p_j at the same point, so both may share one computation.
+    Build the Jacobian column-major: `minimize` reads it by columns, and
+    the layout changes its speed and only the last bits of the fit.
+    weights has the shape of y, and lower and upper that of p0.
     The test suite checks each Jacobian against `finite_diff_jacobian` of
     the values. lower[j] == upper[j] holds p[j] at that value on every
     step of `minimize`'s active set.
@@ -80,10 +87,10 @@ class FitProblem:
             raise ValidationError("weights must be positive and finite")
         self.lower = np.full(m, -np.inf) if self.lower is None else np.asarray(self.lower, float)
         self.upper = np.full(m, np.inf) if self.upper is None else np.asarray(self.upper, float)
-        for name in ("lower", "upper"):
-            if getattr(self, name).shape != self.p0.shape:
+        for name, bound in (("lower", self.lower), ("upper", self.upper)):
+            if bound.shape != self.p0.shape:
                 raise ValidationError(f"{name} must have the shape of p0 {self.p0.shape}, "
-                                      f"got {getattr(self, name).shape}")
+                                      f"got {bound.shape}")
         if np.any(self.p0 < self.lower) or np.any(self.p0 > self.upper):
             raise ValidationError("initial guess outside bounds")
         if np.all(self.lower == self.upper):

@@ -1,14 +1,22 @@
 """Fit-engine behavior: exact linear problems, synthetic recovery,
 degeneracy reporting and the finite-difference oracle."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sicpl import nls
+from sicpl import decay, nls, spectrum
+from sicpl.decay import fit_decay
 from sicpl.errors import DegenerateFitError, EvaluationError, ValidationError
 from sicpl.nls import FitProblem, finite_diff_jacobian, minimize
+from sicpl.spectrum import find_zpls, fit_psb
+from sicpl.synth import GeneratorSpec, generate
+from test_decay import _bench_traces
+from test_spectrum import C2, CB
 
 
 def linear(p, x):
@@ -139,6 +147,17 @@ def test_validation():
         for xs, ys in ((np.array([0.0, bad, 2.0]), x), (x, np.array([0.0, 1.0, bad]))):
             with pytest.raises(ValidationError, match="x and y must be finite"):
                 FitProblem(model=LINEAR, x=xs, y=ys, p0=np.ones(2))
+
+
+def test_fit_problem_checks_the_shapes_of_weights_and_bounds():
+    # none broadcast: shape (1,) used to be spread over every point or
+    # parameter, and (3,) or (9,) ended in numpy's own ValueError
+    x = np.arange(10.0)
+    for field, value, of in (("weights", np.ones(1), "y (10,)"), ("weights", np.ones(9), "y (10,)"),
+                             ("lower", np.zeros(1), "p0 (2,)"), ("upper", np.ones(3), "p0 (2,)")):
+        message = f"{field} must have the shape of {of}, got {value.shape}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            FitProblem(model=LINEAR, x=x, y=x, p0=np.full(2, 0.5), **{field: value})
 
 
 def test_equal_bounds_pin_a_parameter():
@@ -443,3 +462,112 @@ def test_max_iter_reported(monkeypatch):
     fit = minimize(FitProblem(model=with_jacobian(model, oracle(model)), x=x, y=y,
                               p0=np.array([0.5, 0.9, 0.1])))
     assert fit.n_iterations <= 2
+
+
+# ---------------------------------------------------------------------------
+# Jacobian layout: minimize reads J by columns (J^T W J, J^T W r, the
+# active set), so every fit model builds it column-major
+
+LAYOUT_P_TOL = 1e-8       # |parameter difference| / sigma, row- against column-major J
+LAYOUT_SIGMA_TOL = 1e-6   # |sigma difference| / sigma
+SPECTRUM_TRUTH = {"zpl": [("alpha3", 1280.0, 0.3, 700.0), ("alpha2", C2, 0.3, 300.0),
+                          ("beta", CB, 0.3, 400.0)],
+                  "psb": [{"i0": 90.0, "sigma": 6.0, "delta0": 35.0, "j_max": 10,
+                           "e_ref_nm": 1280.0, "doublet": [1.47, 300.0 / 700.0]},
+                          {"i0": 230.0, "sigma": 6.0, "delta0": 50.0, "j_max": 3,
+                           "e_ref_nm": CB}]}
+
+
+LAYOUT_CASES = {
+    "exp-single": (decay._exp_model, [1e3, 160.0], np.arange(2.0, 1700.0)),
+    "exp-double": (decay._exp_model, [1e3, 160.0, 500.0, 0.3], np.arange(2.0, 1700.0)),
+    "thermal": (decay._thermal_model, [164.2, 83.0, 28.0], np.linspace(4.0, 200.0, 12)),
+    "gaussian": (spectrum._gaussian_model, [1.0, 100.0, 1280.0, 0.2],
+                 np.linspace(1270.0, 1290.0, 401)),
+    "psb-doublet": (spectrum._psb_model(spectrum.PSB_J_MAX, (1.47, 0.4)), [90.0, 6.0, 35.0],
+                    np.linspace(0.0, 80.0, 500)),
+    "finite-diff": (with_jacobian(linear, oracle(linear)), [2.0, -3.0], np.linspace(0.0, 4.0, 9)),
+}
+
+
+@pytest.mark.parametrize("case", LAYOUT_CASES)
+def test_fit_models_build_column_major_jacobians(case):
+    model, p, x = LAYOUT_CASES[case]
+    _, J = model(np.array(p), x)
+    assert J.shape == (x.size, len(p)) and J.flags.f_contiguous
+
+
+def _row_major(problem):
+    """The problem with its model's Jacobian copied to C order."""
+    def model(p, x):
+        f, J = problem.model(p, x)
+        return f, np.ascontiguousarray(J)
+
+    return dataclasses.replace(problem, model=model)
+
+
+def _fit_both_layouts(monkeypatch, module, pairs):
+    """Make module.minimize fit each problem as built and _row_major; pairs
+    gains both outcomes (FitResult or error), and the caller goes on with
+    the first."""
+    real = module.minimize
+
+    def both(problem):
+        outcomes = []
+        for prob in (problem, _row_major(problem)):
+            try:
+                outcomes.append(real(prob))
+            except (DegenerateFitError, EvaluationError) as exc:
+                outcomes.append(exc)
+        pairs.append(outcomes)
+        if isinstance(outcomes[0], Exception):
+            raise outcomes[0]
+        return outcomes[0]
+
+    monkeypatch.setattr(module, "minimize", both)
+
+
+def _assert_last_bits_only(pairs):
+    """Column-major and row-major fits of one problem take the same
+    iterations and end with parameters within LAYOUT_P_TOL sigma and sigmas
+    within LAYOUT_SIGMA_TOL of each other, or raise the same error."""
+    for ours, rows in pairs:
+        if isinstance(ours, Exception):
+            assert type(rows) is type(ours) and str(rows) == str(ours)
+            continue
+        assert (rows.n_iterations, rows.converged) == (ours.n_iterations, ours.converged)
+        sigma = ours.sigma
+        assert np.all(np.abs(rows.parameters - ours.parameters) <= LAYOUT_P_TOL * sigma)
+        assert np.all(np.abs(rows.sigma - sigma) <= LAYOUT_SIGMA_TOL * sigma)
+
+
+@pytest.mark.parametrize("truth", ["single", "double"])
+def test_jacobian_layout_moves_decay_fits_only_in_their_last_bits(monkeypatch, truth):
+    """Every fit_decay problem on 24 seeded traces at the lifetime-study
+    counts, fitted column-major and row-major: see _assert_last_bits_only.
+    A whole fit_decay in row-major picks the same model kind."""
+    real, pairs = decay.minimize, []
+    for trace in _bench_traces(truth, 24):
+        with monkeypatch.context() as m:
+            m.setattr(decay, "minimize", lambda problem: real(_row_major(problem)))
+            kind = fit_decay(trace).model_kind
+        with monkeypatch.context() as m:
+            _fit_both_layouts(m, decay, pairs)
+            assert fit_decay(trace).model_kind == kind
+    _assert_last_bits_only(pairs)
+
+
+def test_jacobian_layout_moves_spectrum_fits_only_in_their_last_bits(monkeypatch):
+    """Every find_zpls and fit_psb problem on two seeded Poisson spectra,
+    fitted column-major and row-major: see _assert_last_bits_only."""
+    pairs = []
+    _fit_both_layouts(monkeypatch, spectrum, pairs)
+    for seed in (0, 1):
+        sp = generate(GeneratorSpec(seed=seed, kind="spectrum", truth=SPECTRUM_TRUTH,
+                                    noise={"kind": "poisson"},
+                                    sampling={"wl_start": 1255.0, "wl_end": 1470.0,
+                                              "step_nm": 0.2}))
+        fit_psb(sp, find_zpls(sp, [("alpha3", 1280.0, 3.0), ("alpha2", C2, 3.0),
+                                   ("beta", CB, 4.0)]))
+    assert len(pairs) == 8
+    _assert_last_bits_only(pairs)
