@@ -16,7 +16,7 @@ from sicpl.nls import FitProblem, finite_diff_jacobian, minimize
 from sicpl.spectrum import find_zpls, fit_psb
 from sicpl.synth import GeneratorSpec, generate
 from test_decay import _bench_traces
-from test_spectrum import C2, CB
+from test_spectrum import C2, CB, ZPL_PSB_TRUTH
 
 
 def linear(p, x):
@@ -468,14 +468,10 @@ def test_max_iter_reported(monkeypatch):
 # Jacobian layout: minimize reads J by columns (J^T W J, J^T W r, the
 # active set), so every fit model builds it column-major
 
-LAYOUT_P_TOL = 1e-8       # |parameter difference| / sigma, row- against column-major J
-LAYOUT_SIGMA_TOL = 1e-6   # |sigma difference| / sigma
-SPECTRUM_TRUTH = {"zpl": [("alpha3", 1280.0, 0.3, 700.0), ("alpha2", C2, 0.3, 300.0),
-                          ("beta", CB, 0.3, 400.0)],
-                  "psb": [{"i0": 90.0, "sigma": 6.0, "delta0": 35.0, "j_max": 10,
-                           "e_ref_nm": 1280.0, "doublet": [1.47, 300.0 / 700.0]},
-                          {"i0": 230.0, "sigma": 6.0, "delta0": 50.0, "j_max": 3,
-                           "e_ref_nm": CB}]}
+# |parameter difference| / sigma and |sigma difference| / sigma, row- against
+# column-major J; the problems below reach 1.3e-11 and 6.4e-9
+LAYOUT_P_TOL = 1e-8
+LAYOUT_SIGMA_TOL = 1e-6
 
 
 LAYOUT_CASES = {
@@ -563,7 +559,7 @@ def test_jacobian_layout_moves_spectrum_fits_only_in_their_last_bits(monkeypatch
     pairs = []
     _fit_both_layouts(monkeypatch, spectrum, pairs)
     for seed in (0, 1):
-        sp = generate(GeneratorSpec(seed=seed, kind="spectrum", truth=SPECTRUM_TRUTH,
+        sp = generate(GeneratorSpec(seed=seed, kind="spectrum", truth=ZPL_PSB_TRUTH,
                                     noise={"kind": "poisson"},
                                     sampling={"wl_start": 1255.0, "wl_end": 1470.0,
                                               "step_nm": 0.2}))

@@ -32,6 +32,13 @@ from sicpl.synth import GeneratorSpec, generate
 E3 = EV_NM_MEV / 1280.0
 C2 = EV_NM_MEV / (E3 + 1.47)
 CB = EV_NM_MEV / (E3 - 40.0)
+# alpha and beta ZPLs, the alpha doublet sideband series and a beta sideband
+ZPL_PSB_TRUTH = {"zpl": [("alpha3", 1280.0, 0.3, 700.0), ("alpha2", C2, 0.3, 300.0),
+                         ("beta", CB, 0.3, 400.0)],
+                 "psb": [{"i0": 90.0, "sigma": 6.0, "delta0": 35.0, "j_max": 10,
+                          "e_ref_nm": 1280.0, "doublet": [1.47, 300.0 / 700.0]},
+                         {"i0": 230.0, "sigma": 6.0, "delta0": 50.0, "j_max": 3,
+                          "e_ref_nm": CB}]}
 
 
 def spectrum_with_lines(zpl, step=0.05, wl=(1270.0, 1290.0), seed=1, noise="none"):
@@ -305,13 +312,8 @@ def test_fit_psb_flags_oversubtraction():
 
 
 def test_fit_psb_alpha_model_is_the_fitted_series():
-    truth = {"zpl": [("alpha3", 1280.0, 0.3, 700.0), ("alpha2", C2, 0.3, 300.0),
-                     ("beta", CB, 0.3, 400.0)],
-             "psb": [{"i0": 90.0, "sigma": 6.0, "delta0": 35.0, "j_max": 10,
-                      "e_ref_nm": 1280.0, "doublet": [1.47, 300.0 / 700.0]},
-                     {"i0": 230.0, "sigma": 6.0, "delta0": 50.0, "j_max": 3,
-                      "e_ref_nm": CB}]}
-    sp = generate(GeneratorSpec(seed=0, kind="spectrum", truth=truth, noise={"kind": "poisson"},
+    sp = generate(GeneratorSpec(seed=0, kind="spectrum", truth=ZPL_PSB_TRUTH,
+                                noise={"kind": "poisson"},
                                 sampling={"wl_start": 1255.0, "wl_end": 1470.0,
                                           "step_nm": 0.2}))
     zpls = find_zpls(sp, [("alpha3", 1280.0, 3.0), ("alpha2", C2, 3.0), ("beta", CB, 4.0)])
